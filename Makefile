@@ -1,23 +1,19 @@
 GO ?= go
 
-.PHONY: build test vet staticlint race lint check fuzz test-chaos test-soak probe trace-smoke serve-smoke journal-smoke attrib-smoke router-smoke tune-smoke
+.PHONY: build test vet staticlint race lint check fuzz test-chaos test-soak trace-smoke serve-smoke journal-smoke attrib-smoke router-smoke tune-smoke
 
 build:
 	$(GO) build ./...
 
-# go vet runs twice: once on the default build, once under the
-# telemetryprobe tag so the probe-only sources stay vetted and compiling.
 vet:
 	$(GO) vet ./...
-	$(GO) vet -tags telemetryprobe ./...
 
 # The project's own analyzers (cmd/shalom-vet): hot-path invariants
 # (//shalom:hotpath), telemetry nil-guard discipline, context propagation,
-# and atomic access discipline. Runs on the default build and under the
-# telemetryprobe tag, where the probe sources join the hot paths.
+# and atomic access discipline. internal/staticlint's TestModuleClean runs
+# the same proofs under go test.
 staticlint:
 	$(GO) run ./cmd/shalom-vet ./...
-	$(GO) run ./cmd/shalom-vet -tags telemetryprobe ./...
 
 test:
 	$(GO) test ./...
@@ -42,15 +38,6 @@ test-chaos:
 # schedule stops.
 test-soak:
 	SHALOM_SOAK=1 $(GO) test -count=1 -run TestSoakRandomFaultSchedule -v ./internal/heal/
-
-# Telemetry overhead budget, enforced by counting instead of timing: the
-# telemetryprobe build tag compiles a counter into every telemetry
-# atomic-write site, and the probe test requires exactly zero writes on the
-# telemetry-off hot path (plus >0 on the enabled path, so the probe itself
-# is known to be wired).
-probe:
-	$(GO) test -tags telemetryprobe -run '^$$' -count=1 ./...
-	$(GO) test -tags telemetryprobe -run 'TestTelemetryProbe' ./...
 
 # Trace smoke test: drive a small workload mix through a telemetry-enabled
 # context, export the Chrome trace_event JSON, and validate it (well-formed,
@@ -112,4 +99,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAnalyze -fuzztime=10s ./internal/isa/
 
 # The CI gate.
-check: vet staticlint build test race test-chaos test-soak probe trace-smoke serve-smoke router-smoke journal-smoke attrib-smoke tune-smoke lint
+check: vet staticlint build test race test-chaos test-soak trace-smoke serve-smoke router-smoke journal-smoke attrib-smoke tune-smoke lint

@@ -55,11 +55,12 @@ func BenchmarkSGEMMIrregularParallel(b *testing.B) { benchSGEMM(b, NT, 64, 4096,
 // BenchmarkTelemetryOff/On compare the 64x64x64 SGEMM hot path without and
 // with the telemetry layer. The overhead budget is <2% for the disabled
 // path; wall-clock deltas at that scale are noise on shared CI machines, so
-// the budget is enforced non-flakily by the telemetryprobe build tag
-// instead (TestTelemetryProbe: the disabled path performs exactly zero
-// telemetry atomic writes, and TestTelemetryOffHotPathAllocs: zero
-// allocations). These benchmarks exist to measure the enabled path's real
-// cost locally: `go test -bench 'TelemetryO(n|ff)' -count 10`.
+// the budget is enforced non-flakily instead: shalom-vet's telemetrypure
+// analyzer (run in go test by internal/staticlint's TestModuleClean)
+// proves the disabled path performs zero telemetry writes, and
+// TestTelemetryOffHotPathAllocs pins zero allocations. These benchmarks
+// exist to measure the enabled path's real cost locally:
+// `go test -bench 'TelemetryO(n|ff)' -count 10`.
 func BenchmarkTelemetryOff(b *testing.B) { benchTelemetry(b, New(WithThreads(1))) }
 func BenchmarkTelemetryOn(b *testing.B)  { benchTelemetry(b, New(WithThreads(1), WithTelemetry())) }
 

@@ -146,7 +146,9 @@ func main() {
 	}
 	rt.Close()
 
-	s := tel.Snapshot().Router
+	snap := tel.Snapshot()
+	n := func(name string) uint64 { return uint64(snap.Metric("libshalom_router_" + name)) }
 	fmt.Printf("shalom-router: drained — forwarded %d, attempts %d, retries %d, hedges %d, shed %d, errors %d, ejections %d, readmissions %d\n",
-		s.Forwarded, s.Attempts, s.Retries, s.Hedges, s.Shed, s.Errors, s.Ejections, s.Readmissions)
+		n("requests_forwarded_total"), n("attempts_total"), n("retries_total"), n("hedges_total"),
+		n("requests_shed_total"), n("requests_error_total"), n("ejections_total"), n("readmissions_total"))
 }

@@ -311,7 +311,8 @@ func main() {
 			eng.Windows(), eng.DriftTotal())
 	}
 	snap := lib.Snapshot()
-	sv := snap.Server
+	n := func(name string) uint64 { return uint64(snap.Metric("libshalom_server_" + name)) }
 	fmt.Printf("shalom-serve: drained — accepted %d, coalesced %d, shed %d, expired %d, rejected %d, flushes %d\n",
-		sv.Accepted, sv.Coalesced, sv.Shed, sv.Expired, sv.Rejected, sv.Flushes)
+		n("requests_accepted_total"), n("coalesced_requests_total"), n("requests_shed_total"),
+		n("requests_expired_total"), n("requests_rejected_total"), n("batch_size"))
 }

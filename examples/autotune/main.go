@@ -130,10 +130,9 @@ func closedLoop() {
 	report()
 
 	snap := tel.Snapshot()
+	events := func(event string) uint64 { return uint64(snap.Metric("libshalom_autotune_events_total", event)) }
 	fmt.Printf("lifecycle events: search %d, proved %d, canary %d, promoted %d, reverted %d\n",
-		snap.Autotune.Count("search"), snap.Autotune.Count("proved"),
-		snap.Autotune.Count("canary"), snap.Autotune.Count("promoted"),
-		snap.Autotune.Count("reverted"))
+		events("search"), events("proved"), events("canary"), events("promoted"), events("reverted"))
 
 	guard.Reset() // leave no override behind for other examples sharing the process
 }

@@ -27,8 +27,6 @@ package attrib
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -169,6 +167,8 @@ type Engine struct {
 	drifts   uint64
 	recent   []DriftEvent // bounded ring of recent drift events
 
+	drift *telemetry.CounterVec // drift events by shape class
+
 	stop chan struct{}
 	done chan struct{}
 }
@@ -204,7 +204,41 @@ func New(cfg Config) *Engine {
 	if cfg.MinWindowCalls == 0 {
 		cfg.MinWindowCalls = 16
 	}
-	return &Engine{cfg: cfg, plat: cfg.Platform}
+	e := &Engine{cfg: cfg, plat: cfg.Platform}
+	e.declareMetrics(cfg.Recorder)
+	return e
+}
+
+// declareMetrics declares the engine's families on its recorder: the
+// drift counter, and per-key gauges computed from the feed at scrape time.
+func (e *Engine) declareMetrics(r *telemetry.Recorder) {
+	var classes []string
+	for _, c := range telemetry.ShapeClasses() {
+		classes = append(classes, c.String())
+	}
+	e.drift = r.CounterVec("libshalom_attrib_drift_events_total", "Drift events the attribution engine emitted, by shape class.",
+		telemetry.Label{Name: "shape_class", Values: classes})
+	for _, g := range []struct {
+		name, help string
+		value      func(Candidate) float64
+	}{
+		{"libshalom_attrib_rel_efficiency", "Measured/predicted GFLOPS against calibrated par (1.0 = on model).",
+			func(c Candidate) float64 { return c.RelEff }},
+		{"libshalom_attrib_roofline_efficiency", "Measured GFLOPS over the analytic roofline ceiling.",
+			func(c Candidate) float64 { return c.Efficiency }},
+		{"libshalom_attrib_candidate_score", "Tuning-candidate rank score: hot share times shortfall.",
+			func(c Candidate) float64 { return c.Score }},
+		{"libshalom_attrib_hot_share", "Key share of recent flops traffic.",
+			func(c Candidate) float64 { return c.HotShare }},
+	} {
+		r.GaugeFunc(g.name, g.help, []string{"precision", "mode", "shape_class", "kernel"}, func(emit telemetry.Emit) {
+			for _, c := range e.Feed() {
+				emit(g.value(c), c.Precision, c.Mode, c.ShapeClass, c.Kernel)
+			}
+		})
+	}
+	r.GaugeFunc("libshalom_attrib_calibration", "Global host-scale calibration factor (measured/predicted par).", nil,
+		func(emit telemetry.Emit) { emit(e.Report().Calibration) })
 }
 
 // Start launches the window ticker goroutine. Safe on nil; Close stops it.
@@ -360,7 +394,7 @@ func (e *Engine) Step() {
 				e.drifts++
 				prec, mode, class, kernel := telemetry.AttribKeyLabels(row.idx)
 				_, _, classIdx, _ := telemetry.AttribKeyAt(row.idx)
-				rec.AttribDriftEvent(classIdx)
+				e.drift.At(int(classIdx)).Add(1)
 				ev := DriftEvent{
 					Precision: prec, Mode: mode, ShapeClass: class, Kernel: kernel,
 					Measured: a.ewma, Predicted: a.predicted,
@@ -482,46 +516,6 @@ func (e *Engine) Windows() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.windows
-}
-
-// WritePrometheus renders the engine's gauge family: per-key relative
-// efficiency, roofline efficiency, candidate score and hot share, plus the
-// global calibration factor. Counter-shaped series (drift events, windows)
-// are exposed by the telemetry snapshot, not here, so the combined
-// exposition never duplicates a series. Safe on nil (writes nothing).
-func (e *Engine) WritePrometheus(w io.Writer) error {
-	if e == nil {
-		return nil
-	}
-	rep := e.Report()
-	var b []byte
-	labels := func(c Candidate) string {
-		return fmt.Sprintf(`{precision=%q,mode=%q,shape_class=%q,kernel=%q}`,
-			c.Precision, c.Mode, c.ShapeClass, c.Kernel)
-	}
-	b = append(b, "# HELP libshalom_attrib_rel_efficiency Measured/predicted GFLOPS against calibrated par (1.0 = on model).\n"...)
-	b = append(b, "# TYPE libshalom_attrib_rel_efficiency gauge\n"...)
-	for _, c := range rep.Candidates {
-		b = append(b, fmt.Sprintf("libshalom_attrib_rel_efficiency%s %g\n", labels(c), c.RelEff)...)
-	}
-	b = append(b, "# HELP libshalom_attrib_roofline_efficiency Measured GFLOPS over the analytic roofline ceiling.\n"...)
-	b = append(b, "# TYPE libshalom_attrib_roofline_efficiency gauge\n"...)
-	for _, c := range rep.Candidates {
-		b = append(b, fmt.Sprintf("libshalom_attrib_roofline_efficiency%s %g\n", labels(c), c.Efficiency)...)
-	}
-	b = append(b, "# HELP libshalom_attrib_candidate_score Tuning-candidate rank score: hot share times shortfall.\n"...)
-	b = append(b, "# TYPE libshalom_attrib_candidate_score gauge\n"...)
-	for _, c := range rep.Candidates {
-		b = append(b, fmt.Sprintf("libshalom_attrib_candidate_score%s %g\n", labels(c), c.Score)...)
-	}
-	b = append(b, "# HELP libshalom_attrib_hot_share Key share of recent flops traffic.\n"...)
-	b = append(b, "# TYPE libshalom_attrib_hot_share gauge\n"...)
-	for _, c := range rep.Candidates {
-		b = append(b, fmt.Sprintf("libshalom_attrib_hot_share%s %g\n", labels(c), c.HotShare)...)
-	}
-	b = append(b, fmt.Sprintf("# HELP libshalom_attrib_calibration Global host-scale calibration factor (measured/predicted par).\n# TYPE libshalom_attrib_calibration gauge\nlibshalom_attrib_calibration %g\n", rep.Calibration)...)
-	_, err := w.Write(b)
-	return err
 }
 
 // Handler serves the report as JSON — the /attrib endpoint body.

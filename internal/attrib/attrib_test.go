@@ -51,9 +51,6 @@ func TestNilEngineIsDisabled(t *testing.T) {
 	if e.Feed() != nil || e.DriftTotal() != 0 || e.Windows() != 0 {
 		t.Fatal("nil engine returned live data")
 	}
-	if err := e.WritePrometheus(&strings.Builder{}); err != nil {
-		t.Fatalf("nil WritePrometheus: %v", err)
-	}
 	if New(Config{}) != nil {
 		t.Fatal("New without a recorder must return the disabled (nil) engine")
 	}
@@ -140,12 +137,12 @@ func TestSeededSlowClassDriftsAndRanksFirst(t *testing.T) {
 	if ev.RelEff >= 1-e.cfg.Margin {
 		t.Fatalf("drift event rel-eff %v not below the margin", ev.RelEff)
 	}
-	if got := tel.AttribDriftCount(small); got != 1 {
-		t.Fatalf("telemetry drift counter = %d, want 1", got)
-	}
 	snap := tel.Snapshot()
-	if len(snap.AttribDrift) != 1 || snap.AttribDrift[0].Name != "small" {
-		t.Fatalf("snapshot attrib drift = %+v", snap.AttribDrift)
+	if got := snap.Metric("libshalom_attrib_drift_events_total", "small"); got != 1 {
+		t.Fatalf("telemetry drift counter = %v, want 1", got)
+	}
+	if got := snap.Metric("libshalom_attrib_drift_events_total"); got != 1 {
+		t.Fatalf("drift events across classes = %v, want only the small class's", got)
 	}
 	if snap.AttribWindows == 0 {
 		t.Fatal("snapshot records no attribution windows")
@@ -218,7 +215,7 @@ func TestReportAndPrometheusExposition(t *testing.T) {
 		t.Fatalf("candidate mode = %q, want NT", rep.Candidates[0].Mode)
 	}
 	var sb strings.Builder
-	if err := e.WritePrometheus(&sb); err != nil {
+	if err := tel.Snapshot().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -128,8 +128,11 @@ type Engine struct {
 
 	mu      sync.Mutex
 	classes map[classKey]*classState
-	// Lifetime counters, indexed like the telemetry event kinds.
+	// Lifetime counters, one per lifecycle event kind.
 	searched, proved, rejected, canaried, promoted, reverted uint64
+
+	events    *telemetry.CounterVec // lifecycle events by kind
+	overrides *telemetry.Gauge      // installed dispatch overrides
 
 	stop chan struct{}
 	done chan struct{}
@@ -141,8 +144,34 @@ func New(cfg Config) *Engine {
 	if cfg.Recorder == nil {
 		return nil
 	}
-	return &Engine{cfg: cfg.withDefaults(), classes: map[classKey]*classState{}}
+	e := &Engine{cfg: cfg.withDefaults(), classes: map[classKey]*classState{}}
+	e.declareMetrics(cfg.Recorder)
+	return e
 }
+
+// Lifecycle event kinds, in order: the event label values of
+// libshalom_autotune_events_total.
+const (
+	// evSearch: one class search launched (candidate enumeration + model
+	// scoring).
+	evSearch = iota
+	// evProved: a candidate cleared the full proof gate (isacheck contract
+	// + symbolic family proof + vexec-vs-reference validation).
+	evProved
+	// evRejected: a class search ended with no candidate worth promoting
+	// (none beat the incumbent's modeled throughput by the margin, or none
+	// survived the proof gate).
+	evRejected
+	// evCanary: a proved candidate was installed as a dispatch override
+	// behind a probing breaker (serving canary-shadowed traffic).
+	evCanary
+	// evPromoted: the candidate's breaker closed — the tuned tile now
+	// serves its class unshadowed.
+	evPromoted
+	// evReverted: the candidate's breaker tripped (or an operator cleared
+	// the override) — the incumbent tile was restored.
+	evReverted
+)
 
 // Start launches the tuning loop goroutine. Safe to call on a nil engine;
 // a second Start is a no-op.
@@ -234,7 +263,7 @@ func (e *Engine) promoteLocked(key classKey, cs *classState) {
 	cs.detail = ""
 	cs.updated = time.Now()
 	e.promoted++
-	e.cfg.Recorder.TuneEvent(telemetry.TunePromoted)
+	e.events.At(evPromoted).Add(1)
 	e.cfg.Journal.TunePromote(e.cfg.Platform.Name, classLabel(key), cs.cand.Kernel,
 		cs.cand.MR, cs.cand.NR, cs.cand.KC, cs.cand.GFLOPS)
 }
@@ -261,8 +290,8 @@ func (e *Engine) revertLocked(key classKey, cs *classState) {
 	cs.detail = detail
 	cs.updated = time.Now()
 	e.reverted++
-	e.cfg.Recorder.TuneEvent(telemetry.TuneReverted)
-	e.cfg.Recorder.TuneOverrides(-1)
+	e.events.At(evReverted).Add(1)
+	e.overrides.Add(-1)
 	e.cfg.Journal.TuneRevert(plat, classLabel(key), cs.cand.Kernel,
 		cs.cand.MR, cs.cand.NR, cs.cand.KC, detail)
 }
@@ -312,7 +341,7 @@ func (e *Engine) tune(k classKey) {
 	e.mu.Lock()
 	e.searched++
 	e.mu.Unlock()
-	e.cfg.Recorder.TuneEvent(telemetry.TuneSearch)
+	e.events.At(evSearch).Add(1)
 
 	sr := Search(e.cfg.Platform, k.elem, k.class)
 	e.mu.Lock()
@@ -343,7 +372,7 @@ func (e *Engine) tune(k classKey) {
 		e.mu.Lock()
 		e.proved++
 		e.mu.Unlock()
-		e.cfg.Recorder.TuneEvent(telemetry.TuneProved)
+		e.events.At(evProved).Add(1)
 		e.install(k, c)
 		return
 	}
@@ -361,8 +390,8 @@ func (e *Engine) install(k classKey, c Candidate) {
 	})
 	heal.BeginProbation(plat, path)
 	e.cfg.Recorder.BreakerTransition(telemetry.BreakerHealthy, telemetry.BreakerProbing)
-	e.cfg.Recorder.TuneEvent(telemetry.TuneCanary)
-	e.cfg.Recorder.TuneOverrides(1)
+	e.events.At(evCanary).Add(1)
+	e.overrides.Add(1)
 
 	e.mu.Lock()
 	cs := e.stateLocked(k)
@@ -381,7 +410,7 @@ func (e *Engine) reject(k classKey, detail string) {
 	e.mu.Lock()
 	e.rejected++
 	e.mu.Unlock()
-	e.cfg.Recorder.TuneEvent(telemetry.TuneRejected)
+	e.events.At(evRejected).Add(1)
 }
 
 // transition moves a class to a new state and returns its record.

@@ -147,12 +147,12 @@ func TestTuneNowPromotesDetunedClass(t *testing.T) {
 	}
 	snap := tel.Snapshot()
 	for _, want := range []string{"search", "proved", "canary"} {
-		if snap.Autotune.Count(want) != 1 {
-			t.Fatalf("autotune event %q = %d, want 1", want, snap.Autotune.Count(want))
+		if got := snap.Metric("libshalom_autotune_events_total", want); got != 1 {
+			t.Fatalf("autotune event %q = %v, want 1", want, got)
 		}
 	}
-	if snap.Autotune.Overrides != 1 {
-		t.Fatalf("overrides gauge = %d, want 1", snap.Autotune.Overrides)
+	if got := snap.Metric("libshalom_autotune_overrides"); got != 1 {
+		t.Fatalf("overrides gauge = %v, want 1", got)
 	}
 
 	// Live traffic agrees with the reference on every canaried call: the
@@ -166,7 +166,7 @@ func TestTuneNowPromotesDetunedClass(t *testing.T) {
 	if rep.Classes[0].State != string(StatePromoted) || rep.Promoted != 1 {
 		t.Fatalf("after close report = %+v, want promoted", rep.Classes[0])
 	}
-	if tel.Snapshot().Autotune.Count("promoted") != 1 {
+	if tel.Snapshot().Metric("libshalom_autotune_events_total", "promoted") != 1 {
 		t.Fatal("promoted event not recorded")
 	}
 
@@ -228,8 +228,9 @@ func TestStepRevertsTrippedCanary(t *testing.T) {
 		t.Fatalf("revert detail = %q, want the trip reason", rep.Classes[0].Detail)
 	}
 	snap := tel.Snapshot()
-	if snap.Autotune.Count("reverted") != 1 || snap.Autotune.Overrides != 0 {
-		t.Fatalf("autotune stats = %+v, want one revert and gauge back to 0", snap.Autotune)
+	reverted, overrides := snap.Metric("libshalom_autotune_events_total", "reverted"), snap.Metric("libshalom_autotune_overrides")
+	if reverted != 1 || overrides != 0 {
+		t.Fatalf("reverted events = %v, overrides gauge = %v; want one revert and gauge back to 0", reverted, overrides)
 	}
 	// The private breaker record is retired: generation-counted paths are
 	// never reused, so nothing should linger in the registry.
@@ -277,7 +278,7 @@ func TestWellTunedClassIsRejected(t *testing.T) {
 	if guard.Overrides() != nil {
 		t.Fatal("a rejected search must install nothing")
 	}
-	if tel.Snapshot().Autotune.Count("rejected") != 1 {
+	if tel.Snapshot().Metric("libshalom_autotune_events_total", "rejected") != 1 {
 		t.Fatal("rejected event not recorded")
 	}
 }
@@ -300,10 +301,6 @@ func TestNilEngineIsInert(t *testing.T) {
 	eng.Handler()(rr, httptest.NewRequest("GET", "/tune", nil))
 	if rr.Code != 404 {
 		t.Fatalf("nil engine /tune = %d, want 404", rr.Code)
-	}
-	var sb strings.Builder
-	if err := eng.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
-		t.Fatalf("nil engine exposition = %q, %v", sb.String(), err)
 	}
 }
 
@@ -330,7 +327,7 @@ func TestReportSurfaces(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := eng.WritePrometheus(&sb); err != nil {
+	if err := tel.Snapshot().WritePrometheus(&sb); err != nil {
 		t.Fatalf("exposition: %v", err)
 	}
 	expo := sb.String()

@@ -2,10 +2,10 @@ package autotune
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"time"
+
+	"libshalom/internal/telemetry"
 )
 
 // ClassReport is one class's row in the /tune report.
@@ -98,40 +98,34 @@ func (e *Engine) Handler() http.HandlerFunc {
 	}
 }
 
-// WritePrometheus appends the engine's per-class gauge family to a
-// /metrics exposition. Nil-safe: a nil engine writes nothing. The series
-// complement (never duplicate) the recorder's libshalom_autotune_events_total
-// counters and overrides gauge.
-func (e *Engine) WritePrometheus(w io.Writer) error {
-	if e == nil {
-		return nil
-	}
-	rep := e.Report()
-	var b []byte
-	b = append(b, "# HELP libshalom_autotune_class_state Tuning lifecycle state per shape class (1 = current state).\n"...)
-	b = append(b, "# TYPE libshalom_autotune_class_state gauge\n"...)
-	for _, c := range rep.Classes {
-		b = append(b, fmt.Sprintf("libshalom_autotune_class_state{precision=%q,shape_class=%q,state=%q} 1\n",
-			c.Precision, c.ShapeClass, c.State)...)
-	}
-	b = append(b, "# HELP libshalom_autotune_class_candidate_gflops Modeled throughput of the class's tuned candidate.\n"...)
-	b = append(b, "# TYPE libshalom_autotune_class_candidate_gflops gauge\n"...)
-	for _, c := range rep.Classes {
-		if c.Kernel == "" {
-			continue
-		}
-		b = append(b, fmt.Sprintf("libshalom_autotune_class_candidate_gflops{precision=%q,shape_class=%q,kernel=%q} %g\n",
-			c.Precision, c.ShapeClass, c.Kernel, c.CandidateGFLOPS)...)
-	}
-	b = append(b, "# HELP libshalom_autotune_class_incumbent_gflops Modeled throughput of the tile the class was serving at search time.\n"...)
-	b = append(b, "# TYPE libshalom_autotune_class_incumbent_gflops gauge\n"...)
-	for _, c := range rep.Classes {
-		if c.IncumbentKernel == "" {
-			continue
-		}
-		b = append(b, fmt.Sprintf("libshalom_autotune_class_incumbent_gflops{precision=%q,shape_class=%q,kernel=%q} %g\n",
-			c.Precision, c.ShapeClass, c.IncumbentKernel, c.IncumbentGFLOPS)...)
-	}
-	_, err := w.Write(b)
-	return err
+// declareMetrics declares the engine's families on its recorder: the
+// lifecycle event counter and installed-overrides gauge, and per-class
+// gauges computed from the report at scrape time.
+func (e *Engine) declareMetrics(r *telemetry.Recorder) {
+	e.events = r.CounterVec("libshalom_autotune_events_total",
+		"Autotuner lifecycle events: searches, proofs, rejections, canaries, promotions, reverts.",
+		telemetry.Label{Name: "event", Values: []string{"search", "proved", "rejected", "canary", "promoted", "reverted"}})
+	e.overrides = r.Gauge("libshalom_autotune_overrides", "Tuned dispatch overrides currently installed.")
+	r.GaugeFunc("libshalom_autotune_class_state", "Tuning lifecycle state per shape class (1 = current state).",
+		[]string{"precision", "shape_class", "state"}, func(emit telemetry.Emit) {
+			for _, c := range e.Report().Classes {
+				emit(1, c.Precision, c.ShapeClass, c.State)
+			}
+		})
+	r.GaugeFunc("libshalom_autotune_class_candidate_gflops", "Modeled throughput of the class's tuned candidate.",
+		[]string{"precision", "shape_class", "kernel"}, func(emit telemetry.Emit) {
+			for _, c := range e.Report().Classes {
+				if c.Kernel != "" {
+					emit(c.CandidateGFLOPS, c.Precision, c.ShapeClass, c.Kernel)
+				}
+			}
+		})
+	r.GaugeFunc("libshalom_autotune_class_incumbent_gflops", "Modeled throughput of the tile the class was serving at search time.",
+		[]string{"precision", "shape_class", "kernel"}, func(emit telemetry.Emit) {
+			for _, c := range e.Report().Classes {
+				if c.IncumbentKernel != "" {
+					emit(c.IncumbentGFLOPS, c.Precision, c.ShapeClass, c.IncumbentKernel)
+				}
+			}
+		})
 }

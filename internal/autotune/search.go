@@ -10,10 +10,9 @@ import (
 	"libshalom/internal/heal"
 	"libshalom/internal/isa"
 	"libshalom/internal/isacheck"
-	"libshalom/internal/kernels"
 	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
-	"libshalom/internal/uarch"
+	"libshalom/internal/tuner"
 	"libshalom/internal/vexec"
 )
 
@@ -76,24 +75,15 @@ func kernelTag(mr, nr, kc int) string {
 // quantifies over are admissible, because Prove will demand membership.
 func Search(p *platform.Platform, elemBytes int, class telemetry.ShapeClass) SearchResult {
 	lanes := 16 / elemBytes
-	cfg := uarch.FromPlatform(p)
 	fam, _ := isacheck.FamilyByName(familyFor(elemBytes))
 
+	// Search's rule on top of the shared scoring: an infeasible tile
+	// scores 0.
 	eval := func(mr, nr int) float64 {
 		if !analytic.Feasible(mr, nr, lanes, analytic.RegisterBudget) {
 			return 0
 		}
-		build := func(kc int) *isa.Program {
-			if kc%lanes != 0 {
-				kc += lanes - kc%lanes
-			}
-			return kernels.BuildMain(kernels.MainSpec{
-				Elem: elemBytes, MR: mr, NR: nr, KC: kc,
-				LDA: kc, LDB: nr, LDC: nr, Schedule: kernels.Pipelined,
-			})
-		}
-		cpi := uarch.SteadyStateCPI(build, cfg, 32, 64) // cycles per K step
-		return 2 * float64(mr) * float64(nr) / cpi * p.FreqGHz
+		return tuner.TileGFLOPS(p, elemBytes, mr, nr)
 	}
 
 	// Panel depth: the deepest KC the family domain admits that does not

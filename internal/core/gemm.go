@@ -53,7 +53,7 @@ type Config struct {
 	// Tel is the optional telemetry recorder the call reports into: per-
 	// shape metrics, phase trace spans, pool gauges. nil disables the layer;
 	// the disabled hot path performs zero atomic writes and zero
-	// allocations (probe-verified, see internal/telemetry).
+	// allocations (proven by shalom-vet, see internal/telemetry).
 	Tel *telemetry.Recorder
 }
 

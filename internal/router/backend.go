@@ -3,8 +3,6 @@ package router
 import (
 	"sync"
 	"time"
-
-	"libshalom/internal/telemetry"
 )
 
 // Backend states of the outlier-ejection state machine — the fleet-level
@@ -132,7 +130,7 @@ func (b *backend) recordNotReady() {
 
 // recordFailure counts one 5xx/connect failure toward ejection, returning
 // true when this failure tripped the ejection threshold.
-func (b *backend) recordFailure(errStr string, cfg Config, now time.Time, tel *telemetry.Recorder) bool {
+func (b *backend) recordFailure(errStr string, cfg Config, now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.failures++
@@ -145,7 +143,6 @@ func (b *backend) recordFailure(errStr string, cfg Config, now time.Time, tel *t
 		return false
 	}
 	b.ejectLocked(cfg, now)
-	tel.RouterEjection()
 	return true
 }
 
@@ -198,7 +195,7 @@ func (b *backend) probeNotReady(now time.Time) {
 // it counts toward ejection on a healthy backend, and doubles the
 // readmission cooldown on an ejected one. Returns true when the failure
 // ejected a healthy backend.
-func (b *backend) probeFail(errStr string, cfg Config, now time.Time, tel *telemetry.Recorder) bool {
+func (b *backend) probeFail(errStr string, cfg Config, now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.lastErr = errStr
@@ -213,6 +210,5 @@ func (b *backend) probeFail(errStr string, cfg Config, now time.Time, tel *telem
 		return false
 	}
 	b.ejectLocked(cfg, now)
-	tel.RouterEjection()
 	return true
 }

@@ -147,6 +147,7 @@ func (c Config) readmitCooldown(trips int) time.Duration {
 type Router struct {
 	cfg      Config
 	tel      *telemetry.Recorder
+	m        metrics
 	cfgHash  string
 	backends []*backend
 	client   *http.Client
@@ -196,19 +197,83 @@ func New(cfg Config) (*Router, error) {
 		rt.backends = append(rt.backends, &backend{index: i, id: u, state: StateHealthy, ready: true})
 	}
 	rt.cfgHash = configHash(rt.cfg, rt.backends)
+	rt.declareMetrics()
 	rt.mux.HandleFunc("/v1/gemm", rt.handleGEMM)
 	rt.mux.HandleFunc("/healthz", rt.handleHealth)
 	rt.mux.HandleFunc("/readyz", rt.handleReady)
 	if rt.tel.Enabled() {
 		h := rt.tel.Handler()
-		rt.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			h.ServeHTTP(w, r)
-			rt.writeBackendMetrics(w)
-		})
+		rt.mux.Handle("/metrics", h)
 		rt.mux.Handle("/snapshot", h)
 		rt.mux.Handle("/trace", h)
 	}
 	return rt, nil
+}
+
+// metrics are the router's families, declared on Config.Telemetry: how
+// many requests were forwarded, how many attempts the hedging and retry
+// machinery spent on them, and how the ejection state machine moved.
+type metrics struct {
+	forwarded, attempts, retries, hedges, shed, errors, rejected *telemetry.Counter
+	ejections, readmissions, probes, probeFails                  *telemetry.Counter
+	eligible, ejected                                            *telemetry.Gauge
+}
+
+// declareMetrics declares the router's families, and the per-backend
+// series the aggregate families summarize, read from the fleet table at
+// scrape time.
+func (rt *Router) declareMetrics() {
+	t := rt.tel
+	rt.m = metrics{
+		forwarded:    t.Counter("libshalom_router_requests_forwarded_total", "Requests answered 200 off a backend."),
+		attempts:     t.Counter("libshalom_router_attempts_total", "Forward attempts to backends (first tries, retries and hedges)."),
+		retries:      t.Counter("libshalom_router_retries_total", "Failure-triggered re-attempts on the next-preferred backend."),
+		hedges:       t.Counter("libshalom_router_hedges_total", "Latency-triggered concurrent attempts on the next-preferred backend."),
+		shed:         t.Counter("libshalom_router_requests_shed_total", "Requests the router answered 429/503 (no backend admitted them)."),
+		errors:       t.Counter("libshalom_router_requests_error_total", "Requests the router answered 502/504 after exhausting retries or deadline."),
+		rejected:     t.Counter("libshalom_router_requests_rejected_total", "Requests refused at the router's decode step (HTTP 400)."),
+		ejections:    t.Counter("libshalom_router_ejections_total", "Backends ejected by the outlier state machine."),
+		readmissions: t.Counter("libshalom_router_readmissions_total", "Ejected backends readmitted after a successful backoff probe."),
+		probes:       t.Counter("libshalom_router_probes_total", "Readiness probes issued to backends."),
+		probeFails:   t.Counter("libshalom_router_probe_failures_total", "Readiness probes that failed (connect error or non-ready status)."),
+		eligible:     t.Gauge("libshalom_router_backends_eligible", "Backends currently eligible for routing (healthy and ready)."),
+		ejected:      t.Gauge("libshalom_router_backends_ejected", "Backends currently ejected by the outlier state machine."),
+	}
+	t.GaugeFunc("libshalom_router_backend_up", "Backend eligibility: 1 routed-to, 0 out of rotation.",
+		[]string{"backend", "state"}, func(emit telemetry.Emit) {
+			for _, b := range rt.backends {
+				h := b.health()
+				up := 0.0
+				if h.State == "healthy" && h.Ready {
+					up = 1
+				}
+				emit(up, h.URL, h.State)
+			}
+		})
+	t.CounterFunc("libshalom_router_backend_requests_total", "Per-backend request outcomes observed by the router.",
+		[]string{"backend", "outcome"}, func(emit telemetry.Emit) {
+			for _, b := range rt.backends {
+				h := b.health()
+				emit(float64(h.Routed), h.URL, "ok")
+				emit(float64(h.Failures), h.URL, "failure")
+				emit(float64(h.Sheds), h.URL, "shed")
+			}
+		})
+	t.CounterFunc("libshalom_router_backend_trips_total", "Ejection trips per backend.",
+		[]string{"backend"}, func(emit telemetry.Emit) {
+			for _, b := range rt.backends {
+				h := b.health()
+				emit(float64(h.Trips), h.URL)
+			}
+		})
+}
+
+// probed counts one readiness probe and its verdict.
+func (rt *Router) probed(ok bool) {
+	rt.m.probes.Add(1)
+	if !ok {
+		rt.m.probeFails.Add(1)
+	}
 }
 
 // configHash digests the routing policy and backend set into the
@@ -307,7 +372,8 @@ func (rt *Router) eligibleCounts() (eligible, ejected int) {
 
 func (rt *Router) updateGauges() {
 	el, ej := rt.eligibleCounts()
-	rt.tel.RouterBackends(el, ej)
+	rt.m.eligible.Set(int64(el))
+	rt.m.ejected.Set(int64(ej))
 }
 
 // probeLoop is the active health scanner: every tick it probes each
@@ -358,11 +424,12 @@ func (rt *Router) probe(ctx context.Context, b *backend) {
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		rt.tel.RouterProbe(false)
+		rt.probed(false)
 		if ctx.Err() != nil {
 			return // prober shutting down, not a backend verdict
 		}
-		if b.probeFail(err.Error(), rt.cfg, time.Now(), rt.tel) {
+		if b.probeFail(err.Error(), rt.cfg, time.Now()) {
+			rt.m.ejections.Add(1)
 			rt.logf("router: backend %s EJECTED (probe: %v)", b.id, err)
 		}
 		return
@@ -371,19 +438,20 @@ func (rt *Router) probe(ctx context.Context, b *backend) {
 	resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		rt.tel.RouterProbe(true)
+		rt.probed(true)
 		if b.probeOK() {
-			rt.tel.RouterReadmission()
+			rt.m.readmissions.Add(1)
 			rt.logf("router: backend %s READMITTED", b.id)
 		}
 	case http.StatusServiceUnavailable:
 		// Alive but not ready — a draining node. Routed around, never
 		// penalized: drain is deliberate, not an outlier.
-		rt.tel.RouterProbe(false)
+		rt.probed(false)
 		b.probeNotReady(time.Now())
 	default:
-		rt.tel.RouterProbe(false)
-		if b.probeFail(fmt.Sprintf("probe status %d", resp.StatusCode), rt.cfg, time.Now(), rt.tel) {
+		rt.probed(false)
+		if b.probeFail(fmt.Sprintf("probe status %d", resp.StatusCode), rt.cfg, time.Now()) {
+			rt.m.ejections.Add(1)
 			rt.logf("router: backend %s EJECTED (probe status %d)", b.id, resp.StatusCode)
 		}
 	}
@@ -428,7 +496,7 @@ func (rt *Router) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, int64(server.MaxHeaderBytes)+rt.cfg.MaxPayloadBytes)
 	hdr, payload, err := readRequest(body)
 	if err != nil {
-		rt.tel.RouterRejected()
+		rt.m.rejected.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -491,12 +559,12 @@ func (rt *Router) handleGEMM(w http.ResponseWriter, r *http.Request) {
 		}
 		tried[pick] = true
 		launched++
-		rt.tel.RouterAttempt()
+		rt.m.attempts.Add(1)
 		if retry {
-			rt.tel.RouterRetry()
+			rt.m.retries.Add(1)
 		}
 		if hedge {
-			rt.tel.RouterHedge()
+			rt.m.hedges.Add(1)
 		}
 		actx, cancel := context.WithCancel(ctx)
 		cancels = append(cancels, cancel)
@@ -524,7 +592,7 @@ func (rt *Router) handleGEMM(w http.ResponseWriter, r *http.Request) {
 			outstanding--
 			switch res.outcome {
 			case outcomeOK:
-				rt.tel.RouterForwarded()
+				rt.m.forwarded.Add(1)
 				rt.relay(w, res, launched)
 				return
 			case outcomeTerminal:
@@ -547,7 +615,7 @@ func (rt *Router) handleGEMM(w http.ResponseWriter, r *http.Request) {
 				outstanding++
 			}
 		case <-ctx.Done():
-			rt.tel.RouterError()
+			rt.m.errors.Add(1)
 			http.Error(w, "router: deadline exceeded before any backend answered", http.StatusGatewayTimeout)
 			return
 		}
@@ -557,7 +625,7 @@ func (rt *Router) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	case outcomeShed, outcomeNotReady:
 		rt.shedResponse(w, "router: all preferred backends shed the request")
 	default:
-		rt.tel.RouterError()
+		rt.m.errors.Add(1)
 		http.Error(w, "router: all attempts failed: "+lastErr, http.StatusBadGateway)
 	}
 }
@@ -586,7 +654,8 @@ func (rt *Router) attempt(ctx context.Context, b *backend, hdr server.Header, pa
 		if res.err != nil {
 			errStr = res.err.Error()
 		}
-		if b.recordFailure(errStr, rt.cfg, time.Now(), rt.tel) {
+		if b.recordFailure(errStr, rt.cfg, time.Now()) {
+			rt.m.ejections.Add(1)
 			rt.logf("router: backend %s EJECTED (%s)", b.id, errStr)
 			rt.updateGauges()
 		}
@@ -707,7 +776,7 @@ func (rt *Router) relay(w http.ResponseWriter, res attemptResult, attempts int) 
 // shed signal, desynchronized so a storm of shed clients does not re-arrive
 // in one synchronized wave.
 func (rt *Router) shedResponse(w http.ResponseWriter, msg string) {
-	rt.tel.RouterShed()
+	rt.m.shed.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfter()))
 	http.Error(w, msg, http.StatusServiceUnavailable)
 }
@@ -807,34 +876,4 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(map[string]any{
 		"ready": ready, "draining": rt.draining.Load(), "eligible": el,
 	})
-}
-
-// writeBackendMetrics appends the per-backend series to /metrics — the
-// labeled view the aggregate router families summarize. Series names are
-// disjoint from the Recorder's by construction.
-func (rt *Router) writeBackendMetrics(w io.Writer) {
-	fmt.Fprintf(w, "# HELP libshalom_router_backend_up Backend eligibility: 1 routed-to, 0 out of rotation.\n")
-	fmt.Fprintf(w, "# TYPE libshalom_router_backend_up gauge\n")
-	for _, b := range rt.backends {
-		h := b.health()
-		up := 0
-		if h.State == "healthy" && h.Ready {
-			up = 1
-		}
-		fmt.Fprintf(w, "libshalom_router_backend_up{backend=%q,state=%q} %d\n", h.URL, h.State, up)
-	}
-	fmt.Fprintf(w, "# HELP libshalom_router_backend_requests_total Per-backend request outcomes observed by the router.\n")
-	fmt.Fprintf(w, "# TYPE libshalom_router_backend_requests_total counter\n")
-	for _, b := range rt.backends {
-		h := b.health()
-		fmt.Fprintf(w, "libshalom_router_backend_requests_total{backend=%q,outcome=\"ok\"} %d\n", h.URL, h.Routed)
-		fmt.Fprintf(w, "libshalom_router_backend_requests_total{backend=%q,outcome=\"failure\"} %d\n", h.URL, h.Failures)
-		fmt.Fprintf(w, "libshalom_router_backend_requests_total{backend=%q,outcome=\"shed\"} %d\n", h.URL, h.Sheds)
-	}
-	fmt.Fprintf(w, "# HELP libshalom_router_backend_trips_total Ejection trips per backend.\n")
-	fmt.Fprintf(w, "# TYPE libshalom_router_backend_trips_total counter\n")
-	for _, b := range rt.backends {
-		h := b.health()
-		fmt.Fprintf(w, "libshalom_router_backend_trips_total{backend=%q} %d\n", h.URL, h.Trips)
-	}
 }

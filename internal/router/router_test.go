@@ -277,9 +277,10 @@ func TestEjectionAndReadmission(t *testing.T) {
 		t.Fatalf("post-readmission request: status %d", rec.Code)
 	}
 	snap := tel.Snapshot()
-	if snap.Router.Ejections == 0 || snap.Router.Readmissions == 0 {
-		t.Fatalf("telemetry ejections=%d readmissions=%d, want both > 0",
-			snap.Router.Ejections, snap.Router.Readmissions)
+	ejections := snap.Metric("libshalom_router_ejections_total")
+	readmissions := snap.Metric("libshalom_router_readmissions_total")
+	if ejections == 0 || readmissions == 0 {
+		t.Fatalf("telemetry ejections=%v readmissions=%v, want both > 0", ejections, readmissions)
 	}
 }
 

@@ -226,8 +226,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("/metrics: HTTP %d", status)
 	}
-	samples := validatePrometheus(t, body)
-	if samples < 50 {
+	if samples := len(validatePrometheus(t, body)); samples < 50 {
 		t.Fatalf("suspiciously small exposition: %d samples", samples)
 	}
 	for _, want := range []string{"libshalom_journal_records_total", "libshalom_server_requests_rejected_total", "libshalom_attrib_rel_efficiency"} {
@@ -238,9 +237,10 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 }
 
 // validatePrometheus parses a text-format (0.0.4) exposition with the
-// stdlib alone and fails the test on any malformed line. It returns the
-// number of sample lines seen.
-func validatePrometheus(t *testing.T, text string) int {
+// stdlib alone and fails the test on any malformed line. It returns every
+// sample's value keyed by its canonical series key: the sample name and its
+// sorted name=value label pairs, as in name{a=x,le=1}.
+func validatePrometheus(t *testing.T, text string) map[string]float64 {
 	t.Helper()
 	type family struct {
 		help bool
@@ -248,7 +248,7 @@ func validatePrometheus(t *testing.T, text string) int {
 	}
 	families := map[string]*family{}
 	series := map[string]int{} // canonical series key -> first line number
-	samples := 0
+	values := map[string]float64{}
 
 	validName := func(s string) bool {
 		for i, r := range s {
@@ -340,7 +340,6 @@ func validatePrometheus(t *testing.T, text string) int {
 		}
 
 		// Sample line: name[{labels}] value
-		samples++
 		nameEnd := strings.IndexAny(line, "{ ")
 		if nameEnd < 0 {
 			t.Errorf("line %d: no value: %q", ln, line)
@@ -419,7 +418,8 @@ func validatePrometheus(t *testing.T, text string) int {
 		if fields := strings.Fields(valueStr); len(fields) > 0 {
 			valueStr = fields[0] // a timestamp may follow; we never emit one
 		}
-		if _, err := strconv.ParseFloat(valueStr, 64); err != nil {
+		value, err := strconv.ParseFloat(valueStr, 64)
+		if err != nil {
 			t.Errorf("line %d: value %q does not parse: %v", ln, valueStr, err)
 		}
 		sort.Strings(labels)
@@ -428,6 +428,7 @@ func validatePrometheus(t *testing.T, text string) int {
 			t.Errorf("line %d: duplicate series %s (first at line %d)", ln, key, first)
 		} else {
 			series[key] = ln
+			values[key] = value
 		}
 	}
 	for name, f := range families {
@@ -435,5 +436,5 @@ func validatePrometheus(t *testing.T, text string) int {
 			t.Errorf("family %s missing its HELP/TYPE pair", name)
 		}
 	}
-	return samples
+	return values
 }

@@ -104,7 +104,7 @@ func TestServeKernelPanicFailsOnlyThatBatch(t *testing.T) {
 			t.Fatalf("post-panic request %d = HTTP %d (%s), want 200", i, st, body)
 		}
 	}
-	if s := e.lib.Snapshot().Server; s.Accepted != 2*n {
+	if s := statsOf(e.lib); s.Accepted != 2*n {
 		t.Fatalf("accepted = %d, want %d", s.Accepted, 2*n)
 	}
 }
@@ -218,7 +218,7 @@ func TestServeDrainUnderConcurrentLoad(t *testing.T) {
 	if counts[http.StatusOK] == 0 {
 		t.Fatalf("no request completed before the drain: %v", counts)
 	}
-	s := e.lib.Snapshot().Server
+	s := statsOf(e.lib)
 	if s.Expired != 0 {
 		t.Fatalf("drain dropped %d admitted requests", s.Expired)
 	}

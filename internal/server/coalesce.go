@@ -10,7 +10,6 @@ import (
 
 	"libshalom"
 	"libshalom/internal/journal"
-	"libshalom/internal/telemetry"
 )
 
 // result is the coalescer's answer to one request.
@@ -69,7 +68,7 @@ type classQueue struct {
 type coalescer struct {
 	lib  *libshalom.Context
 	cfg  Config
-	tel  *telemetry.Recorder
+	m    *metrics
 	jw   *journal.Writer
 	base context.Context // parent of every flush's batch context
 
@@ -90,7 +89,7 @@ func newCoalescer(lib *libshalom.Context, cfg Config) *coalescer {
 	return &coalescer{
 		lib:     lib,
 		cfg:     cfg,
-		tel:     lib.TelemetryRecorder(),
+		m:       newMetrics(lib.TelemetryRecorder()),
 		jw:      cfg.Journal,
 		base:    base,
 		classes: make(map[classKey]*classQueue),
@@ -195,7 +194,7 @@ func (co *coalescer) runFlush(key classKey, batch []*pending) {
 	for _, p := range batch {
 		co.recordWait(p, now)
 		if !p.deadline.IsZero() && now.After(p.deadline) {
-			co.tel.ServerExpired()
+			co.m.expired.Add(1)
 			co.finish(p, result{status: http.StatusGatewayTimeout, msg: "deadline expired before flush"})
 			continue
 		}
@@ -205,7 +204,10 @@ func (co *coalescer) runFlush(key classKey, batch []*pending) {
 		return
 	}
 	size := len(live)
-	co.tel.ServerFlush(size)
+	co.m.batchSize.Observe(float64(size))
+	if size > 1 {
+		co.m.coalesced.Add(uint64(size))
+	}
 	if co.jw.Enabled() {
 		var flops float64
 		for _, p := range live {
@@ -239,7 +241,7 @@ func (co *coalescer) runFlush(key classKey, batch []*pending) {
 			case i < len(done) && done[i]:
 				co.finish(p, result{status: http.StatusOK, batchSize: size, queueWait: p.wait})
 			case !p.deadline.IsZero() && now.After(p.deadline):
-				co.tel.ServerExpired()
+				co.m.expired.Add(1)
 				co.finish(p, result{status: http.StatusGatewayTimeout, msg: "deadline exceeded before completion"})
 			default:
 				next = append(next, p)
@@ -316,7 +318,7 @@ func (co *coalescer) recordWait(p *pending, now time.Time) {
 	}
 	p.waited = true
 	p.wait = now.Sub(p.enq)
-	co.tel.ServerQueueWait(int64(p.wait))
+	co.m.queueWait.Observe(float64(max(p.wait, 1)))
 }
 
 // finish releases the request's in-flight flops reservation and delivers

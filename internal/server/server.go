@@ -127,9 +127,9 @@ func (c Config) withDefaults() Config {
 //	POST /v1/gemm   one GEMM request (wire format in wire.go)
 //	GET  /healthz   200 healthy / 503 while any breaker is open on the
 //	                serving platform's kernel paths
-//	GET  /metrics   Prometheus exposition (when the Context has telemetry),
-//	                with the attribution gauge family appended when an
-//	                Engine is configured
+//	GET  /metrics   Prometheus exposition (when the Context has telemetry):
+//	                every family declared on its recorder, the attribution
+//	                engine's and autotuner's included
 //	GET  /snapshot  telemetry snapshot as JSON
 //	GET  /trace     Chrome trace_event JSON
 //	GET  /attrib    attribution report: efficiency accounts, drift events,
@@ -142,12 +142,34 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	lib      *libshalom.Context
 	cfg      Config
-	tel      *telemetry.Recorder
 	jw       *journal.Writer
 	cfgHash  string
 	co       *coalescer
 	mux      *http.ServeMux
 	draining atomic.Bool
+}
+
+// metrics are the serving layer's families, declared on the Context's
+// recorder so one scrape shows the front end next to the driver it feeds:
+// admission outcomes, flush sizes (the coalescing win is batch sizes > 1),
+// and the time requests wait in the coalescing queue.
+type metrics struct {
+	accepted, shed, expired, rejected, coalesced *telemetry.Counter
+	batchSize, queueWait                         *telemetry.Histogram
+}
+
+func newMetrics(r *telemetry.Recorder) *metrics {
+	return &metrics{
+		accepted:  r.Counter("libshalom_server_requests_accepted_total", "Requests admitted into a coalescing queue."),
+		shed:      r.Counter("libshalom_server_requests_shed_total", "Requests refused by admission control (HTTP 429)."),
+		expired:   r.Counter("libshalom_server_requests_expired_total", "Admitted requests dropped before flush on an already-passed deadline."),
+		rejected:  r.Counter("libshalom_server_requests_rejected_total", "Requests refused at decode time (HTTP 400)."),
+		coalesced: r.Counter("libshalom_server_coalesced_requests_total", "Requests that shared a flush with at least one other request."),
+		batchSize: r.Histogram("libshalom_server_batch_size", "Coalescer flush sizes, log2-bucketed.",
+			telemetry.Log2{Buckets: 12, Scale: 1, NoSum: true}),
+		queueWait: r.Histogram("libshalom_server_queue_wait_seconds", "Request wait in the coalescing queue, log2-bucketed.",
+			telemetry.Log2{Buckets: telemetry.NumLatencyBuckets, Scale: 1e9}),
+	}
 }
 
 // New builds a Server over lib. The Context's options shape the serving
@@ -159,7 +181,6 @@ func New(lib *libshalom.Context, cfg Config) *Server {
 	s := &Server{
 		lib:     lib,
 		cfg:     cfg,
-		tel:     lib.TelemetryRecorder(),
 		jw:      cfg.Journal,
 		cfgHash: configHash(lib, cfg),
 		co:      newCoalescer(lib, cfg),
@@ -169,15 +190,7 @@ func New(lib *libshalom.Context, cfg Config) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)
 	if h, ok := lib.TelemetryHandler(); ok {
-		// /metrics concatenates the recorder's exposition (driver counters,
-		// the attribution sketch, runtime gauges) with the engine's gauge
-		// family; the series names are disjoint by construction, so the
-		// combined page never duplicates a series.
-		s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			h.ServeHTTP(w, r)
-			_ = cfg.Attrib.WritePrometheus(w)   // nil-safe: writes nothing when attribution is off
-			_ = cfg.Autotune.WritePrometheus(w) // nil-safe: writes nothing when autotuning is off
-		})
+		s.mux.Handle("/metrics", h)
 		s.mux.Handle("/snapshot", h)
 		s.mux.Handle("/trace", h)
 	}
@@ -264,7 +277,7 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, int64(MaxHeaderBytes)+s.cfg.MaxPayloadBytes)
 	req, err := DecodeRequest(body, s.cfg.MaxDim, s.cfg.MaxPayloadBytes)
 	if err != nil {
-		s.tel.ServerRejected()
+		s.co.m.rejected.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -288,12 +301,12 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 		jHdr, jPayload, _ = wireParts(req)
 	}
 	if !s.co.submit(p) {
-		s.tel.ServerShed()
+		s.co.m.shed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
 		http.Error(w, "server: overloaded, request shed", http.StatusTooManyRequests)
 		return
 	}
-	s.tel.ServerAccepted()
+	s.co.m.accepted.Add(1)
 	jid := s.jw.Admit(now, jHdr, jPayload)
 	res := <-p.done
 	if s.jw.Enabled() {

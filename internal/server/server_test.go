@@ -90,6 +90,20 @@ func newProblem(t *testing.T, direct *libshalom.Context, seed uint64, m, n, k in
 	return &problem{h: h, body: buf.Bytes(), want: want.Data}
 }
 
+// serverStats are the serving-layer families, read off a context's
+// snapshot.
+type serverStats struct{ Accepted, Shed, Expired, Rejected, Coalesced, Flushes uint64 }
+
+func statsOf(lib *libshalom.Context) serverStats {
+	snap := lib.Snapshot()
+	n := func(name string) uint64 { return uint64(snap.Metric("libshalom_server_" + name)) }
+	return serverStats{
+		Accepted: n("requests_accepted_total"), Shed: n("requests_shed_total"),
+		Expired: n("requests_expired_total"), Rejected: n("requests_rejected_total"),
+		Coalesced: n("coalesced_requests_total"), Flushes: n("batch_size"),
+	}
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -158,7 +172,7 @@ func TestServeCoalescesBitwiseIdentical(t *testing.T) {
 	if maxBatch < 2 {
 		t.Fatalf("no coalescing observed: max batch size %d", maxBatch)
 	}
-	s := e.lib.Snapshot().Server
+	s := statsOf(e.lib)
 	if s.Accepted != n || s.Coalesced == 0 || s.Flushes == 0 {
 		t.Fatalf("server stats = %+v", s)
 	}
@@ -227,7 +241,7 @@ func TestServeDeadlineExpiresBeforeFlush(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("HTTP %d: %s, want 504", resp.StatusCode, raw)
 	}
-	s := e.lib.Snapshot().Server
+	s := statsOf(e.lib)
 	if s.Expired != 1 {
 		t.Fatalf("expired = %d, want 1", s.Expired)
 	}
@@ -256,7 +270,7 @@ func TestServeShedsWhenOverloaded(t *testing.T) {
 		resp, _ := http.Post(e.ts.URL+"/v1/gemm", "application/octet-stream", bytes.NewReader(p1.body))
 		first <- resp
 	}()
-	waitFor(t, "first request admitted", func() bool { return e.lib.Snapshot().Server.Accepted == 1 })
+	waitFor(t, "first request admitted", func() bool { return statsOf(e.lib).Accepted == 1 })
 
 	resp, raw := e.post(t, p2.body)
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -265,7 +279,7 @@ func TestServeShedsWhenOverloaded(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "3" {
 		t.Fatalf("Retry-After = %q, want \"3\"", got)
 	}
-	if s := e.lib.Snapshot().Server; s.Shed != 1 {
+	if s := statsOf(e.lib); s.Shed != 1 {
 		t.Fatalf("shed = %d, want 1", s.Shed)
 	}
 
@@ -336,7 +350,7 @@ func TestServe429StormEveryShedHasRetryAfter(t *testing.T) {
 	// The parked admitted requests answer at drain; the cleanup drain would
 	// do it too, but doing it here bounds the storm goroutines' lifetime.
 	waitFor(t, "storm settled", func() bool {
-		s := e.lib.Snapshot().Server
+		s := statsOf(e.lib)
 		return s.Accepted+s.Shed == storm
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -363,7 +377,7 @@ func TestServe429StormEveryShedHasRetryAfter(t *testing.T) {
 	if shed == 0 {
 		t.Fatal("storm shed nothing — queue bound not exercised")
 	}
-	if got := e.lib.Snapshot().Server.Shed; got != uint64(shed) {
+	if got := statsOf(e.lib).Shed; got != uint64(shed) {
 		t.Fatalf("telemetry shed = %d, clients saw %d", got, shed)
 	}
 }
@@ -401,7 +415,7 @@ func TestServeDrainRacesCoalescerFlush(t *testing.T) {
 		}()
 	}
 	// Land the drain while the batch windows are still flushing.
-	waitFor(t, "some requests admitted", func() bool { return e.lib.Snapshot().Server.Accepted >= 2 })
+	waitFor(t, "some requests admitted", func() bool { return statsOf(e.lib).Accepted >= 2 })
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := e.srv.Drain(ctx); err != nil {
@@ -441,7 +455,7 @@ func TestServeDrainRacesCoalescerFlush(t *testing.T) {
 			t.Fatalf("unexpected verdict %d during drain race", v.code)
 		}
 	}
-	if acc := e.lib.Snapshot().Server.Accepted; answered != acc {
+	if acc := statsOf(e.lib).Accepted; answered != acc {
 		t.Fatalf("%d requests admitted but %d answered 200 — drain dropped admitted work", acc, answered)
 	}
 }
@@ -502,7 +516,7 @@ func TestServeDrainCompletesAdmitted(t *testing.T) {
 			statuses[i] = resp.StatusCode
 		}(i)
 	}
-	waitFor(t, "all requests admitted", func() bool { return e.lib.Snapshot().Server.Accepted == n })
+	waitFor(t, "all requests admitted", func() bool { return statsOf(e.lib).Accepted == n })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -515,7 +529,7 @@ func TestServeDrainCompletesAdmitted(t *testing.T) {
 			t.Fatalf("admitted request %d answered HTTP %d during drain, want 200", i, st)
 		}
 	}
-	s := e.lib.Snapshot().Server
+	s := statsOf(e.lib)
 	if s.Expired != 0 || s.Accepted != n {
 		t.Fatalf("drain dropped admitted work: %+v", s)
 	}
@@ -572,7 +586,7 @@ func TestServeRejectsMalformed(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("HTTP %d: %s, want 400", resp.StatusCode, raw)
 	}
-	if s := e.lib.Snapshot().Server; s.Rejected != 1 {
+	if s := statsOf(e.lib); s.Rejected != 1 {
 		t.Fatalf("rejected = %d, want 1", s.Rejected)
 	}
 	get, err := http.Get(e.ts.URL + "/v1/gemm")

@@ -19,7 +19,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("shalom-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		tags     = fs.String("tags", "", "build tags to pass to the loader (comma-separated)")
 		dir      = fs.String("dir", ".", "directory to resolve patterns from")
 		analyzer = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 		list     = fs.Bool("list", false, "list available analyzers and exit")
@@ -57,7 +56,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	prog, err := Load(Config{Dir: *dir, Patterns: patterns, Tags: *tags})
+	prog, err := Load(Config{Dir: *dir, Patterns: patterns})
 	if err != nil {
 		fmt.Fprintf(stderr, "shalom-vet: %v\n", err)
 		return ExitUsage

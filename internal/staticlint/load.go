@@ -27,9 +27,6 @@ type Config struct {
 	// skips testdata during wildcard expansion — which is how the analyzer
 	// fixtures load.
 	Patterns []string
-	// Tags is the build-tag list handed to the go tool (e.g.
-	// "telemetryprobe"), so tag-gated files are analyzed too.
-	Tags string
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -56,11 +53,7 @@ func Load(cfg Config) (*Program, error) {
 	if len(cfg.Patterns) == 0 {
 		cfg.Patterns = []string{"./..."}
 	}
-	args := []string{"list", "-export", "-deps", "-json"}
-	if cfg.Tags != "" {
-		args = append(args, "-tags", cfg.Tags)
-	}
-	args = append(args, cfg.Patterns...)
+	args := append([]string{"list", "-export", "-deps", "-json"}, cfg.Patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = cfg.Dir
 	var stderr strings.Builder

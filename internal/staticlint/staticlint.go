@@ -7,10 +7,11 @@
 //     and their transitive module callees are proven free of the banned
 //     operation classes (heap allocation and interface boxing; mutex and
 //     channel operations; blocking calls; clock reads).
-//   - telemetrypure: every telemetry Recorder method — and every exported
-//     journal Writer method — that performs writes opens with the
-//     nil-receiver guard, so the disabled paths are provably write-free —
-//     the static twin of `make probe`.
+//   - telemetrypure: every method of a nil-disableable type — the
+//     telemetry Recorder and its metric handles, and the exported methods
+//     of the journal Writer and the attribution and autotune engines —
+//     that performs writes opens with the nil-receiver guard, so the
+//     disabled paths are provably write-free.
 //   - ctxflow: library code must propagate caller contexts; minting
 //     context.Background()/TODO() outside main packages breaks deadline and
 //     cancellation flow into the batch runtime.

@@ -6,17 +6,17 @@ import (
 	"go/types"
 )
 
-// TelemetryPure is the static twin of `make probe`: the off-switch types —
-// telemetry's *Recorder and the journal's *Writer — are handed out possibly
-// nil, and the disabled path's whole contract is that a nil receiver writes
-// nothing. The dynamic probe counts atomic writes at runtime under the
-// telemetryprobe tag; this analyzer proves the guard discipline at compile
-// time — every targeted method that writes through its receiver must begin
-// with the nil-receiver guard (`if r == nil { return }`, possibly with
-// extra `||` disjuncts).
+// TelemetryPure proves the off-switch contract: the nil-disableable types
+// — telemetry's *Recorder and its metric-family handles, the journal's
+// *Writer, the attribution and autotune engines — are handed out possibly
+// nil, and the disabled path's whole contract is that a nil receiver
+// writes nothing. Every targeted method that writes through its receiver
+// must begin with the nil-receiver guard (`if r == nil { return }`,
+// possibly with extra `||` disjuncts), so a nil receiver returns before
+// any write.
 var TelemetryPure = &Analyzer{
 	Name: "telemetrypure",
-	Doc:  "nil-disableable types (telemetry Recorder, journal Writer) must open writing methods with the nil-receiver guard",
+	Doc:  "nil-disableable types (telemetry Recorder and metric handles, journal Writer, attrib and autotune engines) must open writing methods with the nil-receiver guard",
 	Run:  runTelemetryPure,
 }
 
@@ -30,9 +30,28 @@ var nilGuardTargets = []struct {
 	ExportedOnly bool
 }{
 	{Pkg: "telemetry", Type: "Recorder"},
+	{Pkg: "telemetry", Type: "Counter"},
+	{Pkg: "telemetry", Type: "Gauge"},
+	{Pkg: "telemetry", Type: "Histogram"},
+	{Pkg: "telemetry", Type: "CounterVec"},
+	{Pkg: "telemetry", Type: "HistogramVec"},
 	{Pkg: "journal", Type: "Writer", ExportedOnly: true},
 	{Pkg: "attrib", Type: "Engine", ExportedOnly: true},
 	{Pkg: "autotune", Type: "Engine", ExportedOnly: true},
+}
+
+// isNilGuardTarget reports whether named is one of the nilGuardTargets.
+func isNilGuardTarget(named *types.Named) bool {
+	obj := named.Obj()
+	if obj.Pkg() == nil {
+		return false
+	}
+	for _, t := range nilGuardTargets {
+		if obj.Pkg().Name() == t.Pkg && obj.Name() == t.Type {
+			return true
+		}
+	}
+	return false
 }
 
 // atomicWriteMethods are the sync/atomic value-type methods that mutate.
@@ -65,7 +84,7 @@ func runTelemetryPure(prog *Program, rep *Reporter) {
 						continue
 					}
 					recv := recvObj(pkg, fd)
-					wpos, writes := findRecorderWrite(pkg, fd, recv)
+					wpos, writes := findRecorderWrite(pkg, fd, recv, named)
 					if !writes {
 						continue
 					}
@@ -89,8 +108,8 @@ func recvObj(pkg *Package, fd *ast.FuncDecl) types.Object {
 	return pkg.Info.Defs[fd.Recv.List[0].Names[0]]
 }
 
-// rootedAtRecv reports whether expr is a selector/index chain starting at
-// the receiver variable.
+// rootedAtRecv reports whether expr is a selector/index/call chain starting
+// at the receiver variable.
 func rootedAtRecv(pkg *Package, recv types.Object, expr ast.Expr) bool {
 	if recv == nil {
 		return false
@@ -105,6 +124,8 @@ func rootedAtRecv(pkg *Package, recv types.Object, expr ast.Expr) bool {
 			expr = e.X
 		case *ast.StarExpr:
 			expr = e.X
+		case *ast.CallExpr:
+			expr = e.Fun
 		default:
 			return false
 		}
@@ -113,9 +134,10 @@ func rootedAtRecv(pkg *Package, recv types.Object, expr ast.Expr) bool {
 
 // findRecorderWrite locates the first receiver-rooted write in the body:
 // an assignment through the receiver, a mutating sync/atomic method call on
-// receiver state, an old-style atomic.XxxYyy(&r.field, ...) call, or the
-// probe marker probeAtomicWrite().
-func findRecorderWrite(pkg *Package, fd *ast.FuncDecl, recv types.Object) (token.Pos, bool) {
+// receiver state, an old-style atomic.XxxYyy(&r.field, ...) call, or a
+// method call on another nil-disableable type held in receiver state (a
+// metric handle: r.calls.At(i).Add(1)). own is the receiver's type.
+func findRecorderWrite(pkg *Package, fd *ast.FuncDecl, recv types.Object, own *types.Named) (token.Pos, bool) {
 	var pos token.Pos
 	found := false
 	mark := func(p token.Pos) {
@@ -144,9 +166,11 @@ func findRecorderWrite(pkg *Package, fd *ast.FuncDecl, recv types.Object) (token
 				return true
 			}
 			fn := callee.Fn
-			if fn.Name() == "probeAtomicWrite" && FuncPkgPath(fn) == pkg.Path {
-				mark(n.Pos())
-				return true
+			if named := RecvNamed(fn); named != nil && named.Obj() != own.Obj() && isNilGuardTarget(named) {
+				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && rootedAtRecv(pkg, recv, sel.X) {
+					mark(n.Pos())
+					return true
+				}
 			}
 			if FuncPkgPath(fn) == "sync/atomic" {
 				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {

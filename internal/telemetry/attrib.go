@@ -111,17 +111,33 @@ func AttribQuantile(hist *[NumAttribBuckets]uint64, q float64) float64 {
 }
 
 // attribStats is the Recorder's attribution section: the cumulative sketch
-// plus the drift/window event counters the engine feeds back.
+// plus the window counter the engine feeds back.
 type attribStats struct {
-	count [NumAttribKeys]atomic.Uint64
+	calls *CounterVec
 	durNs [NumAttribKeys]atomic.Uint64
 	flops [NumAttribKeys]atomic.Uint64
 	hist  [NumAttribKeys][NumAttribBuckets]atomic.Uint64
 
-	// drift[class] counts drift events the attribution engine emitted for
-	// the class; windows counts completed attribution windows.
-	drift   [numShapeClasses]atomic.Uint64
-	windows atomic.Uint64
+	windows *Counter // completed attribution windows
+}
+
+// declareAttrib declares the sketch's families: the clean-call counter,
+// the per-key GFLOPS statistics computed from the sketch at scrape time,
+// and the engine's window counter.
+func (r *Recorder) declareAttrib() {
+	if r == nil {
+		return
+	}
+	r.attrib.calls = r.CounterVec("libshalom_attrib_calls_total", "Clean (outcome ok) calls feeding the attribution sketch.", callLabels[:4]...)
+	r.GaugeFunc("libshalom_attrib_gflops", "Achieved GFLOPS from the fine attribution sketch (stat: mean, p50, p99).",
+		[]string{"precision", "mode", "shape_class", "kernel", "stat"}, func(emit Emit) {
+			for _, a := range r.attribSnapshot() {
+				emit(a.MeanGFLOPS, a.Precision, a.Mode, a.ShapeClass, a.Kernel, "mean")
+				emit(a.P50GFLOPS, a.Precision, a.Mode, a.ShapeClass, a.Kernel, "p50")
+				emit(a.P99GFLOPS, a.Precision, a.Mode, a.ShapeClass, a.Kernel, "p99")
+			}
+		})
+	r.attrib.windows = r.Counter("libshalom_attrib_windows_total", "Completed attribution windows.")
 }
 
 // AttribCell is one attribution key's cumulative totals as read by the
@@ -135,6 +151,8 @@ type AttribCell struct {
 
 // ReadAttrib copies the cumulative attribution cells into dst, in place so
 // the engine's periodic poll does not allocate. A nil recorder zeroes dst.
+//
+//shalom:hotpath noalloc,nolock,noblock
 func (r *Recorder) ReadAttrib(dst *[NumAttribKeys]AttribCell) {
 	if r == nil {
 		*dst = [NumAttribKeys]AttribCell{}
@@ -142,26 +160,13 @@ func (r *Recorder) ReadAttrib(dst *[NumAttribKeys]AttribCell) {
 	}
 	for i := 0; i < NumAttribKeys; i++ {
 		c := &dst[i]
-		c.Count = r.attrib.count[i].Load()
+		c.Count = r.attrib.calls.cells[i].v.Load()
 		c.DurNs = r.attrib.durNs[i].Load()
 		c.Flops = r.attrib.flops[i].Load()
 		for b := 0; b < NumAttribBuckets; b++ {
 			c.Hist[b] = r.attrib.hist[i][b].Load()
 		}
 	}
-}
-
-// AttribDriftEvent counts one drift event the attribution engine detected
-// for a shape class — the typed telemetry event behind the
-// libshalom_attrib_drift_events_total counter family.
-//
-//shalom:hotpath noalloc,nolock,noblock
-func (r *Recorder) AttribDriftEvent(class uint8) {
-	if r == nil || class >= uint8(numShapeClasses) {
-		return
-	}
-	probeAtomicWrite()
-	r.attrib.drift[class].Add(1)
 }
 
 // AttribWindowDone counts one completed attribution window.
@@ -171,16 +176,7 @@ func (r *Recorder) AttribWindowDone() {
 	if r == nil {
 		return
 	}
-	probeAtomicWrite()
 	r.attrib.windows.Add(1)
-}
-
-// AttribDriftCount returns the cumulative drift events for one class.
-func (r *Recorder) AttribDriftCount(class uint8) uint64 {
-	if r == nil || class >= uint8(numShapeClasses) {
-		return 0
-	}
-	return r.attrib.drift[class].Load()
 }
 
 // AttribStat is one attribution key's cumulative summary in a Snapshot.
@@ -200,12 +196,10 @@ type AttribStat struct {
 }
 
 // attribSnapshot renders the non-empty attribution cells.
-func (r *Recorder) attribSnapshot() (stats []AttribStat, drift []EventCount, windows uint64) {
-	if r == nil {
-		return nil, nil, 0
-	}
+func (r *Recorder) attribSnapshot() []AttribStat {
+	var stats []AttribStat
 	for i := 0; i < NumAttribKeys; i++ {
-		count := r.attrib.count[i].Load()
+		count := r.attrib.calls.cells[i].v.Load()
 		if count == 0 {
 			continue
 		}
@@ -227,10 +221,5 @@ func (r *Recorder) attribSnapshot() (stats []AttribStat, drift []EventCount, win
 		st.P99GFLOPS = AttribQuantile(&hist, 0.99)
 		stats = append(stats, st)
 	}
-	for c := 0; c < int(numShapeClasses); c++ {
-		if n := r.attrib.drift[c].Load(); n > 0 {
-			drift = append(drift, EventCount{Name: ShapeClass(c).String(), Count: n})
-		}
-	}
-	return stats, drift, r.attrib.windows.Load()
+	return stats
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"expvar"
 	"net/http"
 )
 
@@ -19,8 +20,7 @@ func (r *Recorder) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = r.Snapshot().WritePrometheus(w)
-		_ = WriteRuntimeMetrics(w) // sampled here, on scrape, never per call
+		_ = WritePrometheus(w, r.Families())
 	})
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -33,4 +33,11 @@ func (r *Recorder) Handler() http.Handler {
 		}
 	})
 	return mux
+}
+
+// PublishExpvar publishes the recorder under the given expvar name; the
+// standard /debug/vars endpoint then serves the live Snapshot as JSON.
+// expvar panics on duplicate names, so publish once per process per name.
+func PublishExpvar(name string, r *Recorder) {
+	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

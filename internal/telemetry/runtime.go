@@ -1,52 +1,33 @@
 package telemetry
 
-import (
-	"io"
-	"runtime/metrics"
-)
+import "runtime/metrics"
 
-// Go runtime gauges for the Prometheus exposition: the handful a serving
-// dashboard actually needs (heap footprint, GC pause tail, goroutine count,
-// GOMAXPROCS). Sampled only when a scrape happens — runtime/metrics reads
-// are cheap but not free, and nothing here may touch the GEMM hot path.
-
-// runtimeSamples is the fixed sample set, allocated once; metrics.Read
-// fills values in place.
-var runtimeSamples = []metrics.Sample{
-	{Name: "/memory/classes/heap/objects:bytes"},
-	{Name: "/memory/classes/total:bytes"},
-	{Name: "/gc/pauses:seconds"},
-	{Name: "/sched/goroutines:goroutines"},
-	{Name: "/sched/gomaxprocs:threads"},
+// Go runtime gauges for the exposition: the handful a serving dashboard
+// actually needs (heap footprint, GC pause tail, goroutine count,
+// GOMAXPROCS). Each is sampled from runtime/metrics when a scrape or
+// snapshot renders it — reads are cheap but not free, and nothing here may
+// touch the GEMM hot path.
+var runtimeGauges = []struct {
+	name, help, sample string
+	value              func(metrics.Sample) float64
+}{
+	{"libshalom_go_heap_objects_bytes", "Bytes of live heap objects (runtime/metrics).", "/memory/classes/heap/objects:bytes", sampleFloat},
+	{"libshalom_go_memory_total_bytes", "Total bytes of memory mapped by the Go runtime.", "/memory/classes/total:bytes", sampleFloat},
+	{"libshalom_go_gc_pause_p99_seconds", "p99 stop-the-world GC pause (runtime/metrics histogram).", "/gc/pauses:seconds",
+		func(s metrics.Sample) float64 { return histQuantile(s, 0.99) }},
+	{"libshalom_go_goroutines", "Live goroutine count.", "/sched/goroutines:goroutines", sampleFloat},
+	{"libshalom_go_gomaxprocs", "GOMAXPROCS at scrape time.", "/sched/gomaxprocs:threads", sampleFloat},
 }
 
-// WriteRuntimeMetrics renders the Go runtime gauges in Prometheus text
-// format. It samples runtime/metrics at call time, so the cost is paid per
-// scrape, never per GEMM.
-func WriteRuntimeMetrics(w io.Writer) error {
-	samples := make([]metrics.Sample, len(runtimeSamples))
-	copy(samples, runtimeSamples)
-	metrics.Read(samples)
-
-	bw := &errWriter{w: w}
-	gauge := func(name, help string, v float64) {
-		bw.printf("# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+// declareRuntime declares the runtime gauges as scrape-time families.
+func (r *Recorder) declareRuntime() {
+	for _, g := range runtimeGauges {
+		r.GaugeFunc(g.name, g.help, nil, func(emit Emit) {
+			s := []metrics.Sample{{Name: g.sample}}
+			metrics.Read(s)
+			emit(g.value(s[0]))
+		})
 	}
-	for _, s := range samples {
-		switch s.Name {
-		case "/memory/classes/heap/objects:bytes":
-			gauge("libshalom_go_heap_objects_bytes", "Bytes of live heap objects (runtime/metrics).", sampleFloat(s))
-		case "/memory/classes/total:bytes":
-			gauge("libshalom_go_memory_total_bytes", "Total bytes of memory mapped by the Go runtime.", sampleFloat(s))
-		case "/gc/pauses:seconds":
-			gauge("libshalom_go_gc_pause_p99_seconds", "p99 stop-the-world GC pause (runtime/metrics histogram).", histQuantile(s, 0.99))
-		case "/sched/goroutines:goroutines":
-			gauge("libshalom_go_goroutines", "Live goroutine count.", sampleFloat(s))
-		case "/sched/gomaxprocs:threads":
-			gauge("libshalom_go_gomaxprocs", "GOMAXPROCS at scrape time.", sampleFloat(s))
-		}
-	}
-	return bw.err
 }
 
 // sampleFloat converts a scalar runtime/metrics sample to float64; unknown

@@ -1,6 +1,10 @@
 package telemetry
 
-import "libshalom/internal/faults"
+import (
+	"io"
+	"math"
+	"slices"
+)
 
 // CallStat is the aggregated record of one (precision, mode, shape class,
 // kernel, outcome) key with at least one observed call.
@@ -83,24 +87,15 @@ type Snapshot struct {
 	TraceSpans   uint64 `json:"trace_spans"`
 	TraceDropped uint64 `json:"trace_dropped"`
 	// Attrib summarises the fine attribution sketch per (precision, mode,
-	// shape class, kernel); AttribDrift counts drift events per shape class
-	// and AttribWindows the completed attribution windows (both fed back by
-	// internal/attrib, zero when no engine is attached).
+	// shape class, kernel); AttribWindows counts the completed attribution
+	// windows (fed back by internal/attrib, zero when no engine is
+	// attached).
 	Attrib        []AttribStat `json:"attrib,omitempty"`
-	AttribDrift   []EventCount `json:"attrib_drift,omitempty"`
 	AttribWindows uint64       `json:"attrib_windows"`
-	// Server is the serving-layer section (admission, shedding, coalescing);
-	// zero outside a serving process.
-	Server ServerStats `json:"server"`
-	// Router is the router-tier section (forwarding, hedged retries,
-	// outlier ejection); zero outside a router process.
-	Router RouterStats `json:"router"`
-	// Journal is the request-journal section (appends, anchors, fsyncs);
-	// zero when journaling is disabled.
-	Journal JournalStats `json:"journal"`
-	// Autotune is the autotuner section (searches, proofs, promotions,
-	// reverts, installed overrides); zero when the tuning loop is off.
-	Autotune AutotuneStats `json:"autotune"`
+	// Metrics is every family declared on the recorder — the driver's and
+	// those of the subsystems sharing it (server, router, journal,
+	// attribution engine, autotuner) — as the registry renders them.
+	Metrics []Family `json:"metrics"`
 }
 
 // Snapshot aggregates the recorder into an exposition-ready value. A nil
@@ -111,14 +106,12 @@ func (r *Recorder) Snapshot() Snapshot {
 		return s
 	}
 	for idx := 0; idx < numKeys; idx++ {
-		var count uint64
-		for sh := range r.shards {
-			count += r.shards[sh].calls[idx].Load()
-		}
+		count := r.calls.cells[idx].v.Load()
 		if count == 0 {
 			continue
 		}
 		prec, mode, class, kernel, outcome := unpackKey(idx)
+		lat, gf := &r.latency.cells[idx], &r.gflops.cells[idx]
 		st := CallStat{
 			Precision:  precNames[prec],
 			Mode:       modeNames[mode],
@@ -126,62 +119,63 @@ func (r *Recorder) Snapshot() Snapshot {
 			Kernel:     kernelNames[kernel],
 			Outcome:    outcomeNames[outcome],
 			Count:      count,
-			DurNs:      r.durNs[idx].Load(),
+			DurNs:      uint64(math.Float64frombits(lat.sum.Load())),
 			Flops:      r.flops[idx].Load(),
 		}
 		for b := range st.LatencyBuckets {
-			st.LatencyBuckets[b] = r.latHist[idx][b].Load()
+			st.LatencyBuckets[b] = lat.counts[b].Load()
 		}
 		for b := range st.GFLOPSBuckets {
-			st.GFLOPSBuckets[b] = r.gfHist[idx][b].Load()
+			st.GFLOPSBuckets[b] = gf.counts[b].Load()
 		}
 		s.Calls = append(s.Calls, st)
 	}
 	s.Pool = PoolStats{
-		TasksQueued:  r.tasksQueued.Load(),
-		TasksStarted: r.tasksStarted.Load(),
-		TasksDone:    r.tasksDone.Load(),
-		InFlight:     r.inFlight.Load(),
-		QueueWaitNs:  r.queueWaitNs.Load(),
-		BusyNs:       r.busyNs.Load(),
+		TasksQueued:  r.tasksQueued.v.Load(),
+		TasksStarted: r.tasksStarted.v.Load(),
+		TasksDone:    r.tasksDone.v.Load(),
+		InFlight:     r.inFlight.v.Load(),
+		QueueWaitNs:  r.queueWaitNs.v.Load(),
+		BusyNs:       r.busyNs.v.Load(),
 	}
 	s.Threads = ThreadStats{
-		Calls:        r.threadCalls.Load(),
-		RequestedSum: r.threadsReq.Load(),
-		ChosenSum:    r.threadsChose.Load(),
-		ClampedCalls: r.clampedCalls.Load(),
+		Calls:        r.threadCalls.v.Load(),
+		RequestedSum: r.threadsReq.v.Load(),
+		ChosenSum:    r.threadsChose.v.Load(),
+		ClampedCalls: r.clampedCalls.v.Load(),
 	}
-	for p := 0; p < faults.NumPoints; p++ {
-		if c := r.faultEvents[p].Load(); c > 0 {
-			s.Faults = append(s.Faults, EventCount{Name: faults.Point(p).String(), Count: c})
-		}
-	}
-	for d := uint8(0); d < numDegrReasons; d++ {
-		if c := r.degrEvents[d].Load(); c > 0 {
-			s.Degradations = append(s.Degradations, EventCount{Name: degrNames[d], Count: c})
-		}
-	}
-	for h := uint8(0); h < numHealEvents; h++ {
-		if c := r.healEvents[h].Load(); c > 0 {
-			s.Heal = append(s.Heal, EventCount{Name: healNames[h], Count: c})
-		}
-	}
-	s.BreakersOpen = r.breakersOpen.Load()
-	s.BreakersProbing = r.breakersProbing.Load()
-	s.Attrib, s.AttribDrift, s.AttribWindows = r.attribSnapshot()
-	s.Server = r.serverSnapshot()
-	s.Router = r.routerSnapshot()
-	s.Journal = r.journalSnapshot()
-	s.Autotune = r.autotuneSnapshot()
-	if r.trace != nil {
-		r.trace.mu.Lock()
-		s.TraceSpans = r.trace.written
-		if over := r.trace.written - uint64(len(r.trace.buf)); over > 0 {
-			s.TraceDropped = over
-		}
-		r.trace.mu.Unlock()
-	}
+	s.Faults = eventCounts(r.faultEvents, faultPoints)
+	s.Degradations = eventCounts(r.degrEvents, degrNames[:])
+	s.Heal = eventCounts(r.healEvents, healNames[:])
+	s.BreakersOpen = r.breakersOpen.v.Load()
+	s.BreakersProbing = r.breakersProbing.v.Load()
+	s.TraceSpans, s.TraceDropped = r.traceCounts()
+	s.Attrib = r.attribSnapshot()
+	s.AttribWindows = r.attrib.windows.v.Load()
+	s.Metrics = r.Families()
 	return s
+}
+
+// eventCounts lists the fired events of a one-label counter family whose
+// label values are names.
+func eventCounts(v *CounterVec, names []string) []EventCount {
+	var out []EventCount
+	for i := range v.cells {
+		if c := v.cells[i].v.Load(); c > 0 {
+			out = append(out, EventCount{Name: names[i], Count: c})
+		}
+	}
+	return out
+}
+
+// traceCounts reads the trace ring's recorded and overwritten span counts.
+func (r *Recorder) traceCounts() (spans, dropped uint64) {
+	if r.trace == nil {
+		return 0, 0
+	}
+	r.trace.mu.Lock()
+	defer r.trace.mu.Unlock()
+	return r.trace.written, r.trace.written - uint64(len(r.trace.buf))
 }
 
 func unpackKey(idx int) (prec, mode, class, kernel, outcome uint8) {
@@ -195,6 +189,29 @@ func unpackKey(idx int) (prec, mode, class, kernel, outcome uint8) {
 	idx /= numMode
 	prec = uint8(idx)
 	return
+}
+
+// WritePrometheus renders the snapshot's families in the Prometheus text
+// exposition format.
+func (s Snapshot) WritePrometheus(w io.Writer) error { return WritePrometheus(w, s.Metrics) }
+
+// Metric sums the values of the named family's series whose label values
+// begin with labels (every series when labels is empty); a histogram
+// series contributes its observation count. Zero when no family has the
+// name.
+func (s Snapshot) Metric(name string, labels ...string) float64 {
+	var total float64
+	for _, f := range s.Metrics {
+		if f.Name != name {
+			continue
+		}
+		for _, se := range f.Series {
+			if len(labels) <= len(se.Labels) && slices.Equal(se.Labels[:len(labels)], labels) {
+				total += se.Value
+			}
+		}
+	}
+	return total
 }
 
 // HealCount returns the count of one named self-healing event (zero when

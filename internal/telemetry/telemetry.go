@@ -5,7 +5,7 @@
 //
 // The layer has three parts:
 //
-//   - Metrics: sharded atomic counters and log-bucketed latency/GFLOPS
+//   - Metrics: atomic counters and log-bucketed latency/GFLOPS
 //     histograms keyed by (precision, mode, shape class, kernel path,
 //     outcome), pool scheduling gauges (queue wait, tasks in flight, worker
 //     busy time), thread-policy accounting (requested vs. chosen width,
@@ -14,22 +14,24 @@
 //     micro-kernel batches → barrier, with worker attribution) recorded
 //     into a fixed-size ring buffer, exportable as Chrome trace_event JSON
 //     loadable in chrome://tracing or Perfetto.
-//   - Exposition: Snapshot aggregation, Prometheus text format, expvar
-//     publication, and an HTTP handler (see snapshot.go, prometheus.go,
-//     http.go).
+//   - Exposition: one metric-family registry (registry.go) behind the
+//     Prometheus text format, the Snapshot, expvar publication, and an
+//     HTTP handler (see snapshot.go, http.go). Subsystems sharing a
+//     recorder — server, router, journal, attribution, autotuner — declare
+//     their own families on it.
 //
 // The disabled contract: every recording method is a method on *Recorder
-// with a nil-receiver fast path, so a driver configured without telemetry
-// performs zero atomic writes and zero allocations on the hot path. The
-// telemetryprobe build tag compiles a probe counter into every atomic-write
-// site so a test can verify that contract directly instead of relying on
-// flaky wall-clock comparisons (see probe_on.go).
+// with a nil-receiver fast path, and a nil recorder hands out nil family
+// handles that record nothing, so a driver configured without telemetry
+// performs zero atomic writes and zero allocations on the hot path.
+// shalom-vet's telemetrypure analyzer proves the nil guards; AllocsPerRun
+// tests pin the allocations.
 package telemetry
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"libshalom/internal/faults"
 )
@@ -117,76 +119,46 @@ func bucketLog2(v uint64, n int) int {
 	return b
 }
 
-// numShards spreads the per-key call counters across independent cache
-// lines so concurrent GEMM callers do not serialize on one counter word.
-// Must be a power of two.
-const numShards = 8
-
-// shard is one slice of the sharded counter space, padded to keep shards on
-// distinct cache lines.
-type shard struct {
-	calls [numKeys]atomic.Uint64
-	_     [64]byte
-}
-
 // Recorder accumulates metrics and trace spans for one Context. The zero
 // value is not useful; call New. A nil *Recorder is the disabled layer:
 // every method no-ops without touching memory.
 type Recorder struct {
 	epoch time.Time // monotonic base for Now()
 
-	shards [numShards]shard
+	// The registry: every family declared on this recorder, in
+	// declaration order.
+	mu       sync.Mutex
+	families []*family
 
-	// Unsharded per-key aggregates: one atomic add per completed call, far
-	// below contention concern.
-	durNs   [numKeys]atomic.Uint64
-	flops   [numKeys]atomic.Uint64
-	latHist [numKeys][NumLatencyBuckets]atomic.Uint64
-	gfHist  [numKeys][NumGFLOPSBuckets]atomic.Uint64
+	// Per-(precision, mode, shape class, kernel, outcome) call families.
+	calls   *CounterVec
+	latency *HistogramVec // nanoseconds
+	gflops  *HistogramVec // quarter-GFLOPS
+	// flops sums each key's operation counts for the snapshot's mean
+	// rates; it has no series of its own.
+	flops [numKeys]atomic.Uint64
 
-	// Pool scheduling gauges (fed through the parallel.Observer interface).
-	tasksQueued  atomic.Uint64
-	tasksStarted atomic.Uint64
-	tasksDone    atomic.Uint64
-	inFlight     atomic.Int64
-	queueWaitNs  atomic.Uint64
-	busyNs       atomic.Uint64
+	// Pool scheduling (fed through the parallel.Observer interface).
+	tasksQueued, tasksStarted, tasksDone *Counter
+	inFlight                             *Gauge
+	queueWaitNs, busyNs                  *Counter
 
 	// Thread-policy accounting (§7.4 clamping visibility).
-	threadCalls  atomic.Uint64
-	threadsReq   atomic.Uint64
-	threadsChose atomic.Uint64
-	clampedCalls atomic.Uint64
+	threadCalls, threadsReq, threadsChose, clampedCalls *Counter
 
 	// Event counters: fault injections by point, degradations by reason,
 	// self-healing events by kind.
-	faultEvents [faults.NumPoints]atomic.Uint64
-	degrEvents  [numDegrReasons]atomic.Uint64
-	healEvents  [numHealEvents]atomic.Uint64
+	faultEvents, degrEvents, healEvents *CounterVec
 
 	// Breaker state gauges: how many (platform, kernel) breakers this
 	// recorder has observed transitioning into the open/probing states and
 	// not yet out. The guard registry is the source of truth for current
 	// state; these gauges track what flowed through contexts sharing this
 	// recorder, for exposition next to the event counters.
-	breakersOpen    atomic.Int64
-	breakersProbing atomic.Int64
+	breakersOpen, breakersProbing *Gauge
 
-	// Attribution sketch and drift counters (read by internal/attrib; see
-	// attrib.go).
+	// Attribution sketch (read by internal/attrib; see attrib.go).
 	attrib attribStats
-
-	// Serving-layer counters (fed by internal/server; see server.go).
-	server serverStats
-
-	// Router-tier counters (fed by internal/router; see router.go).
-	router routerStats
-
-	// Journal counters (fed by internal/journal; see journal.go).
-	journal journalStats
-
-	// Autotuner counters (fed by internal/autotune; see autotune.go).
-	autotune autotuneStats
 
 	callSeq atomic.Uint64 // caller trace-lane allocator
 
@@ -200,7 +172,24 @@ type Options struct {
 	TraceEvents int
 }
 
-// New builds an enabled Recorder.
+// callLabels are the call-key dimensions, outermost first, matching
+// keyIndex.
+var callLabels = []Label{
+	{"precision", precNames[:]}, {"mode", modeNames[:]}, {"shape_class", shapeClassNames[:]},
+	{"kernel", kernelNames[:]}, {"outcome", outcomeNames[:]},
+}
+
+// faultPoints names the fault-injection points, the fault family's label
+// values.
+var faultPoints = func() []string {
+	names := make([]string, faults.NumPoints)
+	for p := range names {
+		names[p] = faults.Point(p).String()
+	}
+	return names
+}()
+
+// New builds an enabled Recorder with the driver's families declared.
 func New(o Options) *Recorder {
 	r := &Recorder{epoch: time.Now()}
 	n := o.TraceEvents
@@ -210,6 +199,37 @@ func New(o Options) *Recorder {
 	if n > 0 {
 		r.trace = newRing(n)
 	}
+
+	r.calls = r.CounterVec("libshalom_gemm_calls_total", "GEMM calls by precision, mode, shape class, kernel path and outcome.", callLabels...)
+	r.latency = r.HistogramVec("libshalom_gemm_latency_seconds", "GEMM call latency, log2-bucketed.",
+		Log2{Buckets: NumLatencyBuckets, Scale: 1e9}, callLabels...)
+	r.gflops = r.HistogramVec("libshalom_gemm_gflops", "Achieved GFLOPS per call, log2-bucketed on quarter-GFLOPS.",
+		Log2{Buckets: NumGFLOPSBuckets, Scale: 4}, callLabels...)
+
+	r.tasksQueued = r.Counter("libshalom_pool_tasks_queued_total", "Tasks submitted to the worker pool.")
+	r.tasksStarted = r.Counter("libshalom_pool_tasks_started_total", "Tasks begun by pool workers.")
+	r.tasksDone = r.Counter("libshalom_pool_tasks_done_total", "Tasks completed by pool workers.")
+	r.inFlight = r.Gauge("libshalom_pool_tasks_in_flight", "Tasks started but not yet finished.")
+	r.queueWaitNs = r.Counter("libshalom_pool_queue_wait_seconds_total_ns", "Summed task queue wait in nanoseconds.")
+	r.busyNs = r.Counter("libshalom_pool_worker_busy_seconds_total_ns", "Summed task execution time in nanoseconds.")
+	r.threadCalls = r.Counter("libshalom_threads_policy_calls_total", "Calls routed through the thread policy.")
+	r.threadsReq = r.Counter("libshalom_threads_requested_total", "Summed requested thread widths.")
+	r.threadsChose = r.Counter("libshalom_threads_chosen_total", "Summed chosen thread widths.")
+	r.clampedCalls = r.Counter("libshalom_threads_clamped_calls_total", "Calls whose width the small-GEMM policy clamped.")
+
+	r.faultEvents = r.CounterVec("libshalom_fault_events_total", "Fired fault-injection points.", Label{"point", faultPoints})
+	r.degrEvents = r.CounterVec("libshalom_degradation_events_total", "Kernel-path demotions observed by the runtime.", Label{"reason", degrNames[:]})
+	r.healEvents = r.CounterVec("libshalom_heal_events_total",
+		"Self-healing events: breaker lifecycle, canary verdicts, watchdog conversions, transient retries.", Label{"event", healNames[:]})
+
+	r.declareAttrib()
+	r.breakersOpen = r.Gauge("libshalom_breakers_open", "Circuit breakers currently open (reference path in use), as observed through this recorder.")
+	r.breakersProbing = r.Gauge("libshalom_breakers_probing", "Circuit breakers currently probing (canary re-promotion in progress), as observed through this recorder.")
+	r.CounterFunc("libshalom_trace_spans_total", "Phase spans recorded into the trace ring.", nil,
+		func(emit Emit) { spans, _ := r.traceCounts(); emit(float64(spans)) })
+	r.CounterFunc("libshalom_trace_spans_dropped_total", "Spans overwritten by ring wraparound.", nil,
+		func(emit Emit) { _, dropped := r.traceCounts(); emit(float64(dropped)) })
+	r.declareRuntime()
 	return r
 }
 
@@ -235,7 +255,6 @@ func (r *Recorder) CallTid() int32 {
 	if r == nil {
 		return 0
 	}
-	probeAtomicWrite()
 	s := r.callSeq.Add(1)
 	return int32(1000 + (s-1)%64)
 }
@@ -247,14 +266,6 @@ func WorkerTid(worker int, callTid int32) int32 {
 		return callTid
 	}
 	return int32(worker + 1)
-}
-
-// shardFor picks a shard from the address of a caller stack slot — distinct
-// goroutines get distinct stacks, so concurrent callers spread across
-// shards without any goroutine-local storage.
-func shardFor() int {
-	var probe byte
-	return int(uintptr(unsafe.Pointer(&probe))>>6) & (numShards - 1)
 }
 
 // CallDone records one completed GEMM call (or batch entry): counter,
@@ -272,29 +283,19 @@ func (r *Recorder) CallDone(prec, mode, class, kernel, outcome uint8, start int6
 		dur = 1
 	}
 	idx := keyIndex(prec, mode, class, kernel, outcome)
-	probeAtomicWrite()
-	r.shards[shardFor()].calls[idx].Add(1)
-	probeAtomicWrite()
-	r.durNs[idx].Add(uint64(dur))
-	probeAtomicWrite()
+	r.calls.At(idx).Add(1)
+	r.latency.At(idx).Observe(float64(dur))
 	r.flops[idx].Add(uint64(flops))
-	probeAtomicWrite()
-	r.latHist[idx][bucketLog2(uint64(dur), NumLatencyBuckets)].Add(1)
 	gf := flops / float64(dur) // flops per ns == GFLOPS
-	probeAtomicWrite()
-	r.gfHist[idx][bucketLog2(uint64(gf*4), NumGFLOPSBuckets)].Add(1)
+	r.gflops.At(idx).Observe(gf * 4)
 	if outcome == OutcomeOK {
 		// Attribution sketch: clean completions only — degraded/panicked
 		// calls measure the failure path, not the kernel the attribution
 		// engine scores against its model prediction.
 		ai := AttribKeyIndex(prec, mode, class, kernel)
-		probeAtomicWrite()
-		r.attrib.count[ai].Add(1)
-		probeAtomicWrite()
+		r.attrib.calls.At(ai).Add(1)
 		r.attrib.durNs[ai].Add(uint64(dur))
-		probeAtomicWrite()
 		r.attrib.flops[ai].Add(uint64(flops))
-		probeAtomicWrite()
 		r.attrib.hist[ai][attribBucket(gf)].Add(1)
 	}
 }
@@ -307,8 +308,7 @@ func (r *Recorder) CallEvent(prec, mode, class, kernel, outcome uint8) {
 	if r == nil {
 		return
 	}
-	probeAtomicWrite()
-	r.shards[shardFor()].calls[keyIndex(prec, mode, class, kernel, outcome)].Add(1)
+	r.calls.At(keyIndex(prec, mode, class, kernel, outcome)).Add(1)
 }
 
 // ThreadChoice records the §7.4 thread policy's decision for one call:
@@ -320,14 +320,10 @@ func (r *Recorder) ThreadChoice(requested, chosen int) {
 	if r == nil {
 		return
 	}
-	probeAtomicWrite()
 	r.threadCalls.Add(1)
-	probeAtomicWrite()
 	r.threadsReq.Add(uint64(requested))
-	probeAtomicWrite()
 	r.threadsChose.Add(uint64(chosen))
 	if chosen < requested {
-		probeAtomicWrite()
 		r.clampedCalls.Add(1)
 	}
 }
@@ -381,8 +377,7 @@ func (r *Recorder) HealEvent(kind uint8) {
 	if r == nil || kind >= numHealEvents {
 		return
 	}
-	probeAtomicWrite()
-	r.healEvents[kind].Add(1)
+	r.healEvents.At(int(kind)).Add(1)
 }
 
 // Breaker states for BreakerTransition, mirroring guard.State.
@@ -401,10 +396,8 @@ func (r *Recorder) BreakerTransition(from, to uint8) {
 	adj := func(state uint8, delta int64) {
 		switch state {
 		case BreakerOpen:
-			probeAtomicWrite()
 			r.breakersOpen.Add(delta)
 		case BreakerProbing:
-			probeAtomicWrite()
 			r.breakersProbing.Add(delta)
 		}
 	}
@@ -419,8 +412,7 @@ func (r *Recorder) DegradationEvent(reason uint8) {
 	if r == nil || reason >= numDegrReasons {
 		return
 	}
-	probeAtomicWrite()
-	r.degrEvents[reason].Add(1)
+	r.degrEvents.At(int(reason)).Add(1)
 }
 
 // FaultInjected counts one fired fault-injection point. Together with
@@ -432,8 +424,7 @@ func (r *Recorder) FaultInjected(p faults.Point) {
 	if r == nil || int(p) >= faults.NumPoints {
 		return
 	}
-	probeAtomicWrite()
-	r.faultEvents[p].Add(1)
+	r.faultEvents.At(int(p)).Add(1)
 }
 
 // TaskQueued records n tasks submitted to the pool.
@@ -443,7 +434,6 @@ func (r *Recorder) TaskQueued(n int) {
 	if r == nil {
 		return
 	}
-	probeAtomicWrite()
 	r.tasksQueued.Add(uint64(n))
 }
 
@@ -455,11 +445,8 @@ func (r *Recorder) TaskStart(queueWaitNs int64) {
 	if r == nil {
 		return
 	}
-	probeAtomicWrite()
 	r.tasksStarted.Add(1)
-	probeAtomicWrite()
 	r.inFlight.Add(1)
-	probeAtomicWrite()
 	r.queueWaitNs.Add(uint64(queueWaitNs))
 }
 
@@ -470,11 +457,8 @@ func (r *Recorder) TaskDone(busyNs int64) {
 	if r == nil {
 		return
 	}
-	probeAtomicWrite()
 	r.tasksDone.Add(1)
-	probeAtomicWrite()
 	r.inFlight.Add(-1)
-	probeAtomicWrite()
 	r.busyNs.Add(uint64(busyNs))
 }
 

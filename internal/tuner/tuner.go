@@ -34,26 +34,32 @@ type Result struct {
 	Candidates []Candidate
 }
 
+// TileGFLOPS scores one mr×nr register tile: the modeled steady-state
+// throughput of the pipelined main micro-kernel on the platform's
+// scoreboard, with L1-resident operands. Feasibility is the caller's
+// concern.
+func TileGFLOPS(p *platform.Platform, elemBytes, mr, nr int) float64 {
+	lanes := 16 / elemBytes
+	build := func(kc int) *isa.Program {
+		if kc%lanes != 0 {
+			kc += lanes - kc%lanes
+		}
+		return kernels.BuildMain(kernels.MainSpec{
+			Elem: elemBytes, MR: mr, NR: nr, KC: kc,
+			LDA: kc, LDB: nr, LDC: nr, Schedule: kernels.Pipelined,
+		})
+	}
+	cpi := uarch.SteadyStateCPI(build, uarch.FromPlatform(p), 32, 64) // cycles per K step
+	return 2 * float64(mr) * float64(nr) / cpi * p.FreqGHz
+}
+
 // SearchTile evaluates every feasible register tile for the platform and
 // element size and returns the candidates sorted by modeled throughput
 // (descending), with ties broken toward the higher-CMR tile — the analytic
 // objective acts as the secondary criterion exactly as §5.2 motivates.
 func SearchTile(p *platform.Platform, elemBytes int) Result {
 	lanes := 16 / elemBytes
-	cfg := uarch.FromPlatform(p)
-	eval := func(mr, nr int) float64 {
-		build := func(kc int) *isa.Program {
-			if kc%lanes != 0 {
-				kc += lanes - kc%lanes
-			}
-			return kernels.BuildMain(kernels.MainSpec{
-				Elem: elemBytes, MR: mr, NR: nr, KC: kc,
-				LDA: kc, LDB: nr, LDC: nr, Schedule: kernels.Pipelined,
-			})
-		}
-		cpi := uarch.SteadyStateCPI(build, cfg, 32, 64) // cycles per K step
-		return 2 * float64(mr) * float64(nr) / cpi * p.FreqGHz
-	}
+	eval := func(mr, nr int) float64 { return TileGFLOPS(p, elemBytes, mr, nr) }
 
 	var r Result
 	for mr := 1; mr <= 16; mr++ {

@@ -178,8 +178,8 @@ func TestTraceNesting(t *testing.T) {
 
 // TestTelemetryOffHotPathAllocs asserts the disabled-path contract: a
 // context built without WithTelemetry performs zero allocations per GEMM
-// call (the telemetryprobe build tag additionally proves zero atomic
-// writes; see telemetry_probe_test.go).
+// call (shalom-vet's telemetrypure analyzer additionally proves zero atomic
+// writes; see internal/staticlint TestModuleClean).
 func TestTelemetryOffHotPathAllocs(t *testing.T) {
 	ctx := New(WithThreads(1))
 	defer ctx.Close()
