@@ -14,7 +14,6 @@ import (
 	"libshalom/internal/analytic"
 	"libshalom/internal/bench"
 	"libshalom/internal/guard"
-	"libshalom/internal/heal"
 	_ "libshalom/internal/kernels" // registers the micro-kernel catalogue
 	"libshalom/internal/platform"
 )
@@ -26,7 +25,7 @@ func printHealth(plats []*platform.Platform) {
 	for _, p := range plats {
 		guard.VerifyContracts(p)
 	}
-	heal.Snapshot().Write(os.Stdout)
+	guard.Health().Write(os.Stdout)
 }
 
 // printDegraded runs the registration-time contract verification for each

@@ -27,7 +27,6 @@ import (
 	"libshalom/internal/autotune"
 	"libshalom/internal/core"
 	"libshalom/internal/guard"
-	"libshalom/internal/heal"
 	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
 	"libshalom/internal/tuner"
@@ -83,8 +82,8 @@ func closedLoop() {
 
 	// Canary every small-class call so the demo settles in a handful of
 	// GEMMs instead of a stride-sampled storm.
-	prev := heal.Configure(heal.Config{CanaryStride: 1})
-	defer heal.Configure(prev)
+	prev := guard.Configure(guard.Config{CanaryStride: 1})
+	defer guard.Configure(prev)
 
 	tel := telemetry.New(telemetry.Options{})
 	eng := autotune.New(autotune.Config{Recorder: tel, Platform: plat})
@@ -115,7 +114,7 @@ func closedLoop() {
 		b[i] = float32(i%5) * 0.5
 	}
 	cfg := core.Config{Plat: plat, Threads: 1, NumericGuard: true, Tel: tel}
-	calls := heal.Current().CanaryTarget + 2
+	calls := guard.Current().CanaryTarget + 2
 	for i := 0; i < calls; i++ {
 		c := make([]float32, m*n)
 		if err := core.SGEMM(cfg, core.NN, m, n, k, 1, a, k, b, n, 0, c, n); err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"libshalom/internal/core"
 	"libshalom/internal/guard"
-	"libshalom/internal/heal"
 )
 
 // Failure behaviour of the hardened runtime. LibShalom never lets a
@@ -107,21 +106,21 @@ func ResetDegradations() { guard.Reset() }
 // (doubled per re-trip), how many consecutive agreeing canaries close a
 // probing breaker, and what fraction of probing calls pay the canary shadow
 // cost. Zero fields select the documented defaults.
-type HealingConfig = heal.Config
+type HealingConfig = guard.Config
 
 // ConfigureHealing installs a process-global self-healing policy and
 // returns the previous one. Like the breaker registry it governs, the
 // policy is shared by every Context.
-func ConfigureHealing(c HealingConfig) HealingConfig { return heal.Configure(c) }
+func ConfigureHealing(c HealingConfig) HealingConfig { return guard.Configure(c) }
 
 // HealthReport is a point-in-time view of the self-healing runtime: the
 // active policy, every breaker record (including healed ones, whose trip
 // count still drives backoff) and the full trip history.
-type HealthReport = heal.Report
+type HealthReport = guard.Report
 
 // Health assembles the current health report; shalom-info -health renders
 // the same view on the command line.
-func Health() HealthReport { return heal.Snapshot() }
+func Health() HealthReport { return guard.Health() }
 
 // CheckSBatchAliasing reports ErrAliasedBatch if two FP32 batch entries
 // write overlapping C storage. Adjacent-but-disjoint views of one backing

@@ -33,7 +33,6 @@ import (
 
 	"libshalom/internal/attrib"
 	"libshalom/internal/guard"
-	"libshalom/internal/heal"
 	"libshalom/internal/journal"
 	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
@@ -388,7 +387,7 @@ func (e *Engine) install(k classKey, c Candidate) {
 	guard.SetOverride(k.elem, uint8(k.class), guard.TileOverride{
 		MR: c.MR, NR: c.NR, KC: c.KC, Kernel: c.Kernel, Path: path,
 	})
-	heal.BeginProbation(plat, path)
+	guard.BeginProbation(plat, path)
 	e.cfg.Recorder.BreakerTransition(telemetry.BreakerHealthy, telemetry.BreakerProbing)
 	e.events.At(evCanary).Add(1)
 	e.overrides.Add(1)

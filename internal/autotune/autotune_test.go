@@ -8,7 +8,6 @@ import (
 
 	"libshalom/internal/core"
 	"libshalom/internal/guard"
-	"libshalom/internal/heal"
 	"libshalom/internal/journal"
 	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
@@ -20,10 +19,10 @@ import (
 func resetWorld(t *testing.T) {
 	t.Helper()
 	guard.Reset()
-	prev := heal.Configure(heal.Config{})
+	prev := guard.Configure(guard.Config{})
 	t.Cleanup(func() {
 		guard.Reset()
-		heal.Configure(prev)
+		guard.Configure(prev)
 	})
 }
 
@@ -53,6 +52,11 @@ func TestSearchWellTunedClass(t *testing.T) {
 		if c.MR < 1 || c.MR > 7 || c.NR%4 != 0 || c.NR < 4 || c.NR > 12 {
 			t.Fatalf("candidate %s outside the f32 family domain", c.Kernel)
 		}
+	}
+	// Every tile of the domain (MR 1–7 × NR 4, 8, 12) is Eq. 1-feasible,
+	// so the search covers all 21 of them.
+	if len(sr.Candidates) != 21 {
+		t.Fatalf("searched %d candidates, want the 21 tiles of the f32 family domain", len(sr.Candidates))
 	}
 }
 
@@ -112,7 +116,7 @@ func driveClass(t *testing.T, tel *telemetry.Recorder, n int) {
 
 func TestTuneNowPromotesDetunedClass(t *testing.T) {
 	resetWorld(t)
-	heal.Configure(heal.Config{CanaryStride: 1})
+	guard.Configure(guard.Config{CanaryStride: 1})
 	seedDetuned(t)
 
 	dir := t.TempDir()
@@ -157,7 +161,7 @@ func TestTuneNowPromotesDetunedClass(t *testing.T) {
 
 	// Live traffic agrees with the reference on every canaried call: the
 	// breaker closes at the canary target, and the next Step promotes.
-	driveClass(t, tel, int(heal.Current().CanaryTarget)+2)
+	driveClass(t, tel, int(guard.Current().CanaryTarget)+2)
 	if st := guard.StateOf(platform.KP920().Name, ov.Path); st != guard.StateHealthy {
 		t.Fatalf("after agreeing canaries breaker = %s, want healthy", st)
 	}
@@ -195,7 +199,7 @@ func TestTuneNowPromotesDetunedClass(t *testing.T) {
 
 func TestStepRevertsTrippedCanary(t *testing.T) {
 	resetWorld(t)
-	heal.Configure(heal.Config{CanaryStride: 1})
+	guard.Configure(guard.Config{CanaryStride: 1})
 	seedDetuned(t)
 
 	dir := t.TempDir()
@@ -215,7 +219,7 @@ func TestStepRevertsTrippedCanary(t *testing.T) {
 
 	// A canary mismatch trips the candidate's private breaker, which evicts
 	// the override atomically; the next Step books the revert.
-	heal.ReportMismatch(platform.KP920().Name, ov.Path, "injected mismatch", "NN 64x64x64")
+	guard.Trip(platform.KP920().Name, ov.Path, guard.ReasonCanary, "injected mismatch", "NN 64x64x64", 0)
 	if _, still := guard.OverrideFor(4, uint8(telemetry.ShapeSmall)); still {
 		t.Fatal("trip did not evict the override")
 	}
@@ -306,7 +310,7 @@ func TestNilEngineIsInert(t *testing.T) {
 
 func TestReportSurfaces(t *testing.T) {
 	resetWorld(t)
-	heal.Configure(heal.Config{CanaryStride: 1})
+	guard.Configure(guard.Config{CanaryStride: 1})
 	seedDetuned(t)
 	tel := telemetry.New(telemetry.Options{})
 	eng := New(Config{Recorder: tel, Platform: platform.KP920()})

@@ -3,11 +3,9 @@ package autotune
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 
 	"libshalom/internal/analytic"
 	"libshalom/internal/guard"
-	"libshalom/internal/heal"
 	"libshalom/internal/isa"
 	"libshalom/internal/isacheck"
 	"libshalom/internal/platform"
@@ -70,21 +68,13 @@ func kernelTag(mr, nr, kc int) string {
 }
 
 // Search enumerates and scores every candidate tile for one (element size,
-// shape class) key. The space is the intersection of Eq. 1 feasibility and
-// the generator family's symbolic domain — only tiles the family proof
-// quantifies over are admissible, because Prove will demand membership.
+// shape class) key: tuner.Enumerate admitting only the generator family's
+// symbolic domain (which lies inside the Eq. 1 space the tuner walks) —
+// only tiles the family proof quantifies over are admissible, because
+// Prove will demand membership.
 func Search(p *platform.Platform, elemBytes int, class telemetry.ShapeClass) SearchResult {
 	lanes := 16 / elemBytes
 	fam, _ := isacheck.FamilyByName(familyFor(elemBytes))
-
-	// Search's rule on top of the shared scoring: an infeasible tile
-	// scores 0.
-	eval := func(mr, nr int) float64 {
-		if !analytic.Feasible(mr, nr, lanes, analytic.RegisterBudget) {
-			return 0
-		}
-		return tuner.TileGFLOPS(p, elemBytes, mr, nr)
-	}
 
 	// Panel depth: the deepest KC the family domain admits that does not
 	// exceed the platform's cache-derived blocking (it never does today —
@@ -97,40 +87,22 @@ func Search(p *platform.Platform, elemBytes int, class telemetry.ShapeClass) Sea
 	}
 
 	var r SearchResult
-	nrr, mrr := fam.Domain.NR, fam.Domain.MR
-	for mr := mrr.Min; mr <= mrr.Max; mr++ {
-		if !inRange(mr, mrr) {
-			continue
-		}
-		step := nrr.Step
-		if step == 0 {
-			step = 1
-		}
-		for nr := nrr.Min; nr <= nrr.Max; nr += step {
-			if !analytic.Feasible(mr, nr, lanes, analytic.RegisterBudget) {
-				continue
-			}
-			r.Candidates = append(r.Candidates, Candidate{
-				MR: mr, NR: nr, KC: kc,
-				Kernel: kernelTag(mr, nr, kc),
-				GFLOPS: eval(mr, nr),
-			})
-		}
+	inDomain := func(mr, nr int) bool { return inRange(mr, fam.Domain.MR) && inRange(nr, fam.Domain.NR) }
+	for _, c := range tuner.Enumerate(p, elemBytes, inDomain) {
+		r.Candidates = append(r.Candidates, Candidate{
+			MR: c.MR, NR: c.NR, KC: kc,
+			Kernel: kernelTag(c.MR, c.NR, kc),
+			GFLOPS: c.GFLOPS,
+		})
 	}
-	sort.Slice(r.Candidates, func(i, j int) bool {
-		a, b := r.Candidates[i], r.Candidates[j]
-		if a.GFLOPS != b.GFLOPS {
-			return a.GFLOPS > b.GFLOPS
-		}
-		if ca, cb := analytic.CMR(a.MR, a.NR), analytic.CMR(b.MR, b.NR); ca != cb {
-			return ca > cb
-		}
-		if a.NR != b.NR {
-			return a.NR > b.NR
-		}
-		return a.MR > b.MR
-	})
 
+	// The incumbent may be any installed tile; an infeasible one scores 0.
+	eval := func(mr, nr int) float64 {
+		if !analytic.Feasible(mr, nr, lanes, analytic.RegisterBudget) {
+			return 0
+		}
+		return tuner.TileGFLOPS(p, elemBytes, mr, nr)
+	}
 	if ov, ok := guard.OverrideFor(elemBytes, uint8(class)); ok {
 		r.Incumbent = Candidate{
 			MR: ov.MR, NR: ov.NR, KC: ov.KC,
@@ -223,7 +195,7 @@ func validate(prog *isa.Program, elemBytes int, c Candidate, seed uint64) error 
 		if err := vexec.RunF64(prog, a, b, cb); err != nil {
 			return fmt.Errorf("autotune: vexec %s: %w", c.Kernel, err)
 		}
-		if !heal.Agrees(cb, nr, want, nr, mr, nr, heal.Tolerance(8)) {
+		if !guard.Agrees(cb, nr, want, nr, mr, nr, guard.Tolerance(8)) {
 			return fmt.Errorf("autotune: %s disagrees with reference (seed %d)", c.Kernel, seed)
 		}
 		return nil
@@ -244,7 +216,7 @@ func validate(prog *isa.Program, elemBytes int, c Candidate, seed uint64) error 
 	if err := vexec.RunF32(prog, a, b, cb); err != nil {
 		return fmt.Errorf("autotune: vexec %s: %w", c.Kernel, err)
 	}
-	if !heal.Agrees(cb, nr, want, nr, mr, nr, heal.Tolerance(4)) {
+	if !guard.Agrees(cb, nr, want, nr, mr, nr, guard.Tolerance(4)) {
 		return fmt.Errorf("autotune: %s disagrees with reference (seed %d)", c.Kernel, seed)
 	}
 	return nil

@@ -4,14 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
-	"time"
 	"unsafe"
 
-	"libshalom/internal/analytic"
-	"libshalom/internal/faults"
 	"libshalom/internal/guard"
-	"libshalom/internal/heal"
 	"libshalom/internal/parallel"
 	"libshalom/internal/telemetry"
 )
@@ -106,140 +101,47 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, ks kernelSet[T], mode M
 		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
 		defer cancel()
 	}
-	plat := cfg.platform()
-	guard.VerifyContracts(plat)
-	path := guard.PathFor(ks.elemBytes)
-	tile := analytic.SolveForElem(ks.elemBytes)
-	blk := analytic.BlockingFor(plat, ks.elemBytes)
+	// Entries run the dispatch ladder single-threaded: the batch spreads
+	// whole entries over the pool instead of splitting one.
+	cl := newCall(cfg, ks, mode, 1)
 
-	tel := cfg.Tel
-	prec := telemetry.PrecFor(ks.elemBytes)
-	callTid := tel.CallTid()
-
-	// completed counts entries that ran to the end; entries run whole or
-	// not at all, so completed-entry results are identical to an
-	// uncancelled run's. ran marks which entries those are (slots are
-	// written by exactly one task each and read only after the join), so
+	// ran marks the entries that ran to the end. Entries run whole or not
+	// at all, so their results are identical to an uncancelled run's; slots
+	// are written by exactly one task each and read only after the join, so
 	// cancellation telemetry can label the abandoned entries precisely and
 	// BatchCancelError can carry per-entry accounting.
-	var completed atomic.Int64
 	ran := make([]bool, len(batch))
-
-	execOne := func(worker, i int, e BatchEntry[T], class uint8) (bool, uint8, error) {
-		if e.M == 0 || e.N == 0 {
-			return false, telemetry.KernelFast, nil
-		}
-		if e.Alpha == 0 || e.K == 0 {
-			scaleAll(ks, e.M, e.N, e.Beta, e.C, e.LDC)
-			return false, telemetry.KernelFast, nil
-		}
-		// Routing is per entry, not per batch: a breaker that heals (or
-		// trips) mid-batch takes effect from the next entry on.
-		route, beganProbe := heal.RouteFor(plat.Name, path)
-		if beganProbe {
-			tel.HealEvent(telemetry.HealBreakerProbe)
-			tel.BreakerTransition(telemetry.BreakerOpen, telemetry.BreakerProbing)
-		}
-		switch route {
-		case heal.RouteRef:
-			ks.ref(mode.TransA(), mode.TransB(), e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
-			return false, telemetry.KernelRef, nil
-		case heal.RouteCanary:
-			degraded := runCanary(cfg, ks, plat, tile, blk, mode, path, false,
-				telemetry.WorkerTid(worker, callTid),
-				e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
-			return degraded, telemetry.KernelFast, nil
-		}
-		// Tuned dispatch override for this entry's shape class — same
-		// three-way routing as the non-batch driver (see resolveOverride):
-		// probing runs canary-shadowed, healthy serves the tuned tile, open
-		// falls back to the incumbent tile.
-		effTile, effBlk, effPath, kern, ovCanary := resolveOverride(plat, ks.elemBytes, class, tile, blk, path)
-		if ovCanary {
-			degraded := runCanary(cfg, ks, plat, effTile, effBlk, mode, effPath, true,
-				telemetry.WorkerTid(worker, callTid),
-				e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
-			return degraded, telemetry.KernelTuned, nil
-		}
-		bl := parallel.Block{I0: 0, J0: 0, M: e.M, N: e.N}
-		degraded, err := runBlock(cfg, ks, plat, effTile, effBlk, mode, effPath, bl, i,
-			telemetry.WorkerTid(worker, callTid), e.K,
-			e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
-		return degraded, kern, err
-	}
-	runOne := func(worker, i int, e BatchEntry[T]) error {
-		start := tel.Now()
-		class := uint8(telemetry.ClassifyShape(e.M, e.N, e.K))
-		if d := faults.SlowClassFire(class); d > 0 {
-			// Chaos: the batch (serving) path's copy of the slow-class
-			// delay — inside the timed region, so the attribution engine
-			// sees the seeded class underperform (scripts/attrib-smoke.sh).
-			tel.FaultInjected(faults.SlowShapeClass)
-			time.Sleep(d)
-		}
-		degraded, kernel, err := execOne(worker, i, e, class)
-		if tel != nil {
-			flops := 2 * float64(e.M) * float64(e.N) * float64(e.K)
-			outcome := telemetry.OutcomeOK
-			switch {
-			case err != nil:
-				outcome = telemetry.OutcomePanic
-			case degraded:
-				outcome, kernel = telemetry.OutcomeDegraded, telemetry.KernelRef
-			}
-			tel.CallDone(prec, uint8(mode), class, kernel, outcome, start, flops)
-		}
-		if err != nil {
-			return err
-		}
-		ran[i] = true
-		completed.Add(1)
-		return nil
-	}
-	cancelErr := func() error {
-		// Entries the cancellation abandoned are counted with outcome
-		// "cancelled" so snapshot call totals always match entries issued.
-		for i := range ran {
-			if !ran[i] {
-				e := batch[i]
-				tel.CallEvent(prec, uint8(mode),
-					uint8(telemetry.ClassifyShape(e.M, e.N, e.K)),
-					telemetry.KernelFast, telemetry.OutcomeCancelled)
-			}
-		}
-		return &BatchCancelError{Completed: int(completed.Load()), Total: len(batch), Done: ran, Cause: ctx.Err()}
-	}
-
-	threads := cfg.Threads
-	if threads <= 1 || len(batch) == 1 {
-		for i, e := range batch {
+	if cfg.Threads <= 1 || len(batch) == 1 {
+		for i := range batch {
 			if ctx.Err() != nil {
-				return cancelErr()
+				return cl.cancelled(ctx, batch, ran)
 			}
-			if err := runOne(-1, i, e); err != nil {
+			if err := cl.run(&batch[i], i, -1, cfg.Tel.Now()); err != nil {
 				return err
 			}
+			ran[i] = true
 		}
 		return nil
 	}
-	pool := cfg.Pool
+	return runPooled(ctx, cl, batch, ran)
+}
+
+// runPooled spreads a batch over the worker pool in chunks, so tiny
+// problems do not drown in task dispatch. cl is taken by value: the
+// escaping chunk tasks capture it, and a captured pointer would move the
+// caller's call to the heap on the serial path too.
+func runPooled[T Float](ctx context.Context, cl call[T], batch []BatchEntry[T], ran []bool) error {
+	threads, tel := cl.cfg.Threads, cl.cfg.Tel
+	pool := cl.cfg.Pool
 	if pool == nil {
-		pool = parallel.NewPoolObserved(threads, cfg.poolObserver())
+		pool = parallel.NewPoolObserved(threads, cl.cfg.poolObserver())
 		defer pool.Close()
 	}
-	// Chunk entries so tiny problems do not drown in task dispatch.
-	chunk := (len(batch) + threads*4 - 1) / (threads * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
+	chunk := max((len(batch)+threads*4-1)/(threads*4), 1)
 	var tasks []func(int)
 	var errSlots []error
 	for lo := 0; lo < len(batch); lo += chunk {
-		hi := lo + chunk
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		lo, hi := lo, hi
+		hi := min(lo+chunk, len(batch))
 		slot := len(errSlots)
 		errSlots = append(errSlots, nil)
 		tasks = append(tasks, func(worker int) {
@@ -247,21 +149,22 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, ks kernelSet[T], mode M
 				if ctx.Err() != nil {
 					return
 				}
-				if err := runOne(worker, i, batch[i]); err != nil {
+				if err := cl.run(&batch[i], i, worker, tel.Now()); err != nil {
 					errSlots[slot] = err
 					return
 				}
+				ran[i] = true
 			}
 		})
 	}
 	barrierStart := tel.Now()
-	poolErr := pool.RunWorkerCfg(parallel.RunConfig{Ctx: ctx, TaskBudget: cfg.Deadline}, tasks)
-	tel.Span(telemetry.PhaseBarrier, callTid, barrierStart, uint8(mode), prec, len(batch), 0, 0)
+	poolErr := pool.RunWorkerCfg(parallel.RunConfig{Ctx: ctx, TaskBudget: cl.cfg.Deadline}, tasks)
+	tel.Span(telemetry.PhaseBarrier, cl.tid, barrierStart, uint8(cl.mode), telemetry.PrecFor(cl.ks.elemBytes), len(batch), 0, 0)
 	var stuck *guard.StuckWorkerError
 	if errors.As(poolErr, &stuck) {
 		// Watchdog early return: stragglers may still be writing errSlots
-		// and the ran/completed accounting, so none of it may be read —
-		// surface the typed error immediately.
+		// and the ran accounting, so none of it may be read — surface the
+		// typed error immediately.
 		tel.HealEvent(telemetry.HealStuckWorker)
 		return poolErr
 	}
@@ -272,14 +175,32 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, ks kernelSet[T], mode M
 	}
 	if poolErr != nil {
 		if cause := ctx.Err(); cause != nil && errors.Is(poolErr, cause) {
-			return cancelErr()
+			return cl.cancelled(ctx, batch, ran)
 		}
 		return poolErr
 	}
 	if ctx.Err() != nil {
-		return cancelErr()
+		return cl.cancelled(ctx, batch, ran)
 	}
 	return nil
+}
+
+// cancelled reports a batch abandoned because ctx is done. Entries the
+// cancellation abandoned are counted with outcome "cancelled" so snapshot
+// call totals always match entries issued.
+func (cl *call[T]) cancelled(ctx context.Context, batch []BatchEntry[T], ran []bool) error {
+	completed := 0
+	for i, done := range ran {
+		if done {
+			completed++
+			continue
+		}
+		e := batch[i]
+		cl.cfg.Tel.CallEvent(telemetry.PrecFor(cl.ks.elemBytes), uint8(cl.mode),
+			uint8(telemetry.ClassifyShape(e.M, e.N, e.K)),
+			telemetry.KernelFast, telemetry.OutcomeCancelled)
+	}
+	return &BatchCancelError{Completed: completed, Total: len(batch), Done: ran, Cause: ctx.Err()}
 }
 
 // ErrAliasedBatch is returned by CheckBatchAliasing when two entries write

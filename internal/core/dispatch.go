@@ -1,0 +1,262 @@
+package core
+
+import (
+	"errors"
+	"time"
+
+	"libshalom/internal/analytic"
+	"libshalom/internal/faults"
+	"libshalom/internal/guard"
+	"libshalom/internal/parallel"
+	"libshalom/internal/platform"
+	"libshalom/internal/telemetry"
+)
+
+// The dispatch ladder. Every problem — a whole non-batch call or one batch
+// entry — walks the same rungs in order, and records one telemetry row
+// (kernel, outcome):
+//
+//  1. the SlowShapeClass chaos delay, inside the timed region;
+//  2. the zero-size and α=0 (or k=0) early-outs, which need no kernel;
+//  3. the kernel family's breaker: open routes to the reference path,
+//     probing to the canary shadow;
+//  4. the tuned override for the problem's shape class: probing runs the
+//     candidate canary-shadowed, healthy serves the tuned tile, open keeps
+//     the incumbent;
+//  5. the hardened block runner on the resolved fast route, split over the
+//     pool by the §6 partition when the problem has more than one thread.
+
+// call is what every problem of one driver invocation shares. The
+// single-call driver builds one per call, the batch driver one per batch.
+type call[T Float] struct {
+	cfg  Config
+	ks   kernelSet[T]
+	plat *platform.Platform
+	mode Mode
+	// fam is the kernel family's fast route: its breaker path and the
+	// Eq. 1–2 tile with the platform's cache blocking.
+	fam fastRoute
+	// threads is the §6 parallel width of one problem: the call's width
+	// for a single call, 1 for batch entries (the batch spreads whole
+	// entries over the pool instead).
+	threads int
+	// tid is the caller's trace lane.
+	tid int32
+}
+
+// fastRoute is a resolved fast path: the tile and blocking to run, the
+// breaker a failure trips, and the kernel label of the telemetry row.
+type fastRoute struct {
+	tile   analytic.Tile
+	blk    analytic.Blocking
+	path   string
+	kernel uint8
+}
+
+// newCall is the plan phase: contract verification (memoised per platform
+// — the registration-time leg of the fallback chain, tripping the breaker
+// of any kernel family that fails), the tile solve and the blocking.
+func newCall[T Float](cfg Config, ks kernelSet[T], mode Mode, threads int) call[T] {
+	plat := cfg.platform()
+	guard.VerifyContracts(plat)
+	return call[T]{
+		cfg: cfg, ks: ks, plat: plat, mode: mode,
+		fam: fastRoute{
+			tile:   analytic.SolveForElem(ks.elemBytes),
+			blk:    analytic.BlockingFor(plat, ks.elemBytes),
+			path:   guard.PathFor(ks.elemBytes),
+			kernel: telemetry.KernelFast,
+		},
+		threads: threads,
+		tid:     cfg.Tel.CallTid(),
+	}
+}
+
+// run takes one problem down the ladder and records its telemetry row.
+// entry is the batch index (-1 for a single call), worker the pool worker
+// running it (-1 for the calling goroutine), and start when the problem's
+// timed region began.
+func (cl *call[T]) run(e *BatchEntry[T], entry, worker int, start int64) error {
+	tel := cl.cfg.Tel
+	class := uint8(telemetry.ClassifyShape(e.M, e.N, e.K))
+	if d := faults.SlowClassFire(class); d > 0 {
+		// Chaos: a kernel that regressed on this workload regime. Timing
+		// only — the delay lands inside the timed region so the attribution
+		// engine sees the class underperform its model.
+		tel.FaultInjected(faults.SlowShapeClass)
+		time.Sleep(d)
+	}
+	kernel, outcome, err := cl.route(e, class, entry, telemetry.WorkerTid(worker, cl.tid))
+	tel.CallDone(telemetry.PrecFor(cl.ks.elemBytes), uint8(cl.mode), class, kernel, outcome, start,
+		2*float64(e.M)*float64(e.N)*float64(e.K))
+	return err
+}
+
+// route walks rungs 2–5 for one problem and returns its telemetry row.
+func (cl *call[T]) route(e *BatchEntry[T], class uint8, entry int, tid int32) (kernel, outcome uint8, err error) {
+	if e.M == 0 || e.N == 0 {
+		return telemetry.KernelFast, telemetry.OutcomeOK, nil
+	}
+	if e.Alpha == 0 || e.K == 0 {
+		if e.Beta != 1 {
+			cl.ks.scale(e.M, e.N, e.Beta, e.C, e.LDC)
+		}
+		return telemetry.KernelFast, telemetry.OutcomeOK, nil
+	}
+	// Routing is per problem: a breaker that heals (or trips) mid-batch
+	// takes effect from the next entry on.
+	fp := cl.fam
+	canary := false
+	switch cl.dispatch(fp.path) {
+	case guard.DispatchRef:
+		cl.ref(e)
+		return telemetry.KernelRef, telemetry.OutcomeOK, nil
+	case guard.DispatchCanary:
+		canary = true
+	default:
+		fp, canary = cl.tuned(class)
+	}
+	var degraded bool
+	switch {
+	case canary:
+		// Canaries run single-threaded — the shadow doubles the work
+		// anyway, and the probing window is short.
+		degraded = cl.runCanary(e, fp, tid)
+	case cl.threads > 1:
+		degraded, err = cl.runSplit(e, fp)
+	default:
+		degraded, err = cl.runBlock(e, fp, parallel.Block{M: e.M, N: e.N}, entry, tid)
+	}
+	switch {
+	case err != nil:
+		var stuck *guard.StuckWorkerError
+		if errors.As(err, &stuck) {
+			cl.cfg.Tel.HealEvent(telemetry.HealStuckWorker)
+			return fp.kernel, telemetry.OutcomeStuck, err
+		}
+		if _, ok := err.(*guard.KernelPanicError); ok {
+			return fp.kernel, telemetry.OutcomePanic, err
+		}
+		// Pool misuse (ErrClosed): the work never ran.
+		return fp.kernel, telemetry.OutcomeCancelled, err
+	case degraded:
+		return telemetry.KernelRef, telemetry.OutcomeDegraded, nil
+	}
+	return fp.kernel, telemetry.OutcomeOK, nil
+}
+
+// dispatch asks a breaker where this problem goes, counting the
+// open→probing transition the decision may have made.
+func (cl *call[T]) dispatch(path string) guard.Disposition {
+	d, beganProbe := guard.Dispatch(cl.plat.Name, path, 0)
+	if beganProbe {
+		cl.cfg.Tel.HealEvent(telemetry.HealBreakerProbe)
+		cl.cfg.Tel.BreakerTransition(telemetry.BreakerOpen, telemetry.BreakerProbing)
+	}
+	return d
+}
+
+// tuned resolves the fast route of a healthy kernel family for a shape
+// class. When the autotuner installed a tuned override for the class, the
+// override's private breaker decides: probing runs the candidate
+// canary-shadowed (canary true, so the caller always gets the
+// reference-checked result), healthy serves the tuned tile, and open —
+// possible only in the instant before Trip evicts the override — keeps the
+// incumbent tile on the fast path, never the reference.
+func (cl *call[T]) tuned(class uint8) (fp fastRoute, canary bool) {
+	ov, ok := guard.OverrideFor(cl.ks.elemBytes, class)
+	if !ok {
+		return cl.fam, false
+	}
+	d := cl.dispatch(ov.Path)
+	if d == guard.DispatchRef {
+		return cl.fam, false
+	}
+	fp = fastRoute{tile: analytic.Tile{MR: ov.MR, NR: ov.NR}, blk: cl.fam.blk, path: ov.Path, kernel: telemetry.KernelTuned}
+	if ov.KC > 0 {
+		fp.blk.KC = ov.KC
+	}
+	return fp, d == guard.DispatchCanary
+}
+
+// ref runs a problem on the portable reference path.
+func (cl *call[T]) ref(e *BatchEntry[T]) {
+	cl.ks.ref(cl.mode.TransA(), cl.mode.TransB(), e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
+}
+
+// splitRun is what the tasks of one parallel split share. The tasks escape
+// to the pool, so everything they read lives in this one allocation: a
+// captured pointer to the caller's call or problem would move those to the
+// heap on the single-threaded path too.
+type splitRun[T Float] struct {
+	cl  call[T]
+	e   BatchEntry[T]
+	fp  fastRoute
+	res []blockResult
+}
+
+// blockResult is one split task's slot; each task owns a disjoint C block,
+// so the slots need no synchronization beyond the pool's join.
+type blockResult struct {
+	degraded bool
+	err      error
+}
+
+// runSplit is the single-call driver's §6 parallel split of the fast route:
+// the shape-aware partition's C blocks run as one pool task each. A
+// partition of one block runs on the calling goroutine.
+func (cl *call[T]) runSplit(e *BatchEntry[T], fp fastRoute) (bool, error) {
+	blocks := parallel.Blocks(e.M, e.N, analytic.PartitionFor(e.M, e.N, cl.threads), fp.tile.MR, fp.tile.NR)
+	if len(blocks) <= 1 {
+		return cl.runBlock(e, fp, parallel.Block{M: e.M, N: e.N}, -1, cl.tid)
+	}
+	pool := cl.cfg.Pool
+	if pool == nil {
+		pool = parallel.NewPoolObserved(cl.threads, cl.cfg.poolObserver())
+		defer pool.Close()
+	}
+	s := &splitRun[T]{cl: *cl, e: *e, fp: fp, res: make([]blockResult, len(blocks))}
+	tasks := make([]func(int), len(blocks))
+	for bi, bl := range blocks {
+		tasks[bi] = func(worker int) {
+			sub := s.e.block(s.cl.mode, bl)
+			s.res[bi].degraded, s.res[bi].err = s.cl.runBlock(&sub, s.fp, bl, -1, telemetry.WorkerTid(worker, s.cl.tid))
+		}
+	}
+	tel := cl.cfg.Tel
+	barrierStart := tel.Now()
+	poolErr := pool.RunWorkerCfg(parallel.RunConfig{TaskBudget: cl.cfg.Deadline}, tasks)
+	tel.Span(telemetry.PhaseBarrier, cl.tid, barrierStart, uint8(cl.mode), telemetry.PrecFor(cl.ks.elemBytes), e.M, e.N, e.K)
+	if poolErr != nil {
+		// On a watchdog early return stragglers may still be writing their
+		// result slots; the pool error must win before those are read.
+		return false, poolErr
+	}
+	degraded := false
+	for _, r := range s.res {
+		if r.err != nil {
+			return false, r.err
+		}
+		degraded = degraded || r.degraded
+	}
+	return degraded, nil
+}
+
+// block returns the operand views of the C sub-block bl of e: operand
+// origins shift per block and mode.
+func (e *BatchEntry[T]) block(mode Mode, bl parallel.Block) BatchEntry[T] {
+	sub := *e
+	sub.M, sub.N = bl.M, bl.N
+	if mode.TransA() {
+		sub.A = e.A[bl.I0:] // A stored K×M: advancing M means advancing columns
+	} else {
+		sub.A = e.A[bl.I0*e.LDA:]
+	}
+	if mode.TransB() {
+		sub.B = e.B[bl.J0*e.LDB:] // B stored N×K: advancing N means advancing rows
+	} else {
+		sub.B = e.B[bl.J0:]
+	}
+	sub.C = e.C[bl.I0*e.LDC+bl.J0:]
+	return sub
+}

@@ -1,14 +1,10 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"libshalom/internal/analytic"
-	"libshalom/internal/faults"
-	"libshalom/internal/guard"
-	"libshalom/internal/heal"
 	"libshalom/internal/kernels"
 	"libshalom/internal/pack"
 	"libshalom/internal/parallel"
@@ -164,215 +160,22 @@ func sliceNeed(rows, cols, ld int) int {
 	return (rows-1)*ld + cols
 }
 
+// gemm is the single-call driver: the plan phase (contract verification,
+// tile solve, blocking), then the call as one problem down the dispatch
+// ladder, split over the pool by the §6 partition on the fast route.
 func gemm[T Float](cfg Config, ks kernelSet[T], mode Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) error {
 	if err := checkArgs(mode, m, n, k, a, lda, b, ldb, c, ldc); err != nil {
 		return err
 	}
 	tel := cfg.Tel
 	prec := telemetry.PrecFor(ks.elemBytes)
-	class := uint8(telemetry.ClassifyShape(m, n, k))
-	flops := 2 * float64(m) * float64(n) * float64(k)
-	callStart := tel.Now()
-	callTid := tel.CallTid()
-	if d := faults.SlowClassFire(class); d > 0 {
-		// Chaos: a kernel that regressed on this workload regime. Timing
-		// only — the delay lands inside the call's measured duration so the
-		// attribution engine sees the class underperform its model.
-		tel.FaultInjected(faults.SlowShapeClass)
-		time.Sleep(d)
-	}
-	finish := func(kernel, outcome uint8, err error) error {
-		tel.CallDone(prec, uint8(mode), class, kernel, outcome, callStart, flops)
-		tel.Span(telemetry.PhaseCall, callTid, callStart, uint8(mode), prec, m, n, k)
-		return err
-	}
-	if m == 0 || n == 0 {
-		return finish(telemetry.KernelFast, telemetry.OutcomeOK, nil)
-	}
-	if alpha == 0 || k == 0 {
-		scaleAll(ks, m, n, beta, c, ldc)
-		return finish(telemetry.KernelFast, telemetry.OutcomeOK, nil)
-	}
-	plat := cfg.platform()
-	// The plan phase: contract verification (memoised per platform — the
-	// registration-time leg of the fallback chain, tripping the breaker of
-	// any kernel family that fails), the breaker routing decision, the tile
-	// solve and the blocking derivation.
-	planStart := tel.Now()
-	guard.VerifyContracts(plat)
-	route, beganProbe := heal.RouteFor(plat.Name, guard.PathFor(ks.elemBytes))
-	if beganProbe {
-		tel.HealEvent(telemetry.HealBreakerProbe)
-		tel.BreakerTransition(telemetry.BreakerOpen, telemetry.BreakerProbing)
-	}
-	if route == heal.RouteRef {
-		tel.Span(telemetry.PhasePlan, callTid, planStart, uint8(mode), prec, m, n, k)
-		ks.ref(mode.TransA(), mode.TransB(), m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-		return finish(telemetry.KernelRef, telemetry.OutcomeOK, nil)
-	}
-	tile := analytic.SolveForElem(ks.elemBytes)
-	blk := analytic.BlockingFor(plat, ks.elemBytes)
-	famPath := guard.PathFor(ks.elemBytes)
-	tel.Span(telemetry.PhasePlan, callTid, planStart, uint8(mode), prec, m, n, k)
-
-	if route == heal.RouteCanary {
-		// Probing breaker: fast path shadowed by the reference, compared.
-		// Canaries run single-threaded — the shadow doubles the work anyway,
-		// and the probing window is short.
-		if runCanary(cfg, ks, plat, tile, blk, mode, famPath, false, callTid, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) {
-			return finish(telemetry.KernelRef, telemetry.OutcomeDegraded, nil)
-		}
-		return finish(telemetry.KernelFast, telemetry.OutcomeOK, nil)
-	}
-
-	// Tuned dispatch override: when the autotuner has installed a candidate
-	// tile for this (precision, shape class), route through the candidate's
-	// private breaker. Probing runs canary-shadowed (the caller always gets
-	// the reference-checked result); healthy serves the tuned tile directly;
-	// an open tuned breaker — possible only in the instant before Trip evicts
-	// the override — falls back to the incumbent tile, never the reference.
-	// resolveOverride keeps every resulting variable single-assignment: the
-	// threaded-task closures below escape, and reassigning a captured
-	// variable would heap-box it on the zero-alloc single-threaded path too.
-	effTile, effBlk, path, kern, ovCanary := resolveOverride(plat, ks.elemBytes, class, tile, blk, famPath)
-	if ovCanary {
-		if runCanary(cfg, ks, plat, effTile, effBlk, mode, path, true, callTid, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) {
-			return finish(telemetry.KernelRef, telemetry.OutcomeDegraded, nil)
-		}
-		return finish(telemetry.KernelTuned, telemetry.OutcomeOK, nil)
-	}
-
-	report := func(degraded bool, err error) error {
-		switch {
-		case err != nil:
-			var stuck *guard.StuckWorkerError
-			if errors.As(err, &stuck) {
-				tel.HealEvent(telemetry.HealStuckWorker)
-				return finish(kern, telemetry.OutcomeStuck, err)
-			}
-			if _, ok := err.(*guard.KernelPanicError); ok {
-				return finish(kern, telemetry.OutcomePanic, err)
-			}
-			// Pool misuse (ErrClosed): the work never ran.
-			return finish(kern, telemetry.OutcomeCancelled, err)
-		case degraded:
-			return finish(telemetry.KernelRef, telemetry.OutcomeDegraded, nil)
-		default:
-			return finish(kern, telemetry.OutcomeOK, nil)
-		}
-	}
-
-	if cfg.Threads > 1 {
-		part := analytic.PartitionFor(m, n, cfg.Threads)
-		blocks := parallel.Blocks(m, n, part, effTile.MR, effTile.NR)
-		if len(blocks) > 1 {
-			pool := cfg.Pool
-			if pool == nil {
-				pool = parallel.NewPoolObserved(cfg.Threads, cfg.poolObserver())
-				defer pool.Close()
-			}
-			// Each task owns a disjoint C sub-block, so per-task error and
-			// degradation slots need no synchronization beyond the pool's
-			// join.
-			errs := make([]error, len(blocks))
-			degr := make([]bool, len(blocks))
-			tasks := make([]func(int), len(blocks))
-			for bi, blkC := range blocks {
-				bi, blkC := bi, blkC
-				tasks[bi] = func(worker int) {
-					degr[bi], errs[bi] = runGemmBlock(cfg, ks, plat, effTile, effBlk, mode, path,
-						blkC, worker, callTid, k, alpha, a, lda, b, ldb, beta, c, ldc)
-				}
-			}
-			barrierStart := tel.Now()
-			poolErr := pool.RunWorkerCfg(parallel.RunConfig{TaskBudget: cfg.Deadline}, tasks)
-			tel.Span(telemetry.PhaseBarrier, callTid, barrierStart, uint8(mode), prec, m, n, k)
-			if poolErr != nil {
-				// On a watchdog early return stragglers may still be writing
-				// their errs/degr slots; the pool error must win before those
-				// slices are read.
-				return report(false, poolErr)
-			}
-			degraded := false
-			for bi, err := range errs {
-				if err != nil {
-					return report(false, err)
-				}
-				degraded = degraded || degr[bi]
-			}
-			return report(degraded, nil)
-		}
-	}
-	return report(runGemmBlock(cfg, ks, plat, effTile, effBlk, mode, path,
-		parallel.Block{I0: 0, J0: 0, M: m, N: n}, -1, callTid,
-		k, alpha, a, lda, b, ldb, beta, c, ldc))
-}
-
-// resolveOverride resolves the effective tile, blocking, breaker path and
-// kernel label for one call: the tuned dispatch override's when one is
-// installed for the (element size, shape class) key and its breaker is
-// serving (canary true while it is probing), the incumbent's otherwise —
-// including when the tuned breaker is open, which falls back to the
-// incumbent tile on the fast path, never the reference. Returning fresh
-// single-assignment values (instead of mutating the caller's) keeps the
-// caller's closure captures by-value, preserving the zero-alloc hot path.
-func resolveOverride(plat *platform.Platform, elemBytes int, class uint8, tile analytic.Tile, blk analytic.Blocking, famPath string) (analytic.Tile, analytic.Blocking, string, uint8, bool) {
-	ov, ok := guard.OverrideFor(elemBytes, class)
-	if !ok {
-		return tile, blk, famPath, telemetry.KernelFast, false
-	}
-	ovTile := analytic.Tile{MR: ov.MR, NR: ov.NR}
-	ovBlk := blk
-	if ov.KC > 0 {
-		ovBlk.KC = ov.KC
-	}
-	switch route, _ := heal.RouteFor(plat.Name, ov.Path); route {
-	case heal.RouteCanary:
-		return ovTile, ovBlk, ov.Path, telemetry.KernelTuned, true
-	case heal.RouteFast:
-		return ovTile, ovBlk, ov.Path, telemetry.KernelTuned, false
-	}
-	return tile, blk, famPath, telemetry.KernelFast, false
-}
-
-// runGemmBlock executes one C sub-block of a non-batch call through the
-// hardened block runner; operand origins shift per block and mode. worker <
-// 0 is the calling goroutine (single-threaded path). A plain function
-// rather than a shared closure: the threaded tasks above would make such a
-// closure escape, and that heap allocation would tax the single-threaded
-// hot path too.
-func runGemmBlock[T Float](cfg Config, ks kernelSet[T], plat *platform.Platform, tile analytic.Tile, blk analytic.Blocking, mode Mode, path string, bl parallel.Block, worker int, callTid int32, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) (bool, error) {
-	aOff, ldaEff := threadAOffset(mode, bl.I0, lda)
-	bOff := threadBOffset(mode, bl.J0, ldb)
-	return runBlock(cfg, ks, plat, tile, blk, mode, path, bl, -1,
-		telemetry.WorkerTid(worker, callTid), k,
-		alpha, a[aOff:], ldaEff, b[bOff:], ldb,
-		beta, c[bl.I0*ldc+bl.J0:], ldc)
-}
-
-// threadAOffset returns the element offset into A for a thread whose C block
-// starts at row i0, plus the effective leading dimension (unchanged).
-func threadAOffset(mode Mode, i0, lda int) (int, int) {
-	if mode.TransA() {
-		return i0, lda // A stored K×M: advancing M means advancing columns
-	}
-	return i0 * lda, lda
-}
-
-// threadBOffset returns the element offset into B for a thread whose C block
-// starts at column j0.
-func threadBOffset(mode Mode, j0, ldb int) int {
-	if mode.TransB() {
-		return j0 * ldb // B stored N×K: advancing N means advancing rows
-	}
-	return j0
-}
-
-func scaleAll[T Float](ks kernelSet[T], m, n int, beta T, c []T, ldc int) {
-	if beta == 1 {
-		return
-	}
-	ks.scale(m, n, beta, c, ldc)
+	start := tel.Now()
+	cl := newCall(cfg, ks, mode, cfg.Threads)
+	tel.Span(telemetry.PhasePlan, cl.tid, start, uint8(mode), prec, m, n, k)
+	e := BatchEntry[T]{M: m, N: n, K: k, Alpha: alpha, A: a, LDA: lda, B: b, LDB: ldb, Beta: beta, C: c, LDC: ldc}
+	err := cl.run(&e, -1, -1, start)
+	tel.Span(telemetry.PhaseCall, cl.tid, start, uint8(mode), prec, m, n, k)
+	return err
 }
 
 // gemmST is the single-threaded Algorithm 1 loop nest for one C block. tel

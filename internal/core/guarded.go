@@ -5,51 +5,48 @@ import (
 	"math"
 	"runtime/debug"
 
-	"libshalom/internal/analytic"
 	"libshalom/internal/faults"
 	"libshalom/internal/guard"
-	"libshalom/internal/heal"
 	"libshalom/internal/parallel"
-	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
 )
 
-// This file is the dynamic-hardening layer of the driver: every block
-// computation (a thread's C sub-block, or one batch entry) runs through
-// runBlock, which provides
-//
-//   - panic isolation, always on: a panicking fast path is recovered and
-//     surfaced as a *guard.KernelPanicError instead of crashing the process
-//     or killing a pool worker;
-//   - the numeric guard, when Config.NumericGuard is set: if the fast path
-//     panics or introduces NaN/Inf into a C block whose inputs were all
-//     finite, the (platform, precision) kernel family is demoted, the block
-//     is restored from a snapshot and recomputed on the portable reference
-//     path, and the call still succeeds — degraded, recorded, correct.
+// This file is the dynamic-hardening layer of the driver: the fast route of
+// every problem (a thread's C sub-block, or one batch entry) runs through
+// runBlock, or through runCanary while its breaker is probing. Both run the
+// fast path through runFast, which isolates panics — a panicking fast path
+// is recovered and surfaced as a *guard.KernelPanicError instead of
+// crashing the process or killing a pool worker — and both record a failed
+// fast path through trip. On top of that, runBlock provides the numeric
+// guard, when Config.NumericGuard is set: if the fast path panics or
+// introduces NaN/Inf into a C block whose inputs were all finite, the
+// breaker trips, the block is restored from a snapshot and recomputed on
+// the portable reference path, and the call still succeeds — degraded,
+// recorded, correct.
 //
 // The faults package's injection points live here (and only fire when a
 // test armed them), so the chaos suite exercises exactly the machinery
 // production calls use.
 
-// runBlock executes the fast path for one C block with panic isolation and
-// (optionally) the numeric guard. a, b and c are the block-relative operand
-// views the caller derived (the same views gemmST consumes); bl carries the
-// absolute block coordinates for error reporting, entry the batch entry
-// index (-1 outside batch calls), and tid the trace lane of the executing
-// worker. path names the breaker a demotion trips: the kernel family's path
-// for incumbent executions, or a tuned override's private path — tripping
-// the latter evicts only that override (guard.Trip), leaving the family
-// serving on the incumbent tile. The first return value reports whether the
-// block was recomputed on the reference path after a demotion (the call
-// degraded but succeeded).
-func runBlock[T Float](cfg Config, ks kernelSet[T], plat *platform.Platform, tile analytic.Tile, blk analytic.Blocking, mode Mode, path string, bl parallel.Block, entry int, tid int32, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) (degraded bool, err error) {
-	tel := cfg.Tel
-	m, n := bl.M, bl.N
+// runBlock executes the fast route for one C block with panic isolation and
+// (optionally) the numeric guard. e holds the block-relative operand views
+// (the same views gemmST consumes); bl carries the absolute block
+// coordinates for error reporting, entry the batch entry index (-1 outside
+// batch calls), and tid the trace lane of the executing worker. fp.path
+// names the breaker a demotion trips: the kernel family's path for
+// incumbent executions, or a tuned override's private path — tripping the
+// latter evicts only that override (guard.Trip), leaving the family serving
+// on the incumbent tile. The first return value reports whether the block
+// was recomputed on the reference path after a demotion (the call degraded
+// but succeeded).
+func (cl *call[T]) runBlock(e *BatchEntry[T], fp fastRoute, bl parallel.Block, entry int, tid int32) (degraded bool, err error) {
+	cfg, tel := cl.cfg, cl.cfg.Tel
+	m, n, k := e.M, e.N, e.K
 	blockStart := tel.Now()
 	defer func() {
-		tel.Span(telemetry.PhaseBlock, tid, blockStart, uint8(mode), telemetry.PrecFor(ks.elemBytes), m, n, k)
+		tel.Span(telemetry.PhaseBlock, tid, blockStart, uint8(cl.mode), telemetry.PrecFor(cl.ks.elemBytes), m, n, k)
 	}()
-	ksEff := ks
+	ks := cl.ks
 	var inputsFinite bool
 	var snap []T
 	// The snapshot exists to undo a partial fast-path write before the
@@ -58,46 +55,25 @@ func runBlock[T Float](cfg Config, ks kernelSet[T], plat *platform.Platform, til
 	// no restore is required.
 	if cfg.NumericGuard {
 		if faults.Armed(faults.CorruptPack) {
-			ksEff = corruptPackKernels(ks, tel)
+			ks = corruptPackKernels(ks, tel)
 		}
-		inputsFinite = finiteOperands(mode, m, n, k, a, lda, b, ldb, beta, c, ldc)
-		snap = snapshotC(c, m, n, ldc)
-	} else if cfg.RetryTransient && beta != 0 {
-		snap = snapshotC(c, m, n, ldc)
+		inputsFinite = finiteOperands(cl.mode, e)
+		snap = snapshotC(e.C, m, n, e.LDC)
+	} else if cfg.RetryTransient && e.Beta != 0 {
+		snap = snapshotC(e.C, m, n, e.LDC)
 	}
-	panicErr := protect(plat, mode, ks.elemBytes, bl, entry, func() {
-		if faults.Fire(faults.PanicInKernel) {
-			tel.FaultInjected(faults.PanicInKernel)
-			panic(faults.InjectedPanicMsg)
-		}
-		gemmST(tel, tid, ksEff, plat, tile, blk, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-		if cfg.NumericGuard && faults.Fire(faults.SpuriousNaN) {
-			tel.FaultInjected(faults.SpuriousNaN)
-			c[0] = T(math.NaN())
-		}
-	})
+	panicErr := cl.runFast(ks, fp, e, bl, entry, tid)
+	if panicErr == nil && cfg.NumericGuard {
+		poison(tel, faults.SpuriousNaN, e.C)
+	}
 	if !cfg.NumericGuard && !cfg.RetryTransient {
 		return false, panicErr
 	}
-	// shape is only rendered on the demotion paths; the healthy path stays
-	// allocation-free beyond the guard's own snapshot.
-	shape := func() string { return fmt.Sprintf("%s %dx%dx%d", mode, m, n, k) }
-	// trip opens the breaker and emits the open events exactly once even
-	// when several blocks of one call fail concurrently (Trip reports
-	// whether this call recorded the trip).
-	trip := func(reason guard.Reason, detail string, degr uint8) {
-		if heal.Trip(plat.Name, path, reason, detail, shape()) {
-			tel.HealEvent(telemetry.HealBreakerOpen)
-			tel.BreakerTransition(telemetry.BreakerHealthy, telemetry.BreakerOpen)
-		}
-		tel.DegradationEvent(degr)
-	}
 	switch {
 	case panicErr != nil:
-		trip(guard.ReasonPanic, panicErr.Error(), telemetry.DegrPanic)
-	case cfg.NumericGuard && inputsFinite && !finiteRect(c, m, n, ldc):
-		trip(guard.ReasonNumeric, "fast path produced NaN/Inf from all-finite inputs",
-			telemetry.DegrNumeric)
+		cl.trip(fp.path, guard.ReasonPanic, panicErr.Error(), m, n, k)
+	case cfg.NumericGuard && inputsFinite && !finiteRect(e.C, m, n, e.LDC):
+		cl.trip(fp.path, guard.ReasonNumeric, "fast path produced NaN/Inf from all-finite inputs", m, n, k)
 	default:
 		return false, nil
 	}
@@ -106,20 +82,86 @@ func runBlock[T Float](cfg Config, ks kernelSet[T], plat *platform.Platform, til
 	// why, and the breaker keeps later calls off the fast path.
 	tel.HealEvent(telemetry.HealRetry)
 	if snap != nil {
-		restoreC(c, snap, m, n, ldc)
+		restoreC(e.C, snap, m, n, e.LDC)
 	}
-	ks.ref(mode.TransA(), mode.TransB(), m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	cl.ref(e)
 	return true, nil
 }
 
-// protect runs f, converting a panic into a structured KernelPanicError.
-func protect(plat *platform.Platform, mode Mode, elemBytes int, bl parallel.Block, entry int, f func()) (err error) {
+// runCanary executes one problem while its breaker is probing: the
+// reference path runs first into a cloned shadow of the C rectangle, then
+// the fast route runs into the real C (single-threaded, under panic
+// isolation), and the two results are compared element-wise under the
+// precision's tolerance.
+//
+// fp.path names the breaker under probation — the kernel family's path for
+// healing canaries, or a tuned override's private path when the autotuner
+// is proving a candidate tile on live traffic (fp then carries the
+// candidate's tile and blocking).
+//
+// On agreement the canary counts toward closing the breaker. On any
+// disagreement — a fast-path panic, an element outside tolerance, or the
+// CanaryMismatch/TunerBadCandidate injection points firing — the shadow
+// (the correct reference result) is copied into C, so the caller always
+// receives a correct answer, and the breaker re-opens with a doubled
+// cooldown (for a tuned path, the trip also evicts the dispatch override,
+// restoring the incumbent tile). The returned degraded flag reports whether
+// the call fell back to the reference result.
+func (cl *call[T]) runCanary(e *BatchEntry[T], fp fastRoute, tid int32) (degraded bool) {
+	tel := cl.cfg.Tel
+	tel.HealEvent(telemetry.HealCanaryRun)
+	m, n := e.M, e.N
+
+	// The shadow starts as a clone of C (dense, leading dimension n) so the
+	// reference path sees the same beta·C term the fast path does.
+	shadow := *e
+	shadow.C, shadow.LDC = snapshotC(e.C, m, n, e.LDC), n
+	cl.ref(&shadow)
+
+	panicErr := cl.runFast(cl.ks, fp, e, parallel.Block{M: m, N: n}, -1, tid)
+	if panicErr == nil && fp.kernel == telemetry.KernelTuned {
+		// Chaos: a candidate that cleared every static proof yet computes a
+		// wrong answer on live traffic. The corruption lands in the fast-path
+		// result only — the comparison below must catch it and the shadow
+		// must rescue the caller.
+		poison(tel, faults.TunerBadCandidate, e.C)
+	}
+
+	mismatch := ""
+	switch {
+	case panicErr != nil:
+		mismatch = panicErr.Error()
+	case !guard.Agrees(e.C, e.LDC, shadow.C, n, m, n, guard.Tolerance(cl.ks.elemBytes)):
+		mismatch = "canary disagreed with reference shadow"
+	case faults.Fire(faults.CanaryMismatch):
+		tel.FaultInjected(faults.CanaryMismatch)
+		mismatch = "injected canary mismatch"
+	}
+	if mismatch != "" {
+		// The reference shadow is the correct result; the call still succeeds.
+		restoreC(e.C, shadow.C, m, n, e.LDC)
+		tel.HealEvent(telemetry.HealCanaryMismatch)
+		cl.trip(fp.path, guard.ReasonCanary, mismatch, m, n, e.K)
+		return true
+	}
+	tel.HealEvent(telemetry.HealCanaryAgree)
+	if guard.CanaryAgree(cl.plat.Name, fp.path, 0) {
+		tel.HealEvent(telemetry.HealBreakerClose)
+		tel.BreakerTransition(telemetry.BreakerProbing, telemetry.BreakerHealthy)
+	}
+	return false
+}
+
+// runFast runs the fast route on one problem or block with panic
+// isolation, converting a panic into a structured KernelPanicError. The
+// PanicInKernel injection point fires inside the protected region.
+func (cl *call[T]) runFast(ks kernelSet[T], fp fastRoute, e *BatchEntry[T], bl parallel.Block, entry int, tid int32) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &guard.KernelPanicError{
-				Platform: plat.Name,
-				Mode:     mode.String(),
-				Kernel:   guard.PathFor(elemBytes),
+				Platform: cl.plat.Name,
+				Mode:     cl.mode.String(),
+				Kernel:   guard.PathFor(ks.elemBytes),
 				I0:       bl.I0, J0: bl.J0, M: bl.M, N: bl.N,
 				Entry: entry,
 				Value: r,
@@ -127,8 +169,44 @@ func protect(plat *platform.Platform, mode Mode, elemBytes int, bl parallel.Bloc
 			}
 		}
 	}()
-	f()
+	tel := cl.cfg.Tel
+	if faults.Fire(faults.PanicInKernel) {
+		tel.FaultInjected(faults.PanicInKernel)
+		panic(faults.InjectedPanicMsg)
+	}
+	gemmST(tel, tid, ks, cl.plat, fp.tile, fp.blk, cl.mode, e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
 	return nil
+}
+
+// trip opens a failed fast route's breaker and records it: the open events
+// exactly once even when several blocks of one call fail concurrently
+// (guard.Trip reports whether this call recorded the trip), and the
+// degradation. A canary mismatch re-opens a probing breaker; a panic or a
+// numeric-guard failure opens a healthy one.
+func (cl *call[T]) trip(path string, reason guard.Reason, detail string, m, n, k int) {
+	tel := cl.cfg.Tel
+	from, degr := telemetry.BreakerHealthy, telemetry.DegrPanic
+	switch reason {
+	case guard.ReasonNumeric:
+		degr = telemetry.DegrNumeric
+	case guard.ReasonCanary:
+		from, degr = telemetry.BreakerProbing, telemetry.DegrCanary
+	}
+	if guard.Trip(cl.plat.Name, path, reason, detail, fmt.Sprintf("%s %dx%dx%d", cl.mode, m, n, k), 0) {
+		tel.HealEvent(telemetry.HealBreakerOpen)
+		tel.BreakerTransition(from, telemetry.BreakerOpen)
+	}
+	tel.DegradationEvent(degr)
+}
+
+// poison is the corruption hook of the injection points that falsify a
+// fast-path result: when p fires, the first element becomes NaN, which the
+// guard downstream (numeric guard, canary comparison) must catch.
+func poison[T Float](tel *telemetry.Recorder, p faults.Point, s []T) {
+	if faults.Fire(p) {
+		tel.FaultInjected(p)
+		s[0] = T(math.NaN())
+	}
 }
 
 // corruptPackKernels wraps the packing micro-kernels so the CorruptPack
@@ -139,16 +217,14 @@ func corruptPackKernels[T Float](ks kernelSet[T], tel *telemetry.Recorder) kerne
 	packB, ntPack := ks.packB, ks.ntPack
 	ks.packB = func(mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int) {
 		packB(mr, nr, kc, alpha, a, lda, b, ldb, beta, c, ldc, bc, nrTotal, jOff)
-		if len(bc) > 0 && faults.Fire(faults.CorruptPack) {
-			tel.FaultInjected(faults.CorruptPack)
-			bc[0] = T(math.NaN())
+		if len(bc) > 0 {
+			poison(tel, faults.CorruptPack, bc)
 		}
 	}
 	ks.ntPack = func(mr, nr, kc int, alpha T, a []T, lda int, bT []T, ldbT int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int) {
 		ntPack(mr, nr, kc, alpha, a, lda, bT, ldbT, beta, c, ldc, bc, nrTotal, jOff)
-		if len(bc) > 0 && faults.Fire(faults.CorruptPack) {
-			tel.FaultInjected(faults.CorruptPack)
-			bc[0] = T(math.NaN())
+		if len(bc) > 0 {
+			poison(tel, faults.CorruptPack, bc)
 		}
 	}
 	return ks
@@ -158,22 +234,17 @@ func corruptPackKernels[T Float](ks kernelSet[T], tel *telemetry.Recorder) kerne
 // covers the rectangle each effective operand occupies (rows × cols through
 // its leading dimension); C is scanned only when beta != 0, since beta == 0
 // overwrites C without reading it.
-func finiteOperands[T Float](mode Mode, m, n, k int, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) bool {
-	arows, acols := m, k
+func finiteOperands[T Float](mode Mode, e *BatchEntry[T]) bool {
+	arows, acols := e.M, e.K
 	if mode.TransA() {
-		arows, acols = k, m
+		arows, acols = e.K, e.M
 	}
-	brows, bcols := k, n
+	brows, bcols := e.K, e.N
 	if mode.TransB() {
-		brows, bcols = n, k
+		brows, bcols = e.N, e.K
 	}
-	if !finiteRect(a, arows, acols, lda) || !finiteRect(b, brows, bcols, ldb) {
-		return false
-	}
-	if beta != 0 && !finiteRect(c, m, n, ldc) {
-		return false
-	}
-	return true
+	return finiteRect(e.A, arows, acols, e.LDA) && finiteRect(e.B, brows, bcols, e.LDB) &&
+		(e.Beta == 0 || finiteRect(e.C, e.M, e.N, e.LDC))
 }
 
 // finiteRect reports whether every element of the rows×cols rectangle with

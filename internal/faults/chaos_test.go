@@ -18,7 +18,6 @@ import (
 	"libshalom/internal/core"
 	"libshalom/internal/faults"
 	"libshalom/internal/guard"
-	"libshalom/internal/heal"
 	"libshalom/internal/journal"
 	"libshalom/internal/mat"
 	"libshalom/internal/platform"
@@ -312,10 +311,10 @@ func TestChaosTelemetryOneEventPerInjection(t *testing.T) {
 		// breaker must be probing when the call runs: trip it with a
 		// microscopic cooldown and wait the cooldown out.
 		faults.CanaryMismatch: {outcome: "degraded", setup: func() func() {
-			prev := heal.Configure(heal.Config{Cooldown: time.Millisecond, CanaryStride: 1})
-			heal.Trip(platform.KP920().Name, guard.PathF32, guard.ReasonPanic, "chaos setup", "")
+			prev := guard.Configure(guard.Config{Cooldown: time.Millisecond, CanaryStride: 1})
+			guard.Trip(platform.KP920().Name, guard.PathF32, guard.ReasonPanic, "chaos setup", "", 0)
 			time.Sleep(5 * time.Millisecond)
-			return func() { heal.Configure(prev) }
+			return func() { guard.Configure(prev) }
 		}},
 		// SlowShapeClass is the attribution drift detector's chaos seed: it
 		// stretches the matching class's calls (the default guarded problem
@@ -335,14 +334,14 @@ func TestChaosTelemetryOneEventPerInjection(t *testing.T) {
 		// TestChaosTunerBadCandidateRevertsToIncumbent covers the rest of
 		// the revert contract.
 		faults.TunerBadCandidate: {run: func(t *testing.T, tel *telemetry.Recorder) {
-			prev := heal.Configure(heal.Config{CanaryStride: 1})
-			defer heal.Configure(prev)
+			prev := guard.Configure(guard.Config{CanaryStride: 1})
+			defer guard.Configure(prev)
 			class := uint8(telemetry.ClassifyShape(64, 36, 16))
 			path := guard.MintOverridePath(4, telemetry.ShapeClass(class).String())
 			guard.SetOverride(4, class, guard.TileOverride{
 				MR: 4, NR: 8, KC: 8, Kernel: "chaos-bad-candidate", Path: path,
 			})
-			heal.BeginProbation(platform.KP920().Name, path)
+			guard.BeginProbation(platform.KP920().Name, path)
 			p := newProblem(uint64(30+faults.TunerBadCandidate), core.NT, 64, 36, 16)
 			cfg := core.Config{Plat: platform.KP920(), Threads: 4, NumericGuard: true, Tel: tel}
 			if err := p.run(cfg); err != nil {
@@ -629,8 +628,8 @@ func TestChaosEveryPointLeavesRuntimeUsable(t *testing.T) {
 func TestChaosTunerBadCandidateRevertsToIncumbent(t *testing.T) {
 	resetAll()
 	defer resetAll()
-	prevHeal := heal.Configure(heal.Config{CanaryStride: 1})
-	defer heal.Configure(prevHeal)
+	prevHeal := guard.Configure(guard.Config{CanaryStride: 1})
+	defer guard.Configure(prevHeal)
 
 	plat := platform.KP920()
 	class := uint8(telemetry.ClassifyShape(64, 36, 16))
@@ -640,7 +639,7 @@ func TestChaosTunerBadCandidateRevertsToIncumbent(t *testing.T) {
 	}) {
 		t.Fatal("SetOverride refused a valid override")
 	}
-	if !heal.BeginProbation(plat.Name, path) {
+	if !guard.BeginProbation(plat.Name, path) {
 		t.Fatal("BeginProbation refused the tuned path")
 	}
 

@@ -4,24 +4,30 @@
 // breaker registry behind LibShalom's fallback chain — a kernel that fails
 // its static contract, panics at runtime, trips the numeric guard or loses
 // a canary comparison is demoted to the portable reference path and the
-// library keeps answering — and it defines the structured error types the
-// hardened runtime surfaces instead of crashing the process.
+// library keeps answering — together with the self-healing policy that
+// moves the breakers (policy.go), the canary verdict, and the structured
+// error types the hardened runtime surfaces instead of crashing the process.
 //
-// Demotion is no longer sticky: each (platform, kernel) pair carries an
-// explicit state machine
+// Demotion is not sticky: each (platform, kernel) pair carries an explicit
+// state machine
 //
 //	healthy → open (demoted) → probing → healthy
 //	                 ↑            |
 //	                 └── mismatch ┘   (re-open, doubled cooldown)
 //
 // An open breaker routes every call to the reference path until its
-// cooldown expires; it then moves to probing, where internal/heal shadows a
+// cooldown expires; it then moves to probing, where the driver shadows a
 // bounded fraction of real calls with the reference path and compares the
-// results. Enough consecutive agreeing canaries close the breaker (the fast
-// path is re-promoted); any disagreement re-opens it with an exponentially
-// longer cooldown. Contract demotions are the exception: a kernel that
-// fails static verification never auto-probes — only an operator Reset
-// re-arms it.
+// results (Agrees). Enough consecutive agreeing canaries close the breaker
+// (the fast path is re-promoted); any disagreement re-opens it with an
+// exponentially longer cooldown (Backoff). Contract demotions are the
+// exception: a kernel that fails static verification never auto-probes —
+// only an operator Reset re-arms it.
+//
+// The design follows the generated-kernel stacks in the related work (Exo,
+// the TVM generator family): a fast generated path backed by a verified
+// reference, where recovery is proved on live shapes by shadow execution,
+// never assumed from the passage of time alone.
 package guard
 
 import (
@@ -120,14 +126,16 @@ func (d Degradation) String() string {
 	return s
 }
 
-// DefaultCooldown is the base open→probing cooldown used by the
-// compatibility Demote/DemoteShape entry points; internal/heal passes its
-// configured cooldown explicitly. The effective cooldown doubles per trip,
-// capped at DefaultCooldown << maxBackoffShift.
-const DefaultCooldown = 5 * time.Second
-
 // maxBackoffShift caps the exponential re-open backoff at base << shift.
 const maxBackoffShift = 6
+
+// Backoff is the exponential re-open schedule base << min(trips-1, 6): the
+// first trip waits base, each further trip doubles the wait, up to 64×.
+// The breakers apply it to their cooldown and the router to its backend
+// readmission probes.
+func Backoff(base time.Duration, trips int) time.Duration {
+	return base << min(max(trips-1, 0), maxBackoffShift)
+}
 
 var (
 	mu sync.Mutex
@@ -190,27 +198,18 @@ type breaker struct {
 	probeTick     uint64 // canary sampling counter while probing
 }
 
-// Demote records a degradation with no triggering-call context (the
-// registration-time contract leg), opening the breaker with the default
-// cooldown.
-func Demote(platform, kernel string, reason Reason, detail string) {
-	Trip(platform, kernel, reason, detail, "", DefaultCooldown)
-}
-
-// DemoteShape is Demote carrying the mode and dimensions of the call that
-// tripped the guard.
-func DemoteShape(platform, kernel string, reason Reason, detail, shape string) {
-	Trip(platform, kernel, reason, detail, shape, DefaultCooldown)
-}
-
 // Trip opens (or re-opens) the breaker for a (platform, kernel) pair and
 // reports whether a new trip was recorded. A Trip while the breaker is
 // already open is a no-op returning false — concurrent blocks of one call
 // demoting the same pair record one trip, and the first reason of each trip
 // is the root cause the registry reports. The effective cooldown is
-// cooldown << (trips-1), capped at << maxBackoffShift; contract trips never
-// cool down (static failures need a code change, not a retry).
+// Backoff(cooldown, trips), where a non-positive cooldown selects the
+// configured policy's; contract trips never cool down (static failures need
+// a code change, not a retry).
 func Trip(platform, kernel string, reason Reason, detail, shape string, cooldown time.Duration) bool {
+	if cooldown <= 0 {
+		cooldown = Current().Cooldown
+	}
 	// A trip on a tuned-override path evicts the override first, so the
 	// candidate stops serving the instant its breaker opens and the recorded
 	// Degradation names the tuned kernel identity it demoted.
@@ -240,14 +239,7 @@ func Trip(platform, kernel string, reason Reason, detail, shape string, cooldown
 	br.d.Trips++
 	br.d.ReopenedAt = time.Now()
 	br.noProbe = reason == ReasonContract
-	shift := br.d.Trips - 1
-	if shift > maxBackoffShift {
-		shift = maxBackoffShift
-	}
-	if cooldown <= 0 {
-		cooldown = DefaultCooldown
-	}
-	br.cooldownUntil = br.d.ReopenedAt.Add(cooldown << shift)
+	br.cooldownUntil = br.d.ReopenedAt.Add(Backoff(cooldown, br.d.Trips))
 	br.agree, br.probeTick = 0, 0
 	history = append(history, br.d)
 	d := br.d
@@ -275,8 +267,9 @@ const (
 // cooldown expires, at which point the breaker moves to probing (reported
 // via beganProbe, exactly once per transition); probing pairs send one of
 // every stride calls through the canary shadow and the rest to the
-// reference path. The healthy-path cost is one mutex acquisition and a map
-// lookup, the same as the pre-breaker IsDemoted check, with no allocation.
+// reference path; a non-positive stride selects the configured policy's,
+// read only while probing. The healthy-path cost is one mutex acquisition
+// and a map lookup, with no allocation.
 //
 //shalom:hotpath noalloc
 func Dispatch(platform, kernel string, stride int) (d Disposition, beganProbe bool) {
@@ -295,7 +288,7 @@ func Dispatch(platform, kernel string, stride int) (d Disposition, beganProbe bo
 		beganProbe = true
 	}
 	if stride < 1 {
-		stride = 1
+		stride = Current().CanaryStride
 	}
 	tick := br.probeTick
 	br.probeTick++
@@ -306,10 +299,14 @@ func Dispatch(platform, kernel string, stride int) (d Disposition, beganProbe bo
 }
 
 // CanaryAgree records one agreeing canary for a probing breaker and closes
-// it (returning true) once target consecutive canaries have agreed. The
-// record survives closure with its trip count, so a repeat offense resumes
-// the exponential backoff where it left off.
+// it (returning true) once target consecutive canaries have agreed; a
+// non-positive target selects the configured policy's. The record survives
+// closure with its trip count, so a repeat offense resumes the exponential
+// backoff where it left off.
 func CanaryAgree(platform, kernel string, target int) (closed bool) {
+	if target < 1 {
+		target = Current().CanaryTarget
+	}
 	mu.Lock()
 	br := breakers[key(platform, kernel)]
 	if br == nil || br.d.State != StateProbing {
@@ -339,15 +336,6 @@ func StateOf(platform, kernel string) State {
 		return StateHealthy
 	}
 	return br.d.State
-}
-
-// IsDemoted reports whether the kernel path is currently degraded (breaker
-// open or probing) on the platform.
-func IsDemoted(platform, kernel string) bool {
-	mu.Lock()
-	defer mu.Unlock()
-	br, ok := breakers[key(platform, kernel)]
-	return ok && br.d.State != StateHealthy
 }
 
 // Demotion returns the current degradation for a (platform, kernel) pair;

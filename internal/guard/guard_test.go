@@ -21,12 +21,12 @@ func TestPathFor(t *testing.T) {
 func TestDemoteRegistry(t *testing.T) {
 	Reset()
 	defer Reset()
-	if IsDemoted("KP920", PathF32) {
+	if StateOf("KP920", PathF32) != StateHealthy {
 		t.Fatal("fresh registry reports a demotion")
 	}
-	Demote("KP920", PathF32, ReasonNumeric, "NaN out of finite inputs")
-	Demote("Phytium 2000+", PathF64, ReasonPanic, "index out of range")
-	if !IsDemoted("KP920", PathF32) || IsDemoted("KP920", PathF64) {
+	Trip("KP920", PathF32, ReasonNumeric, "NaN out of finite inputs", "", 0)
+	Trip("Phytium 2000+", PathF64, ReasonPanic, "index out of range", "", 0)
+	if StateOf("KP920", PathF32) != StateOpen || StateOf("KP920", PathF64) != StateHealthy {
 		t.Fatal("demotion keyed wrong")
 	}
 	d, ok := Demotion("KP920", PathF32)
@@ -34,9 +34,9 @@ func TestDemoteRegistry(t *testing.T) {
 		t.Fatalf("Demotion = %+v, %v", d, ok)
 	}
 	// First demotion wins: a later symptom must not mask the root cause.
-	Demote("KP920", PathF32, ReasonPanic, "later symptom")
+	Trip("KP920", PathF32, ReasonPanic, "later symptom", "", 0)
 	if d, _ := Demotion("KP920", PathF32); d.Reason != ReasonNumeric {
-		t.Fatalf("second Demote overwrote the root cause: %+v", d)
+		t.Fatalf("second Trip overwrote the root cause: %+v", d)
 	}
 	all := List("")
 	if len(all) != 2 {
@@ -129,7 +129,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !Trip(plat, kern, ReasonPanic, "boom", "NN 8x8x8", time.Millisecond) {
 		t.Fatal("first Trip not recorded")
 	}
-	if StateOf(plat, kern) != StateOpen || !IsDemoted(plat, kern) {
+	if StateOf(plat, kern) != StateOpen {
 		t.Fatalf("state after trip = %v", StateOf(plat, kern))
 	}
 	// A second trip while open is a no-op keeping the root cause.
@@ -167,7 +167,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !CanaryAgree(plat, kern, 3) {
 		t.Fatal("breaker did not close at the agreement target")
 	}
-	if StateOf(plat, kern) != StateHealthy || IsDemoted(plat, kern) {
+	if StateOf(plat, kern) != StateHealthy {
 		t.Fatalf("healed state = %v", StateOf(plat, kern))
 	}
 	if d, began := Dispatch(plat, kern, 2); d != DispatchFast || began {
@@ -207,6 +207,11 @@ func TestTripBackoffDoubles(t *testing.T) {
 	}
 	if d, _ := Demotion(plat, kern); d.Trips != 2 {
 		t.Fatalf("trips = %d, want 2", d.Trips)
+	}
+	for trips, want := range map[int]time.Duration{0: base, 1: base, 3: 4 * base, 7: 64 * base, 50: 64 * base} {
+		if got := Backoff(base, trips); got != want {
+			t.Errorf("Backoff(%v, %d) = %v, want %v", base, trips, got, want)
+		}
 	}
 	// The cap: trips beyond maxBackoffShift+1 stop growing the window.
 	for i := 0; i < 10; i++ {
@@ -301,7 +306,7 @@ func TestBreakerConcurrentAccess(t *testing.T) {
 				case 2:
 					CanaryAgree(p, PathF32, 2)
 				case 3:
-					IsDemoted(p, PathF32)
+					Demotion(p, PathF32)
 				case 4:
 					List("")
 					Breakers()

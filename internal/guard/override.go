@@ -51,7 +51,7 @@ type overrideTable struct {
 }
 
 var (
-	// ovMu serializes writers (install/clear/trip-evict); readers never
+	// ovMu serializes writers (install/reset/trip-evict); readers never
 	// take it.
 	ovMu      sync.Mutex
 	overrides atomic.Pointer[overrideTable]
@@ -110,27 +110,6 @@ func SetOverride(elemBytes int, class uint8, ov TileOverride) bool {
 	next.ov[e][class] = ov
 	overrides.Store(next)
 	return true
-}
-
-// ClearOverride removes the override for an (element size, shape class)
-// key, returning the evicted override when one was installed.
-func ClearOverride(elemBytes int, class uint8) (TileOverride, bool) {
-	e := elemIndex(elemBytes)
-	if e < 0 || int(class) >= overrideClasses {
-		return TileOverride{}, false
-	}
-	ovMu.Lock()
-	defer ovMu.Unlock()
-	t := overrides.Load()
-	if t == nil || !t.present[e][class] {
-		return TileOverride{}, false
-	}
-	old := t.ov[e][class]
-	next := cloneOverrides()
-	next.present[e][class] = false
-	next.ov[e][class] = TileOverride{}
-	overrides.Store(next)
-	return old, true
 }
 
 // Overrides returns the installed overrides (a snapshot copy).

@@ -9,7 +9,7 @@ import (
 )
 
 // A set override is visible on the hot-path lookup, replaceable in place,
-// and clearable, and out-of-range keys are rejected on every operation.
+// and cleared when its breaker trips, and out-of-range keys are rejected.
 func TestOverrideSetGetClear(t *testing.T) {
 	Reset()
 	t.Cleanup(Reset)
@@ -44,15 +44,15 @@ func TestOverrideSetGetClear(t *testing.T) {
 		t.Fatalf("Overrides() has %d entries after replace, want 1", n)
 	}
 
-	old, ok := ClearOverride(4, small)
-	if !ok || old != ov2 {
-		t.Fatalf("ClearOverride = %+v, %v; want the evicted override", old, ok)
+	// The replaced override's path no longer serves: tripping it leaves
+	// the live override in place; tripping the live path clears it.
+	Trip("kp920", ov.Path, ReasonCanary, "stale", "", time.Minute)
+	if got, _ := OverrideFor(4, small); got != ov2 {
+		t.Fatalf("trip on a replaced path evicted the live override: %+v", got)
 	}
+	Trip("kp920", ov2.Path, ReasonCanary, "evict", "", time.Minute)
 	if _, ok := OverrideFor(4, small); ok {
-		t.Error("override survived ClearOverride")
-	}
-	if _, ok := ClearOverride(4, small); ok {
-		t.Error("second ClearOverride reported an eviction")
+		t.Error("override survived its breaker trip")
 	}
 
 	// Out-of-range keys and empty paths are rejected.
@@ -68,8 +68,8 @@ func TestOverrideSetGetClear(t *testing.T) {
 	if _, ok := OverrideFor(2, small); ok {
 		t.Error("OverrideFor accepted elem size 2")
 	}
-	if _, ok := ClearOverride(4, 200); ok {
-		t.Error("ClearOverride accepted class 200")
+	if _, ok := OverrideFor(4, 200); ok {
+		t.Error("OverrideFor accepted class 200")
 	}
 }
 

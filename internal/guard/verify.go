@@ -35,6 +35,6 @@ func VerifyContracts(plat *platform.Platform) {
 		if fs := kr.Findings(); len(fs) > 0 {
 			detail = fmt.Sprintf("%s: [%s] %s", e.Name, fs[0].Pass, fs[0].Msg)
 		}
-		Demote(plat.Name, PathFor(e.Contract.Elem), ReasonContract, detail)
+		Trip(plat.Name, PathFor(e.Contract.Elem), ReasonContract, detail, "", 0)
 	}
 }

@@ -3,6 +3,8 @@ package router
 import (
 	"sync"
 	"time"
+
+	"libshalom/internal/guard"
 )
 
 // Backend states of the outlier-ejection state machine — the fleet-level
@@ -147,13 +149,13 @@ func (b *backend) recordFailure(errStr string, cfg Config, now time.Time) bool {
 }
 
 // ejectLocked moves the backend to StateEjected and schedules its first
-// readmission probe with the per-trip exponential cooldown (the same
-// base<<min(trips-1, 6) schedule the guard breakers use).
+// readmission probe with the per-trip exponential cooldown (guard.Backoff,
+// the schedule the guard breakers use).
 func (b *backend) ejectLocked(cfg Config, now time.Time) {
 	b.state = StateEjected
 	b.ready = false
 	b.trips++
-	b.readmitAt = now.Add(cfg.readmitCooldown(b.trips))
+	b.readmitAt = now.Add(guard.Backoff(cfg.ReadmitBase, b.trips))
 }
 
 // probeDue reports whether the prober should probe this backend now: a
@@ -201,7 +203,7 @@ func (b *backend) probeFail(errStr string, cfg Config, now time.Time) bool {
 	b.lastErr = errStr
 	if b.state == StateEjected {
 		b.trips++
-		b.readmitAt = now.Add(cfg.readmitCooldown(b.trips))
+		b.readmitAt = now.Add(guard.Backoff(cfg.ReadmitBase, b.trips))
 		return false
 	}
 	b.ready = false

@@ -122,20 +122,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// readmitCooldown is the exponential backoff before an ejected backend's
-// next readmission probe: base<<min(trips-1, 6), the guard breakers'
-// schedule applied fleet-wide.
-func (c Config) readmitCooldown(trips int) time.Duration {
-	shift := trips - 1
-	if shift < 0 {
-		shift = 0
-	}
-	if shift > 6 {
-		shift = 6
-	}
-	return c.ReadmitBase << shift
-}
-
 // Router is the sharded front door. It implements http.Handler:
 //
 //	POST /v1/gemm   one GEMM request, forwarded to its class's backend

@@ -18,7 +18,6 @@ import (
 	"libshalom/internal/attrib"
 	"libshalom/internal/autotune"
 	"libshalom/internal/guard"
-	"libshalom/internal/heal"
 	"libshalom/internal/journal"
 	"libshalom/internal/telemetry"
 )
@@ -435,7 +434,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	for _, b := range heal.Snapshot().Breakers {
+	for _, b := range guard.Breakers() {
 		if b.Platform == plat && (b.Kernel == guard.PathF32 || b.Kernel == guard.PathF64) {
 			body.Breakers = append(body.Breakers, b)
 		}

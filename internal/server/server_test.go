@@ -17,7 +17,6 @@ import (
 
 	"libshalom"
 	"libshalom/internal/guard"
-	"libshalom/internal/heal"
 	"libshalom/internal/mat"
 	"libshalom/internal/server"
 )
@@ -563,7 +562,7 @@ func TestServeHealthzFollowsBreaker(t *testing.T) {
 		t.Fatalf("healthy healthz = %d %v", code, body)
 	}
 
-	heal.Trip(e.lib.Platform().Name, guard.PathF32, guard.ReasonPanic, "injected for test", "NN 8x8x8")
+	guard.Trip(e.lib.Platform().Name, guard.PathF32, guard.ReasonPanic, "injected for test", "NN 8x8x8", 0)
 	code, body = get()
 	if code != http.StatusServiceUnavailable || body["status"] != "degraded" {
 		t.Fatalf("tripped healthz = %d %v", code, body)

@@ -53,27 +53,28 @@ func TileGFLOPS(p *platform.Platform, elemBytes, mr, nr int) float64 {
 	return 2 * float64(mr) * float64(nr) / cpi * p.FreqGHz
 }
 
-// SearchTile evaluates every feasible register tile for the platform and
-// element size and returns the candidates sorted by modeled throughput
-// (descending), with ties broken toward the higher-CMR tile — the analytic
-// objective acts as the secondary criterion exactly as §5.2 motivates.
-func SearchTile(p *platform.Platform, elemBytes int) Result {
+// Enumerate scores every register tile feasible under Eq. 1 that admit
+// accepts (nil admits all) and returns the candidates in search order:
+// modeled throughput descending, ties broken toward the higher-CMR tile —
+// the analytic objective acts as the secondary criterion exactly as §5.2
+// motivates — then the wider, then the taller tile. The space spans
+// mr 1–16 and nr up to 16 vectors; admit narrows it before any tile is
+// scored, so a restricted search pays only for the tiles it admits.
+func Enumerate(p *platform.Platform, elemBytes int, admit func(mr, nr int) bool) []Candidate {
 	lanes := 16 / elemBytes
-	eval := func(mr, nr int) float64 { return TileGFLOPS(p, elemBytes, mr, nr) }
-
-	var r Result
+	var cands []Candidate
 	for mr := 1; mr <= 16; mr++ {
 		for nr := lanes; nr <= 16*lanes; nr += lanes {
-			if !analytic.Feasible(mr, nr, lanes, analytic.RegisterBudget) {
+			if !analytic.Feasible(mr, nr, lanes, analytic.RegisterBudget) || (admit != nil && !admit(mr, nr)) {
 				continue
 			}
-			r.Candidates = append(r.Candidates, Candidate{
-				MR: mr, NR: nr, GFLOPS: eval(mr, nr), CMR: analytic.CMR(mr, nr),
+			cands = append(cands, Candidate{
+				MR: mr, NR: nr, GFLOPS: TileGFLOPS(p, elemBytes, mr, nr), CMR: analytic.CMR(mr, nr),
 			})
 		}
 	}
-	sort.Slice(r.Candidates, func(i, j int) bool {
-		a, b := r.Candidates[i], r.Candidates[j]
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
 		if a.GFLOPS != b.GFLOPS {
 			return a.GFLOPS > b.GFLOPS
 		}
@@ -85,9 +86,16 @@ func SearchTile(p *platform.Platform, elemBytes int) Result {
 		}
 		return a.MR > b.MR
 	})
-	r.Best = r.Candidates[0]
+	return cands
+}
 
+// SearchTile evaluates every feasible register tile for the platform and
+// element size (Enumerate over the whole Eq. 1 space) and compares the best
+// against the analytic Eq. 1–2 tile evaluated the same way.
+func SearchTile(p *platform.Platform, elemBytes int) Result {
+	r := Result{Candidates: Enumerate(p, elemBytes, nil)}
+	r.Best = r.Candidates[0]
 	at := analytic.SolveForElem(elemBytes)
-	r.Analytic = Candidate{MR: at.MR, NR: at.NR, GFLOPS: eval(at.MR, at.NR), CMR: at.CMR}
+	r.Analytic = Candidate{MR: at.MR, NR: at.NR, GFLOPS: TileGFLOPS(p, elemBytes, at.MR, at.NR), CMR: at.CMR}
 	return r
 }

@@ -75,3 +75,26 @@ func TestSearchSpaceMatchesConstraint(t *testing.T) {
 		}
 	}
 }
+
+// A restricted search is the full search filtered: Enumerate with an admit
+// predicate returns exactly the admitted tiles of SearchTile, in the same
+// order.
+func TestEnumerateAdmitFiltersSearchOrder(t *testing.T) {
+	p := platform.KP920()
+	admit := func(mr, nr int) bool { return mr <= 7 && nr <= 12 }
+	var want []Candidate
+	for _, c := range SearchTile(p, 4).Candidates {
+		if admit(c.MR, c.NR) {
+			want = append(want, c)
+		}
+	}
+	got := Enumerate(p, 4, admit)
+	if len(got) != len(want) {
+		t.Fatalf("Enumerate admitted %d tiles, the filtered search has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("position %d: Enumerate %+v, filtered search %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -94,13 +94,23 @@ if [ "$STATUS" -ne 0 ]; then
     exit 1
 fi
 
-fetch "http://$RADDR/metrics" >"$TMP/metrics-after-kill.txt"
-EJECT=$(sed -n 's/^libshalom_router_ejections_total \([0-9][0-9]*\)$/\1/p' "$TMP/metrics-after-kill.txt")
-if [ -z "$EJECT" ] || [ "$EJECT" -lt 1 ]; then
-    echo "router-smoke: FAIL: no ejection recorded after the kill (ejections_total=$EJECT)" >&2
-    cat "$TMP/metrics-after-kill.txt" >&2
-    exit 1
-fi
+# When another backend owns the storm's class, no request hits the corpse
+# and only the prober ejects it: -eject-threshold 3 failed probes at the
+# 100ms interval, which can land after the storm ends. Poll for it,
+# bounded like the readmission wait below.
+i=0
+while :; do
+    fetch "http://$RADDR/metrics" >"$TMP/metrics-after-kill.txt"
+    EJECT=$(sed -n 's/^libshalom_router_ejections_total \([0-9][0-9]*\)$/\1/p' "$TMP/metrics-after-kill.txt")
+    [ -n "$EJECT" ] && [ "$EJECT" -ge 1 ] && break
+    i=$((i + 1))
+    if [ "$i" -gt 30 ]; then
+        echo "router-smoke: FAIL: no ejection recorded after the kill (ejections_total=$EJECT)" >&2
+        cat "$TMP/metrics-after-kill.txt" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
 echo "router-smoke: backend ejected (ejections_total=$EJECT)"
 
 echo "router-smoke: restarting backend 1 on its old port $A1"
