@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticlint race lint check fuzz test-chaos test-soak trace-smoke serve-smoke journal-smoke attrib-smoke router-smoke tune-smoke
+.PHONY: build test vet staticlint race lint check fuzz test-chaos test-soak e2e
 
 build:
 	$(GO) build ./...
@@ -40,54 +40,18 @@ test-chaos:
 test-soak:
 	SHALOM_SOAK=1 $(GO) test -count=1 -run TestSoakRandomFaultSchedule -v ./internal/guard/
 
-# Trace smoke test: drive a small workload mix through a telemetry-enabled
-# context, export the Chrome trace_event JSON, and validate it (well-formed,
-# per-lane monotonic timestamps, balanced name-matched B/E pairs).
-trace-smoke:
-	$(GO) run ./cmd/shalom-top -once -duration 200ms -mix small \
-		-trace $${TMPDIR:-/tmp}/shalom-trace-smoke.json -validate
-
-# Serving-layer smoke test: race-enabled shalom-serve on an ephemeral port,
-# a closed-loop shalom-load storm (64 requests, 16 workers), asserting every
-# request answered, the /metrics coalesce counter > 0 (at least one flush of
-# batch size > 1), and a clean SIGTERM drain with zero dropped admitted
-# requests.
-serve-smoke:
-	sh scripts/serve-smoke.sh
-
-# Attribution smoke test: race-enabled shalom-serve with fast attribution
-# windows and the slow-shape-class chaos point armed against "small", a
-# mixed shalom-load storm, then assertions that the seeded regression
-# surfaces as a drift event and the top-ranked tuning candidate in /attrib,
-# in the Prometheus exposition, and in shalom-top's heat view, followed by
-# a clean drain.
-attrib-smoke:
-	sh scripts/attrib-smoke.sh
-
-# Autotuner smoke test: race-enabled shalom-serve with -autotune and a
-# deliberately detuned f32/small serving tile, a storm until the closed loop
-# runs search -> prove -> canary -> promote, then assertions that the
-# promotion surfaces in /tune with a modeled gain clearing the engine's
-# margin, the Prometheus exposition, shalom-top's tune view, and a
-# verifiable journal tune-promote record, followed by a clean drain; the
-# measured before/after small-mix throughput is printed, not gated.
-tune-smoke:
-	sh scripts/tune-smoke.sh
-
-# Router smoke test: three shalom-serve backends behind a race-enabled
-# shalom-router, a storm with a SIGKILL of one backend mid-storm (zero lost
-# requests — hedged retries route around the corpse), assertions that the
-# dead backend is ejected and, once restarted on its old port, readmitted
-# (both visible in the router's /metrics), and a clean SIGTERM rolling drain.
-router-smoke:
-	sh scripts/router-smoke.sh
-
-# Journal smoke test: the full forensic loop — capture a journaled storm,
-# SIGTERM-seal it, shalom-journal verify, prove a single flipped byte fails
-# verification, then replay the capture against a fresh server and require
-# every completed request to reproduce its journaled result hash bitwise.
-journal-smoke:
-	sh scripts/journal-smoke.sh
+# End-to-end harness (internal/e2e): builds the real binaries, with the
+# race detector on the shalom-serve under test and on shalom-router, and
+# drives them on ephemeral ports. serve: a coalescing storm and a clean
+# SIGTERM drain. router: SIGKILL of one of three backends mid-storm loses
+# nothing, then ejection and readmission on the old port. journal: capture,
+# verify, a flipped byte fails verify, every captured request replays
+# bitwise. attrib: a seeded slow class drifts in /attrib, /metrics and
+# shalom-top. tune: a detuned tile is promoted with a modeled gain over the
+# margin and a journaled tune-promote record. trace: a Chrome trace export
+# validates.
+e2e:
+	SHALOM_E2E=1 $(GO) test -count=1 ./internal/e2e/
 
 # Static kernel verification: every registered micro-kernel must clear all
 # six isacheck passes (including the symbolic footprint proof) on every
@@ -101,4 +65,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAnalyze -fuzztime=10s ./internal/isa/
 
 # The CI gate.
-check: vet staticlint build test race test-chaos test-soak trace-smoke serve-smoke router-smoke journal-smoke attrib-smoke tune-smoke lint
+check: vet staticlint build test race test-chaos test-soak e2e lint

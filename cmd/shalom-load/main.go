@@ -10,24 +10,19 @@
 //	shalom-load -addr http://127.0.0.1:8080[,URL...] [-n 1024] [-c 16]
 //	            [-mix tiny|small|cp2k|mixed] [-timeout-ms 0]
 //	            [-router] [-shed-retries 1]
-//	            [-json FILE] [-assert-coalesced] [-fail-on-shed]
-//	            [-replay DIR] [-replay-speed 1]
+//	            [-json FILE] [-replay DIR] [-replay-speed 1]
 //
 // -addr accepts a comma-separated target list: workers spray requests
 // round-robin over all of them (naive multi-node load, the baseline the
 // router's class-affine sharding is measured against). -router declares the
-// single target a shalom-router: provenance and counters are scraped from
-// the router's own /healthz and /metrics, per-request attempt counts are
-// aggregated off X-Shalom-Attempts, and -assert-coalesced is skipped (the
-// coalesce counter lives on the backends, not the router).
+// single target a shalom-router: provenance is scraped from the router's
+// own /healthz and per-request attempt counts are aggregated off
+// X-Shalom-Attempts.
 //
 // Shed responses (429, or 503 carrying Retry-After) are retried up to
 // -shed-retries times, honoring the server's jittered Retry-After hint
 // instead of re-issuing immediately — the client half of the retry-storm
 // fix. A request counts as shed only when its retries are exhausted.
-//
-// -assert-coalesced scrapes /metrics after the run and fails unless the
-// server's coalesce counter moved — the check `make serve-smoke` gates on.
 //
 // -replay DIR switches to deterministic replay: the journal in DIR
 // (captured with `shalom-serve -journal DIR -journal-payloads`) is verified
@@ -46,7 +41,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -115,8 +109,6 @@ func main() {
 	routerMode := flag.Bool("router", false, "the target is a shalom-router: scrape its fleet provenance and count hedged attempts")
 	shedRetries := flag.Int("shed-retries", 1, "re-issues after a shed response, honoring its Retry-After hint (0 = give up immediately)")
 	jsonPath := flag.String("json", "", "write the report as JSON to this file")
-	assertCoalesced := flag.Bool("assert-coalesced", false, "scrape /metrics after the run and fail unless the coalesce counter > 0 (skipped in -router mode)")
-	failOnShed := flag.Bool("fail-on-shed", false, "exit non-zero if any request was shed or errored")
 	replayDir := flag.String("replay", "", "replay a captured journal directory instead of generating load")
 	replaySpeed := flag.Float64("replay-speed", 1, "replay pacing: 1 = original arrival spacing, 2 = twice as fast, 0 = flat out")
 	flag.Parse()
@@ -295,30 +287,9 @@ func main() {
 		fmt.Printf("  report written to %s\n", *jsonPath)
 	}
 
-	exit := 0
-	if *assertCoalesced && *routerMode {
-		fmt.Println("  -assert-coalesced skipped: the coalesce counter lives on the backends, not the router")
-	} else if *assertCoalesced {
-		count, err := scrapeCoalesced(client, base)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "shalom-load: metrics scrape:", err)
-			exit = 1
-		} else {
-			fmt.Printf("  /metrics: libshalom_server_coalesced_requests_total = %d\n", count)
-			if count == 0 {
-				fmt.Fprintln(os.Stderr, "shalom-load: FAIL: no coalescing observed (counter is zero)")
-				exit = 1
-			}
-		}
-	}
-	if *failOnShed && (r.Shed > 0 || r.Errors > 0) {
-		fmt.Fprintf(os.Stderr, "shalom-load: FAIL: %d shed, %d errors\n", r.Shed, r.Errors)
-		exit = 1
-	}
 	if r.Errors > 0 && r.OK == 0 {
-		exit = 1
+		os.Exit(1)
 	}
-	os.Exit(exit)
 }
 
 // buildJobs pre-encodes the request bodies of the chosen mix, so workers
@@ -385,24 +356,4 @@ func buildJobs(mix string, timeoutMS int) ([]job, error) {
 		}
 	}
 	return jobs, nil
-}
-
-var coalescedRE = regexp.MustCompile(`(?m)^libshalom_server_coalesced_requests_total\s+(\d+)$`)
-
-// scrapeCoalesced reads the server's coalesce counter off /metrics.
-func scrapeCoalesced(client *http.Client, base string) (uint64, error) {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return 0, err
-	}
-	m := coalescedRE.FindSubmatch(body)
-	if m == nil {
-		return 0, fmt.Errorf("libshalom_server_coalesced_requests_total not found in /metrics (no flush with batch size > 1 yet)")
-	}
-	return strconv.ParseUint(string(m[1]), 10, 64)
 }

@@ -5,23 +5,23 @@
 // view (measured vs predicted vs roofline per key, with the tuning
 // candidates ranked hottest-and-worst first). With -trace it also exports
 // the phase spans of the run as Chrome trace_event JSON for
-// chrome://tracing or ui.perfetto.dev, and -validate checks the exported
-// file the same way `make trace-smoke` does.
+// chrome://tracing or ui.perfetto.dev; the end-to-end trace test
+// (internal/e2e) validates that file with telemetry.ValidateTrace.
 //
 // Usage:
 //
 //	shalom-top [-mix small|irregular|mixed] [-duration 5s] [-interval 500ms]
 //	           [-threads N] [-once] [-no-attrib]
-//	           [-trace FILE] [-validate]
+//	           [-trace FILE]
 //	shalom-top -attrib http://HOST:PORT
 //	shalom-top -tune http://HOST:PORT
 //
 // The second and third forms do not drive a workload: -attrib fetches
 // /attrib from a running shalom-serve, renders its attribution heat view
-// once, and exits — the mode scripts/attrib-smoke.sh asserts against.
-// -tune fetches /tune the same way and renders the autotuner view: one row
-// per shape class with its tuning state and promoted-kernel tag — the mode
-// scripts/tune-smoke.sh asserts against.
+// once, and exits — the mode the end-to-end attribution test asserts
+// against. -tune fetches /tune the same way and renders the autotuner view:
+// one row per shape class with its tuning state and promoted-kernel tag —
+// the mode the end-to-end tune test asserts against.
 package main
 
 import (
@@ -39,7 +39,6 @@ import (
 	"libshalom/internal/attrib"
 	"libshalom/internal/autotune"
 	"libshalom/internal/mat"
-	"libshalom/internal/telemetry"
 	"libshalom/internal/workloads"
 )
 
@@ -71,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	attribURL := fs.String("attrib", "", "fetch /attrib from this shalom-serve base URL, render its heat view once, exit")
 	tuneURL := fs.String("tune", "", "fetch /tune from this shalom-serve base URL, render the autotuner view once, exit")
 	tracePath := fs.String("trace", "", "write Chrome trace_event JSON to this file at exit")
-	validate := fs.Bool("validate", false, "validate the exported trace (requires -trace)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -81,10 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *tuneURL != "" {
 		return runRemoteTune(*tuneURL, stdout, stderr)
-	}
-	if *validate && *tracePath == "" {
-		fmt.Fprintln(stderr, "shalom-top: -validate requires -trace FILE")
-		return 2
 	}
 	jobs, err := buildJobs(*mix)
 	if err != nil {
@@ -144,20 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "\ntrace written to %s\n", *tracePath)
-		if *validate {
-			f, err := os.Open(*tracePath)
-			if err != nil {
-				fmt.Fprintln(stderr, "shalom-top:", err)
-				return 1
-			}
-			err = telemetry.ValidateTrace(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintln(stderr, "shalom-top: trace validation FAILED:", err)
-				return 1
-			}
-			fmt.Fprintln(stdout, "trace validated: well-formed JSON, monotonic timestamps, balanced B/E pairs")
-		}
 	}
 	return 0
 }
@@ -190,8 +170,8 @@ func runRemoteAttrib(base string, stdout, stderr io.Writer) int {
 }
 
 // runRemoteTune fetches a running server's /tune report and renders the
-// autotuner view once — the scriptable remote mode tune-smoke asserts
-// against.
+// autotuner view once — the scriptable remote mode the end-to-end tune
+// test asserts against.
 func runRemoteTune(base string, stdout, stderr io.Writer) int {
 	url := strings.TrimSuffix(base, "/")
 	if !strings.HasSuffix(url, "/tune") {

@@ -125,9 +125,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if !strings.Contains(errb.String(), "unknown -mix") {
 		t.Errorf("stderr does not explain the mix error:\n%s", errb.String())
 	}
-	if code := run([]string{"-validate"}, &out, &errb); code != 2 {
-		t.Fatalf("-validate without -trace: run = %d, want 2", code)
-	}
 	if code := run([]string{"-not-a-flag"}, &out, &errb); code != 2 {
 		t.Fatalf("bad flag: run = %d, want 2", code)
 	}

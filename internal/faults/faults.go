@@ -50,7 +50,7 @@ const (
 	// SetSlowClass target, standing in for a kernel that regressed on one
 	// workload regime (a bad tile choice, a mistuned blocking). It perturbs
 	// timing, never results — the chaos coverage for the attribution
-	// engine's drift detector, and the seed the attrib-smoke script uses to
+	// engine's drift detector, and the seed the e2e attrib test uses to
 	// prove a slow class surfaces as a drift event and tuning candidate.
 	SlowShapeClass
 	// RouterBackendBlackhole makes the router's forward to the targeted

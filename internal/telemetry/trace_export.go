@@ -134,8 +134,8 @@ func spanName(ev event) string {
 // the exporter promises: well-formed JSON in the object-wrapped array
 // format, every record carrying name/ph/ts/tid, per-lane timestamps
 // monotonically non-decreasing, and B/E records forming balanced,
-// name-matched pairs per lane. Used by `make trace-smoke` and the trace
-// tests; returns nil on a conforming trace.
+// name-matched pairs per lane. Used by the end-to-end trace test
+// (internal/e2e) and the trace tests; returns nil on a conforming trace.
 func ValidateTrace(rd io.Reader) error {
 	var tf struct {
 		TraceEvents []struct {
