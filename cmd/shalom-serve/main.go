@@ -10,7 +10,7 @@
 //
 //	shalom-serve [-addr 127.0.0.1:8080] [-addr-file FILE]
 //	             [-platform kp920] [-threads N]
-//	             [-window 200us] [-max-batch 64] [-max-queue 1024]
+//	             [-max-batch 64] [-max-queue 1024]
 //	             [-max-inflight-flops 4e9] [-default-timeout 0]
 //	             [-deadline 0] [-no-retry]
 //	             [-journal DIR] [-journal-fsync anchor|always|none]
@@ -92,7 +92,6 @@ func main() {
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
 	platName := flag.String("platform", "kp920", "platform model (kp920, phytium2000, thunderx2)")
 	threads := flag.Int("threads", 0, "thread width of the shared context (0 = automatic policy)")
-	window := flag.Duration("window", 200*time.Microsecond, "coalescing window")
 	maxBatch := flag.Int("max-batch", 64, "flush a class queue at this many resident requests")
 	maxQueue := flag.Int("max-queue", 1024, "per-class admission queue bound (shed beyond it)")
 	maxInFlight := flag.Float64("max-inflight-flops", 4e9, "admitted-but-unanswered flops bound (shed beyond it)")
@@ -231,7 +230,6 @@ func main() {
 	defer stop()
 
 	srv := server.New(lib, server.Config{
-		Window:           *window,
 		MaxBatch:         *maxBatch,
 		MaxQueue:         *maxQueue,
 		MaxInFlightFlops: int64(*maxInFlight),
@@ -255,8 +253,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	fmt.Printf("shalom-serve: listening on %s (platform %s, window %v, max-batch %d)\n",
-		bound, plat.Name, *window, *maxBatch)
+	fmt.Printf("shalom-serve: listening on %s (platform %s, max-batch %d)\n",
+		bound, plat.Name, *maxBatch)
 
 	httpSrv := &http.Server{Handler: srv}
 	errc := make(chan error, 1)

@@ -18,7 +18,7 @@ import (
 // flush carries more than one request, and a SIGTERM drain drops nothing.
 func TestServe(t *testing.T) {
 	dir := workDir(t)
-	srv, addr := serve(t, dir, "serve", binary(t, "shalom-serve", true), "127.0.0.1:0", "-window", "5ms")
+	srv, addr := serve(t, dir, "serve", binary(t, "shalom-serve", true), "127.0.0.1:0")
 
 	answered(t, "storm", load(t, dir, addr, "-n", "64", "-c", "16", "-mix", "tiny"))
 	if n := scrape(t, addr)["libshalom_server_coalesced_requests_total"]; n == 0 {
@@ -36,7 +36,7 @@ func TestRouter(t *testing.T) {
 	backends := make([]*proc, 3)
 	addrs := make([]string, 3)
 	for i := range backends {
-		backends[i], addrs[i] = serve(t, dir, fmt.Sprintf("serve%d", i+1), serveBin, "127.0.0.1:0", "-window", "2ms")
+		backends[i], addrs[i] = serve(t, dir, fmt.Sprintf("serve%d", i+1), serveBin, "127.0.0.1:0")
 	}
 	router, raddr := serve(t, dir, "router", binary(t, "shalom-router", true), "127.0.0.1:0",
 		"-backends", strings.Join(addrs, ","), "-probe-interval", "100ms", "-probe-timeout", "500ms",
@@ -61,7 +61,7 @@ func TestRouter(t *testing.T) {
 		}
 	}
 	counter("libshalom_router_ejections_total", 3*time.Second)
-	backends[0], _ = serve(t, dir, "serve1", serveBin, addrs[0], "-window", "2ms")
+	backends[0], _ = serve(t, dir, "serve1", serveBin, addrs[0])
 	counter("libshalom_router_readmissions_total", 10*time.Second)
 
 	answered(t, "storm after recovery", load(t, dir, raddr, storm...))
@@ -77,7 +77,7 @@ func TestJournal(t *testing.T) {
 	journalBin := binary(t, "shalom-journal", false)
 	capture, replay := filepath.Join(dir, "capture"), filepath.Join(dir, "replay")
 	journaled := func(jdir string) (*proc, string) {
-		return serve(t, dir, "serve-"+filepath.Base(jdir), serveBin, "127.0.0.1:0", "-window", "5ms", "-journal", jdir, "-journal-payloads")
+		return serve(t, dir, "serve-"+filepath.Base(jdir), serveBin, "127.0.0.1:0", "-journal", jdir, "-journal-payloads")
 	}
 	verify := func(jdir string) (string, int) { return run(t, journalBin, "verify", jdir) }
 
@@ -158,7 +158,7 @@ func flipByte(t *testing.T, src, dst string) string {
 // the drain log.
 func TestAttrib(t *testing.T) {
 	dir := workDir(t)
-	srv, addr := serve(t, dir, "serve", binary(t, "shalom-serve", true), "127.0.0.1:0", "-window", "5ms",
+	srv, addr := serve(t, dir, "serve", binary(t, "shalom-serve", true), "127.0.0.1:0",
 		"-attrib-window", "150ms", "-attrib-windows", "2", "-attrib-min-calls", "4",
 		"-chaos-slow-class", "small", "-chaos-slow-delay", "5ms")
 	// The portable kernels can leave the small class below par without the
@@ -216,7 +216,7 @@ func TestAttrib(t *testing.T) {
 func TestTune(t *testing.T) {
 	dir := workDir(t)
 	jdir := filepath.Join(dir, "journal")
-	srv, addr := serve(t, dir, "serve", binary(t, "shalom-serve", true), "127.0.0.1:0", "-window", "5ms",
+	srv, addr := serve(t, dir, "serve", binary(t, "shalom-serve", true), "127.0.0.1:0",
 		"-attrib-window", "150ms", "-attrib-windows", "2", "-attrib-min-calls", "4",
 		"-autotune", "-autotune-interval", "250ms", "-autotune-min-score", "0.001",
 		"-detune-class", "small", "-journal", jdir)

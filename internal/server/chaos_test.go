@@ -62,10 +62,13 @@ func TestServeKernelPanicFailsOnlyThatBatch(t *testing.T) {
 		probs[i] = newProblem(t, direct, uint64(300+i), 24, 24, 24, 0)
 	}
 	e := newEnv(t, server.Config{
-		Window:        400 * time.Millisecond,
 		MaxBatch:      n,
 		MaxBatchFlops: 1e18,
 	}, libshalom.WithThreads(1), libshalom.WithoutTransientRetry())
+	// Each wave queues behind a held flush of its class until the n-th
+	// request fills MaxBatch, so the n requests run as one batch.
+	release := e.srv.Hold(t, probs[0].h)
+	defer release()
 
 	faults.Arm(faults.PanicInKernel, 1)
 	statuses, body := coalescedWave(t, e, probs)
@@ -124,10 +127,13 @@ func TestServeKernelPanicHealsUnderDefaultRetry(t *testing.T) {
 		probs[i] = newProblem(t, direct, uint64(500+i), 24, 24, 24, 0)
 	}
 	e := newEnv(t, server.Config{
-		Window:        400 * time.Millisecond,
 		MaxBatch:      n,
 		MaxBatchFlops: 1e18,
 	}, libshalom.WithThreads(1))
+	// The wave queues behind a held flush of its class until the n-th
+	// request fills MaxBatch, so the n requests run as one batch.
+	release := e.srv.Hold(t, probs[0].h)
+	defer release()
 
 	faults.Arm(faults.PanicInKernel, 1)
 	statuses, body := coalescedWave(t, e, probs)
@@ -165,7 +171,6 @@ func TestServeDrainUnderConcurrentLoad(t *testing.T) {
 	direct := libshalom.New(libshalom.WithThreads(1))
 	defer direct.Close()
 	e := newEnv(t, server.Config{
-		Window:   2 * time.Millisecond,
 		MaxBatch: 8,
 	}, libshalom.WithThreads(2))
 	p := newProblem(t, direct, 600, 16, 16, 16, 0)

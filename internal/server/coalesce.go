@@ -49,22 +49,23 @@ func (k classKey) String() string {
 	return fmt.Sprintf("%s/%v/%s", prec, k.mode, k.class)
 }
 
-// classQueue is one per-class coalescing queue. gen increments on every
-// flush so a window timer armed for an earlier batch never flushes a later
-// one early.
+// classQueue is one per-class coalescing queue. busy is set while a flush
+// loop of the class runs: requests that arrive then wait in queue and leave
+// together as the loop's next batch.
 type classQueue struct {
 	key   classKey
 	mu    sync.Mutex
-	gen   uint64
+	busy  bool
 	queue []*pending
 	flops float64
 }
 
-// coalescer runs the micro-batching core: admitted requests queue per
-// class, and a batch flushes when the coalescing window expires, the batch
-// size limit fills, or the queued flops budget fills — whichever comes
-// first. Each flush is one SGEMMBatchCtx/DGEMMBatchCtx call on the shared
-// Context.
+// coalescer runs the micro-batching core, work-conserving: an admitted
+// request to an idle class flushes at once, and requests batch only while
+// a flush of their class is running — they leave together when it ends.
+// A queue that fills the batch size limit or the queued flops budget
+// flushes immediately, busy or not. Each flush is one
+// SGEMMBatchCtx/DGEMMBatchCtx call on the shared Context.
 type coalescer struct {
 	lib  *libshalom.Context
 	cfg  Config
@@ -79,6 +80,10 @@ type coalescer struct {
 	// backpressure signal admission control sheds on.
 	inFlight atomic.Int64
 	flushes  sync.WaitGroup
+	// draining is set when Drain begins. submit checks it under the class
+	// lock, so no flush starts after the drain's sweep of its class to
+	// race the drain's Wait.
+	draining atomic.Bool
 }
 
 func newCoalescer(lib *libshalom.Context, cfg Config) *coalescer {
@@ -107,10 +112,12 @@ func (co *coalescer) class(key classKey) *classQueue {
 	return q
 }
 
-// submit admits p into its class queue, or refuses it (the caller sheds
-// with 429) when the queue is full or the in-flight flops budget is
-// exhausted. The first request of an empty queue arms the window timer; a
-// request that fills the batch-size or flops budget flushes immediately.
+// submit admits p into its class queue, or refuses it: once a drain has
+// begun (the caller answers 503), or when the queue is full or the
+// in-flight flops budget is exhausted (the caller sheds with 429). A
+// request to an idle class flushes at once; one to a busy class waits for
+// the running flush to end, unless it fills the batch-size or flops
+// budget, which flushes the queue immediately.
 func (co *coalescer) submit(p *pending) bool {
 	key := classKey{
 		f64:   p.req.F64,
@@ -121,7 +128,7 @@ func (co *coalescer) submit(p *pending) bool {
 	q := co.class(key)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.queue) >= co.cfg.MaxQueue {
+	if co.draining.Load() || len(q.queue) >= co.cfg.MaxQueue {
 		return false
 	}
 	if co.inFlight.Load()+int64(flops) > co.cfg.MaxInFlightFlops {
@@ -130,39 +137,57 @@ func (co *coalescer) submit(p *pending) bool {
 	co.inFlight.Add(int64(flops))
 	q.queue = append(q.queue, p)
 	q.flops += flops
-	if len(q.queue) == 1 {
-		gen := q.gen
-		time.AfterFunc(co.cfg.Window, func() { co.flushGen(q, gen) })
-	}
-	if len(q.queue) >= co.cfg.MaxBatch || q.flops >= co.cfg.MaxBatchFlops {
+	if !q.busy || len(q.queue) >= co.cfg.MaxBatch || q.flops >= co.cfg.MaxBatchFlops {
 		co.flushLocked(q)
 	}
 	return true
 }
 
-// flushGen is the window-expiry flush: it only fires if the batch the timer
-// was armed for is still resident.
-func (co *coalescer) flushGen(q *classQueue, gen uint64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.gen != gen || len(q.queue) == 0 {
-		return
-	}
-	co.flushLocked(q)
-}
-
 // flushLocked detaches the resident batch (caller holds q.mu) and runs it
-// on a flush goroutine.
+// at once. An idle class turns busy and its flush loop takes the batch; a
+// busy class's full queue, or the drain's sweep, runs on a goroutine of its
+// own beside the loop.
 func (co *coalescer) flushLocked(q *classQueue) {
 	batch := q.queue
-	q.queue = nil
-	q.flops = 0
-	q.gen++
+	q.queue, q.flops = nil, 0
 	co.flushes.Add(1)
-	go co.runFlush(q.key, batch)
+	if q.busy {
+		go func() {
+			defer co.flushes.Done()
+			co.runFlush(q.key, batch)
+		}()
+		return
+	}
+	q.busy = true
+	go co.loop(q, batch)
 }
 
-// flushAll force-flushes every resident batch — the drain path.
+// loop is a busy class's flush goroutine: it runs batch, then each batch
+// that queued during the flush before it, until a flush ends with the
+// queue empty and the class goes idle. It holds one flushes count for its
+// whole life, so the count never touches zero between two of its batches
+// while Drain waits.
+func (co *coalescer) loop(q *classQueue, batch []*pending) {
+	defer co.flushes.Done()
+	for len(batch) > 0 {
+		co.runFlush(q.key, batch)
+		batch = co.flushEnded(q)
+	}
+}
+
+// flushEnded ends a flush of the busy class q: the requests that queued
+// meanwhile leave as the next batch, or, with none, the class goes idle.
+func (co *coalescer) flushEnded(q *classQueue) []*pending {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	batch := q.queue
+	q.queue, q.flops = nil, 0
+	q.busy = len(batch) > 0
+	return batch
+}
+
+// flushAll force-flushes every resident batch, busy class or not — the
+// drain path.
 func (co *coalescer) flushAll() {
 	co.mu.Lock()
 	queues := make([]*classQueue, 0, len(co.classes))
@@ -185,9 +210,8 @@ func (co *coalescer) flushAll() {
 // with their results, expired entries 504, and entries cancelled with time
 // remaining re-flush until each completes or expires.
 func (co *coalescer) runFlush(key classKey, batch []*pending) {
-	defer co.flushes.Done()
-	// Anchor after the flush's events land (LIFO: before flushes.Done), so
-	// every flush closes a journal batch under one merkle root.
+	// Anchor after the flush's events land, so every flush closes a journal
+	// batch under one merkle root.
 	defer co.jw.Anchor()
 	now := time.Now()
 	live := batch[:0:0]

@@ -89,7 +89,7 @@ func TestJournalCaptureAndVerify(t *testing.T) {
 	direct := libshalom.New(libshalom.WithThreads(1))
 	defer direct.Close()
 
-	e := newJournaledEnv(t, server.Config{Window: time.Millisecond})
+	e := newJournaledEnv(t, server.Config{})
 	const n = 5
 	var wants [][]float32
 	for i := 0; i < n; i++ {
@@ -199,7 +199,7 @@ func TestJournalReplayDeterminism(t *testing.T) {
 	// Capture run: the first flush's fast path is poisoned with a NaN, so
 	// the numeric guard trips the f32 breaker and the run degrades to the
 	// reference path — the kind of episode replay exists to reproduce.
-	capture := newJournaledEnv(t, server.Config{Window: time.Millisecond})
+	capture := newJournaledEnv(t, server.Config{})
 	direct := libshalom.New(libshalom.WithThreads(1))
 	defer direct.Close()
 	faults.Arm(faults.SpuriousNaN, 1)
@@ -216,7 +216,7 @@ func TestJournalReplayDeterminism(t *testing.T) {
 
 	// Replay run: fresh guard state, fresh server, identical fault schedule.
 	resetChaosState()
-	rep := newJournaledEnv(t, server.Config{Window: time.Millisecond})
+	rep := newJournaledEnv(t, server.Config{})
 	faults.Arm(faults.SpuriousNaN, 1)
 	events, err := journal.ReadDir(capture.dir)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"libshalom"
@@ -23,17 +22,16 @@ import (
 )
 
 // Config is the serving policy. Zero fields select the documented defaults.
+// There is no coalescing delay: a request to an idle class flushes on
+// arrival, and requests batch only while a flush of their class runs.
 type Config struct {
-	// Window is the coalescing window: how long the first request of an
-	// empty class queue waits for company before its batch flushes.
-	// Default 200µs.
-	Window time.Duration
 	// MaxBatch flushes a class queue as soon as this many requests are
-	// resident, without waiting out the window. Default 64.
+	// resident, without waiting for the class's running flush to end.
+	// Default 64.
 	MaxBatch int
 	// MaxBatchFlops flushes a class queue as soon as its queued work
-	// exceeds this many flops — large requests should not wait for company
-	// they do not need. Default 32e6.
+	// exceeds this many flops, without waiting for the class's running
+	// flush to end. Default 32e6.
 	MaxBatchFlops float64
 	// MaxQueue bounds each class queue; requests beyond it are shed with
 	// HTTP 429. Default 1024.
@@ -89,9 +87,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 200 * time.Microsecond
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -139,13 +134,12 @@ func (c Config) withDefaults() Config {
 // Build it over a Context the caller owns; the caller closes that Context
 // after Drain.
 type Server struct {
-	lib      *libshalom.Context
-	cfg      Config
-	jw       *journal.Writer
-	cfgHash  string
-	co       *coalescer
-	mux      *http.ServeMux
-	draining atomic.Bool
+	lib     *libshalom.Context
+	cfg     Config
+	jw      *journal.Writer
+	cfgHash string
+	co      *coalescer
+	mux     *http.ServeMux
 }
 
 // metrics are the serving layer's families, declared on the Context's
@@ -214,8 +208,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // platform model.
 func configHash(lib *libshalom.Context, cfg Config) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "platform=%s window=%s max_batch=%d max_batch_flops=%g max_queue=%d max_inflight_flops=%d default_timeout=%s retry_after=%d+%d max_dim=%d max_payload=%d journal=%t autotune=%t",
-		lib.Platform().Name, cfg.Window, cfg.MaxBatch, cfg.MaxBatchFlops,
+	fmt.Fprintf(h, "platform=%s max_batch=%d max_batch_flops=%g max_queue=%d max_inflight_flops=%d default_timeout=%s retry_after=%d+%d max_dim=%d max_payload=%d journal=%t autotune=%t",
+		lib.Platform().Name, cfg.MaxBatch, cfg.MaxBatchFlops,
 		cfg.MaxQueue, cfg.MaxInFlightFlops, cfg.DefaultTimeout, cfg.RetryAfter,
 		cfg.RetryAfterJitter, cfg.MaxDim, cfg.MaxPayloadBytes, cfg.Journal.Enabled(),
 		cfg.Autotune != nil)
@@ -268,7 +262,7 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.draining.Load() {
+	if s.co.draining.Load() {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
 		http.Error(w, "server: draining", http.StatusServiceUnavailable)
 		return
@@ -300,8 +294,12 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 		jHdr, jPayload, _ = wireParts(req)
 	}
 	if !s.co.submit(p) {
-		s.co.m.shed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
+		if s.co.draining.Load() {
+			http.Error(w, "server: draining", http.StatusServiceUnavailable)
+			return
+		}
+		s.co.m.shed.Add(1)
 		http.Error(w, "server: overloaded, request shed", http.StatusTooManyRequests)
 		return
 	}
@@ -399,7 +397,7 @@ type attribHealth struct {
 // check.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	plat := s.lib.Platform().Name
-	body := healthzBody{Status: "ok", Platform: plat, Draining: s.draining.Load(), ConfigHash: s.cfgHash}
+	body := healthzBody{Status: "ok", Platform: plat, Draining: s.co.draining.Load(), ConfigHash: s.cfgHash}
 	if s.jw.Enabled() {
 		js := s.jw.Status()
 		body.Journal = &js
@@ -462,7 +460,7 @@ func (s *Server) retryAfter() int {
 // server is still answering its admitted backlog. /healthz keeps reporting
 // breaker health throughout: a draining server is not-ready but alive.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	draining := s.draining.Load()
+	draining := s.co.draining.Load()
 	w.Header().Set("Content-Type", "application/json")
 	if draining {
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -476,33 +474,24 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // listener down (handlers are only writing responses at that point) and
 // closes the Context. ctx bounds the wait.
 func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
-	for {
-		s.co.flushAll()
-		done := make(chan struct{})
-		go func() {
-			s.co.flushes.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return fmt.Errorf("server: drain interrupted with %d flops in flight: %w",
-				s.co.inFlight.Load(), ctx.Err())
-		}
-		// A submit that raced the draining flag may have queued after the
-		// sweep; loop until the in-flight reservation reaches zero.
-		if s.co.inFlight.Load() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("server: drain interrupted with %d flops in flight: %w",
-				s.co.inFlight.Load(), ctx.Err())
-		case <-time.After(time.Millisecond):
-		}
+	s.co.draining.Store(true)
+	// A submit that raced the flag either admitted its request before the
+	// sweep reached its class, or sees the flag and refuses: one sweep
+	// catches every admitted request.
+	s.co.flushAll()
+	done := make(chan struct{})
+	go func() {
+		s.co.flushes.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("server: drain interrupted with %d flops in flight: %w",
+			s.co.inFlight.Load(), ctx.Err())
 	}
 }
 
 // Draining reports whether the server has stopped admitting requests.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.co.draining.Load() }

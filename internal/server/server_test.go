@@ -103,6 +103,30 @@ func statsOf(lib *libshalom.Context) serverStats {
 	}
 }
 
+// reply is one response read in full by postAsync.
+type reply struct {
+	resp *http.Response
+	raw  []byte
+	err  error
+}
+
+// postAsync sends body from its own goroutine, for a request that parks in
+// a held class queue.
+func (e *env) postAsync(body []byte) <-chan reply {
+	ch := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(e.ts.URL+"/v1/gemm", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			ch <- reply{err: err}
+			return
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ch <- reply{resp, raw, err}
+	}()
+	return ch
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -126,10 +150,13 @@ func TestServeCoalescesBitwiseIdentical(t *testing.T) {
 		probs[i] = newProblem(t, direct, uint64(100+i), 24, 20, 16, 0)
 	}
 	e := newEnv(t, server.Config{
-		Window:        300 * time.Millisecond,
 		MaxBatch:      n,
 		MaxBatchFlops: 1e18,
 	}, libshalom.WithThreads(4))
+	// The requests queue behind a held flush of their class until the n-th
+	// fills MaxBatch, so all n leave as one batch.
+	release := e.srv.Hold(t, probs[0].h)
+	defer release()
 
 	type outcome struct {
 		rh  server.ResponseHeader
@@ -194,6 +221,80 @@ func TestServeCoalescesBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// The coalescing policy is work-conserving: a request to an idle class
+// flushes on arrival, alone; requests that arrive while a flush of their
+// class runs leave together as one batch when it ends; and a queue that
+// fills MaxBatch flushes without waiting for the running flush.
+func TestServeBatchesOnlyWhileBusy(t *testing.T) {
+	direct := libshalom.New(libshalom.WithThreads(1))
+	defer direct.Close()
+	const maxBatch = 4
+	e := newEnv(t, server.Config{MaxBatch: maxBatch, MaxBatchFlops: 1e18})
+	idle := newProblem(t, direct, 30, 16, 16, 16, 0) // tiny class
+	held := newProblem(t, direct, 31, 24, 24, 24, 0) // small class
+
+	post := func(p *problem, n int) []<-chan reply {
+		answers := make([]<-chan reply, n)
+		for i := range answers {
+			answers[i] = e.postAsync(p.body)
+		}
+		return answers
+	}
+	batchSizes := func(p *problem, answers []<-chan reply) []int {
+		t.Helper()
+		sizes := make([]int, len(answers))
+		for i, answer := range answers {
+			var r reply
+			select {
+			case r = <-answer:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("request %d of %d unanswered", i, len(answers))
+			}
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if r.resp.StatusCode != http.StatusOK {
+				t.Fatalf("HTTP %d: %s", r.resp.StatusCode, r.raw)
+			}
+			rh, c, _, err := server.DecodeResponse(bytes.NewReader(r.raw), p.h.M, p.h.N, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range c {
+				if math.Float32bits(c[j]) != math.Float32bits(p.want[j]) {
+					t.Fatalf("C[%d] = %v, want %v", j, c[j], p.want[j])
+				}
+			}
+			sizes[i] = rh.BatchSize
+		}
+		return sizes
+	}
+
+	if got := batchSizes(idle, post(idle, 1)); got[0] != 1 {
+		t.Fatalf("request to an idle class answered with batch_size %d, want 1", got[0])
+	}
+
+	release := e.srv.Hold(t, held.h)
+	for _, size := range batchSizes(held, post(held, maxBatch)) {
+		if size != maxBatch {
+			t.Fatalf("held queue filled to MaxBatch flushed batch_size %d, want %d", size, maxBatch)
+		}
+	}
+
+	const queued = maxBatch - 1
+	answers := post(held, queued)
+	waitFor(t, "requests queued", func() bool { return statsOf(e.lib).Accepted == 1+maxBatch+queued })
+	if s := statsOf(e.lib); s.Flushes != 2 {
+		t.Fatalf("flushes = %d with %d requests queued behind a held flush, want 2", s.Flushes, queued)
+	}
+	release()
+	for _, size := range batchSizes(held, answers) {
+		if size != queued {
+			t.Fatalf("requests queued while busy left with batch_size %d, want %d", size, queued)
+		}
+	}
+}
+
 // The f64 path end to end, including a beta != 0 C upload.
 func TestServeF64WithCUpload(t *testing.T) {
 	rng := mat.NewRNG(42)
@@ -208,7 +309,7 @@ func TestServeF64WithCUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := newEnv(t, server.Config{Window: time.Millisecond})
+	e := newEnv(t, server.Config{})
 	h := server.Header{Precision: "f64", Mode: "NN", M: m, N: n, K: k, Alpha: 1.5, Beta: -0.5}
 	var buf bytes.Buffer
 	if err := server.EncodeRequest(&buf, h, nil, nil, nil, a.Data, b.Data, c.Data); err != nil {
@@ -234,9 +335,20 @@ func TestServeF64WithCUpload(t *testing.T) {
 func TestServeDeadlineExpiresBeforeFlush(t *testing.T) {
 	direct := libshalom.New(libshalom.WithThreads(1))
 	defer direct.Close()
-	e := newEnv(t, server.Config{Window: 200 * time.Millisecond, MaxBatch: 64})
-	p := newProblem(t, direct, 7, 16, 16, 16, 1) // 1ms deadline, 200ms window
-	resp, raw := e.post(t, p.body)
+	e := newEnv(t, server.Config{MaxBatch: 64})
+	p := newProblem(t, direct, 7, 16, 16, 16, 1) // 1ms deadline
+	// The request waits behind a held flush of its class until its deadline
+	// has passed.
+	release := e.srv.Hold(t, p.h)
+	answer := e.postAsync(p.body)
+	waitFor(t, "request admitted", func() bool { return statsOf(e.lib).Accepted == 1 })
+	time.Sleep(2 * time.Millisecond)
+	release()
+	r := <-answer
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	resp, raw := r.resp, r.raw
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("HTTP %d: %s, want 504", resp.StatusCode, raw)
 	}
@@ -255,7 +367,6 @@ func TestServeShedsWhenOverloaded(t *testing.T) {
 	direct := libshalom.New(libshalom.WithThreads(1))
 	defer direct.Close()
 	e := newEnv(t, server.Config{
-		Window:           10 * time.Second, // nothing flushes on its own
 		MaxBatch:         64,
 		MaxQueue:         1,
 		RetryAfter:       3,
@@ -263,6 +374,9 @@ func TestServeShedsWhenOverloaded(t *testing.T) {
 	})
 	p1 := newProblem(t, direct, 8, 16, 16, 16, 0)
 	p2 := newProblem(t, direct, 9, 16, 16, 16, 0)
+	// A held flush of the class: nothing flushes on its own.
+	release := e.srv.Hold(t, p1.h)
+	defer release()
 
 	first := make(chan *http.Response, 1)
 	go func() {
@@ -319,12 +433,14 @@ func TestServe429StormEveryShedHasRetryAfter(t *testing.T) {
 	defer direct.Close()
 	const base, jitter = 2, 3
 	e := newEnv(t, server.Config{
-		Window:           10 * time.Second, // nothing flushes until drain
 		MaxQueue:         1,
 		RetryAfter:       base,
 		RetryAfterJitter: jitter,
 	})
 	p := newProblem(t, direct, 21, 16, 16, 16, 0)
+	// A held flush of the class: nothing flushes until drain.
+	release := e.srv.Hold(t, p.h)
+	defer release()
 
 	const storm = 24
 	type verdict struct {
@@ -389,7 +505,7 @@ func TestServe429StormEveryShedHasRetryAfter(t *testing.T) {
 func TestServeDrainRacesCoalescerFlush(t *testing.T) {
 	direct := libshalom.New(libshalom.WithThreads(1))
 	defer direct.Close()
-	e := newEnv(t, server.Config{Window: 500 * time.Microsecond, MaxBatch: 4})
+	e := newEnv(t, server.Config{MaxBatch: 4})
 	p := newProblem(t, direct, 22, 24, 24, 24, 0)
 
 	const clients = 16
@@ -413,7 +529,7 @@ func TestServeDrainRacesCoalescerFlush(t *testing.T) {
 			verdicts <- verdict{resp.StatusCode, resp.Header.Get("Retry-After"), raw}
 		}()
 	}
-	// Land the drain while the batch windows are still flushing.
+	// Land the drain while batches are still flushing.
 	waitFor(t, "some requests admitted", func() bool { return statsOf(e.lib).Accepted >= 2 })
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -495,15 +611,20 @@ func TestServeDrainCompletesAdmitted(t *testing.T) {
 	defer direct.Close()
 	const n = 12
 	e := newEnv(t, server.Config{
-		Window:        10 * time.Second,
 		MaxBatch:      1024,
 		MaxBatchFlops: 1e18,
 	}, libshalom.WithThreads(2))
 	probs := make([]*problem, n)
 	for i := range probs {
-		// Three shape classes, so the drain sweeps several queues.
+		// Two shape classes (8³ is tiny, 24³ and 72³ are small), so the
+		// drain sweeps several queues.
 		dim := []int{8, 24, 72}[i%3]
 		probs[i] = newProblem(t, direct, uint64(200+i), dim, dim, dim, 0)
+	}
+	// A held flush of each class: nothing flushes until the drain.
+	for _, p := range probs[:2] {
+		release := e.srv.Hold(t, p.h)
+		defer release()
 	}
 	statuses := make([]int, n)
 	var wg sync.WaitGroup
@@ -603,7 +724,7 @@ func TestServeRejectsMalformed(t *testing.T) {
 func TestServeWithoutTelemetry(t *testing.T) {
 	lib := libshalom.New()
 	defer lib.Close()
-	srv := server.New(lib, server.Config{Window: time.Millisecond})
+	srv := server.New(lib, server.Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
