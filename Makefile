@@ -59,10 +59,14 @@ e2e:
 lint:
 	$(GO) run ./cmd/shalom-lint -all
 
-# A short bounded fuzz of the ISA analyzer (the tier-1 suite runs only the
-# seed corpus; this explores a little further).
+# Short bounded fuzzes of the ISA analyzer and the wire decoder (the tier-1
+# suite runs only their seed corpora; this explores a little further). The
+# decoder's seeds include a 6 KiB request, and minimizing each new input
+# derived from it would take the decoder's whole 10 s, so its minimization
+# is capped at 1 s.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAnalyze -fuzztime=10s ./internal/isa/
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/server/
 
 # The CI gate.
 check: vet staticlint build test race test-chaos test-soak e2e lint

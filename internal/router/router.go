@@ -29,7 +29,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -480,7 +482,7 @@ func (rt *Router) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	defer rt.inFlight.Add(-1)
 
 	body := http.MaxBytesReader(w, r.Body, int64(server.MaxHeaderBytes)+rt.cfg.MaxPayloadBytes)
-	hdr, payload, err := readRequest(body)
+	hdr, payload, err := readRequest(body, rt.cfg.MaxPayloadBytes)
 	if err != nil {
 		rt.m.rejected.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -696,16 +698,22 @@ func (rt *Router) forward(ctx context.Context, b *backend, hdr server.Header, pa
 		res.outcome, res.err = outcomeFail, err
 		return res
 	}
-	wire := make([]byte, 0, len(line)+1+len(payload))
-	wire = append(wire, line...)
-	wire = append(wire, '\n')
-	wire = append(wire, payload...)
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.id+"/v1/gemm", bytes.NewReader(wire))
+	line = append(line, '\n')
+	// Every attempt sends the one payload all attempts share, read-only: a
+	// net.Buffers consumes its own slice headers, never the bytes. Not an
+	// io.MultiReader: net/http drains a sent body into io.Discard, and
+	// MultiReader's WriteTo allocates 32 KiB to do that.
+	body := func() io.ReadCloser {
+		b := net.Buffers{line, payload}
+		return io.NopCloser(&b)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.id+"/v1/gemm", body())
 	if err != nil {
 		res.outcome, res.err = outcomeFail, err
 		return res
 	}
+	req.ContentLength = int64(len(line) + len(payload))
+	req.GetBody = func() (io.ReadCloser, error) { return body(), nil }
 	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := rt.client.Do(req)
 	if err != nil {
@@ -715,19 +723,20 @@ func (rt *Router) forward(ctx context.Context, b *backend, hdr server.Header, pa
 	defer resp.Body.Close()
 	// Buffer the whole response before relaying: a backend killed
 	// mid-response must surface as a retryable failure, not a torn client
-	// stream. The bound is the response C panel plus header slack.
-	elem := int64(4)
-	if hdr.Precision == "f64" {
-		elem = 8
+	// stream, so only a clean end of the body ends the read. A 200
+	// answer's buffer starts at its bound, at most firstAllocBytes; any
+	// other answer is short and grows as it is read.
+	limit := server.ResponseBytes(hdr)
+	var answer bytes.Buffer
+	if resp.StatusCode == http.StatusOK {
+		answer.Grow(int(min(limit, firstAllocBytes)))
 	}
-	maxResp := int64(hdr.M)*int64(hdr.N)*elem + server.MaxHeaderBytes + 1024
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResp))
-	if err != nil {
+	if _, err := answer.ReadFrom(io.LimitReader(resp.Body, limit)); err != nil {
 		res.outcome, res.err = outcomeFail, fmt.Errorf("reading backend response: %w", err)
 		return res
 	}
 	res.status = resp.StatusCode
-	res.body = body
+	res.body = answer.Bytes()
 	res.contentType = resp.Header.Get("Content-Type")
 	switch resp.StatusCode {
 	case http.StatusOK:
@@ -776,11 +785,13 @@ func (rt *Router) retryAfter() int {
 }
 
 // readRequest splits one wire request into its parsed header and raw
-// payload bytes. Validation is the minimum routing needs — the owning
+// payload bytes. Validation is the minimum routing needs, plus the payload
+// limit that bounds the buffer the payload is read into; the owning
 // backend re-validates everything at decode time.
-func readRequest(r io.Reader) (server.Header, []byte, error) {
+func readRequest(r io.Reader, maxPayload int64) (server.Header, []byte, error) {
 	var h server.Header
-	br := bufio.NewReaderSize(r, server.MaxHeaderBytes)
+	br := server.AcquireReader(r)
+	defer server.ReleaseReader(br)
 	line, err := br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		return h, nil, fmt.Errorf("router: request header exceeds %d bytes", server.MaxHeaderBytes)
@@ -805,11 +816,53 @@ func readRequest(r io.Reader) (server.Header, []byte, error) {
 	if h.TimeoutMS < 0 {
 		return h, nil, fmt.Errorf("router: negative timeout_ms %d", h.TimeoutMS)
 	}
-	payload, err := io.ReadAll(br)
+	size, ok := server.PayloadBytes(h, maxPayload)
+	if !ok {
+		return h, nil, fmt.Errorf("router: %dx%dx%d %s payload exceeds the limit %d bytes", h.M, h.N, h.K, h.Precision, maxPayload)
+	}
+	payload, err := readPayload(br, size)
 	if err != nil {
 		return h, nil, fmt.Errorf("router: reading request payload: %w", err)
 	}
 	return h, payload, nil
+}
+
+// firstAllocBytes caps a buffer the router sizes from a header before the
+// bytes it is for arrive: a longer payload or answer grows as it is read,
+// so a peer that declares a large body and stalls pins at most this much.
+// It covers every small GEMM's payload.
+const firstAllocBytes = 1 << 20
+
+// readPayload reads the rest of a request body into one buffer of size
+// bytes, the payload its header implies, of which at most firstAllocBytes
+// is allocated before the bytes arrive. A body that ends cleanly at any
+// other length is kept byte for byte, so that the backend's decoder stays
+// the judge of it. Only io.EOF ends the body: a body torn mid-upload is an
+// error.
+func readPayload(br *bufio.Reader, size int64) ([]byte, error) {
+	payload := make([]byte, 0, min(size, firstAllocBytes))
+	for {
+		if len(payload) == cap(payload) {
+			// Full: grow only if the body has more, doubling, so the
+			// buffer stays within about twice the bytes that arrived.
+			switch _, err := br.Peek(1); err {
+			case nil:
+			case io.EOF:
+				return payload, nil
+			default:
+				return nil, err
+			}
+			payload = slices.Grow(payload, len(payload)+1)
+		}
+		n, err := br.Read(payload[len(payload):cap(payload)])
+		payload = payload[:len(payload)+n]
+		if err == io.EOF {
+			return payload, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // healthBody is the router's /healthz response.

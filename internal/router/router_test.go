@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"libshalom/internal/server"
@@ -23,12 +24,14 @@ import (
 type stubBackend struct {
 	srv *httptest.Server
 
-	mu      sync.Mutex
-	hits    int
-	headers []server.Header
+	mu       sync.Mutex
+	hits     int
+	headers  []server.Header
+	payloads []string
 
 	status atomic.Int32 // /v1/gemm answer; 200 default
 	ready  atomic.Bool  // /readyz verdict
+	torn   atomic.Bool  // answer 200, send half its Content-Length, drop the connection
 }
 
 func newStub(t *testing.T) *stubBackend {
@@ -40,13 +43,25 @@ func newStub(t *testing.T) *stubBackend {
 	mux.HandleFunc("/v1/gemm", func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		var h server.Header
-		if line, _, ok := strings.Cut(string(body), "\n"); ok {
+		line, payload, ok := strings.Cut(string(body), "\n")
+		if ok {
 			json.Unmarshal([]byte(line), &h)
 		}
 		s.mu.Lock()
 		s.hits++
 		s.headers = append(s.headers, h)
+		s.payloads = append(s.payloads, payload)
 		s.mu.Unlock()
+		if s.torn.Load() {
+			w.Header().Set("Content-Length", "64")
+			w.WriteHeader(http.StatusOK)
+			io.WriteString(w, strings.Repeat("x", 32))
+			w.(http.Flusher).Flush()
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close()
+			}
+			return
+		}
 		code := int(s.status.Load())
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
@@ -78,6 +93,15 @@ func (s *stubBackend) lastHeader() server.Header {
 		return server.Header{}
 	}
 	return s.headers[len(s.headers)-1]
+}
+
+func (s *stubBackend) lastPayload() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.payloads) == 0 {
+		return ""
+	}
+	return s.payloads[len(s.payloads)-1]
 }
 
 func newTestRouter(t *testing.T, cfg Config, stubs ...*stubBackend) *Router {
@@ -165,29 +189,37 @@ func TestClassAffinity(t *testing.T) {
 }
 
 // A failing preferred backend retries onto the next in preference order and
-// the client still gets its 200, annotated with the attempt count.
+// the client still gets its 200, annotated with the attempt count. Failing
+// includes a 200 torn mid-body: a backend killed mid-answer must never reach
+// the client as a truncated 200.
 func TestHedgedRetryOnFailure(t *testing.T) {
-	s1, s2, s3 := newStub(t), newStub(t), newStub(t)
-	stubs := []*stubBackend{s1, s2, s3}
-	rt := newTestRouter(t, Config{}, s1, s2, s3)
-	// Find the class owner and make it fail.
-	do(rt, gemmRequest(tinyHeader))
-	var ownerIdx int
-	for i, s := range stubs {
-		if s.count() > 0 {
-			ownerIdx = i
+	for _, torn := range []bool{false, true} {
+		s1, s2, s3 := newStub(t), newStub(t), newStub(t)
+		stubs := []*stubBackend{s1, s2, s3}
+		rt := newTestRouter(t, Config{}, s1, s2, s3)
+		// Find the class owner and make it fail.
+		do(rt, gemmRequest(tinyHeader))
+		var ownerIdx int
+		for i, s := range stubs {
+			if s.count() > 0 {
+				ownerIdx = i
+			}
 		}
-	}
-	stubs[ownerIdx].status.Store(http.StatusInternalServerError)
-	rec := do(rt, gemmRequest(tinyHeader))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d, want 200 via failover", rec.Code)
-	}
-	if got := rec.Header().Get("X-Shalom-Attempts"); got != "2" {
-		t.Fatalf("X-Shalom-Attempts = %q, want 2", got)
-	}
-	if be := rec.Header().Get("X-Shalom-Backend"); be == stubs[ownerIdx].srv.URL {
-		t.Fatalf("winning backend is the failing owner %s", be)
+		if torn {
+			stubs[ownerIdx].torn.Store(true)
+		} else {
+			stubs[ownerIdx].status.Store(http.StatusInternalServerError)
+		}
+		rec := do(rt, gemmRequest(tinyHeader))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("torn %v: status = %d, want 200 via failover", torn, rec.Code)
+		}
+		if got := rec.Header().Get("X-Shalom-Attempts"); got != "2" {
+			t.Fatalf("torn %v: X-Shalom-Attempts = %q, want 2", torn, got)
+		}
+		if be := rec.Header().Get("X-Shalom-Backend"); be == stubs[ownerIdx].srv.URL {
+			t.Fatalf("torn %v: winning backend is the failing owner %s", torn, be)
+		}
 	}
 }
 
@@ -339,6 +371,13 @@ func TestExhaustedBudgetVerdicts(t *testing.T) {
 	if rec := do(rt, gemmRequest(tinyHeader)); rec.Code != http.StatusBadGateway {
 		t.Fatalf("all-failing fleet: status %d, want 502", rec.Code)
 	}
+	s1.torn.Store(true)
+	s2.torn.Store(true)
+	if rec := do(rt, gemmRequest(tinyHeader)); rec.Code != http.StatusBadGateway {
+		t.Fatalf("all-torn fleet: status %d, want 502", rec.Code)
+	}
+	s1.torn.Store(false)
+	s2.torn.Store(false)
 	s1.status.Store(http.StatusTooManyRequests)
 	s2.status.Store(http.StatusTooManyRequests)
 	rec := do(rt, gemmRequest(tinyHeader))
@@ -361,13 +400,64 @@ func TestMalformedRejectedAtRouter(t *testing.T) {
 		`{"precision":"f32","mode":"NN","m":0,"n":4,"k":4}`,
 		`{"precision":"f32","mode":"NN","m":4,"n":4,"k":4,"timeout_ms":-1}`,
 		`not json at all`,
+		// Implied payloads over MaxPayloadBytes: 384 MiB, and one whose
+		// products overflow int64. The router answers them itself.
+		`{"precision":"f64","mode":"NN","m":4096,"n":4096,"k":4096,"alpha":1,"beta":1}`,
+		`{"precision":"f32","mode":"NN","m":1099511627776,"n":1099511627776,"k":1099511627776,"alpha":1}`,
 	} {
 		if rec := do(rt, gemmRequest(hdr)); rec.Code != http.StatusBadRequest {
 			t.Fatalf("header %q: status %d, want 400", hdr, rec.Code)
 		}
 	}
+	// A body torn mid-upload, which net/http reports as
+	// io.ErrUnexpectedEOF, is refused too, not forwarded as a short one.
+	torn := io.MultiReader(strings.NewReader(tinyHeader+"\n"+strings.Repeat("x", 77)), iotest.ErrReader(io.ErrUnexpectedEOF))
+	if rec := do(rt, httptest.NewRequest(http.MethodPost, "/v1/gemm", torn)); rec.Code != http.StatusBadRequest {
+		t.Fatalf("torn upload: status %d, want 400", rec.Code)
+	}
 	if s1.count() != 0 {
 		t.Fatalf("malformed requests reached the backend %d times", s1.count())
+	}
+}
+
+// Dimensions whose payload passes the limit can still imply an answer no
+// buffer can hold: f32 m = n = 2²³, k = 1 ships 64 MiB but would answer
+// 256 TiB. The router must not size anything from that answer bound: it
+// relays the backend's verdict and keeps serving.
+func TestUnallocatableAnswerRelaysVerdict(t *testing.T) {
+	s1 := newStub(t)
+	rt := newTestRouter(t, Config{}, s1)
+	s1.status.Store(http.StatusBadRequest)
+	hdr := `{"precision":"f32","mode":"NN","m":8388608,"n":8388608,"k":1,"alpha":1}`
+	if rec := do(rt, gemmRequest(hdr)); rec.Code != http.StatusBadRequest {
+		t.Fatalf("header %s: status %d, want the backend's 400", hdr, rec.Code)
+	}
+	s1.status.Store(http.StatusOK)
+	if rec := do(rt, gemmRequest(tinyHeader)); rec.Code != http.StatusOK {
+		t.Fatalf("valid request after it: status %d, want 200", rec.Code)
+	}
+}
+
+// The payload reaches the backend byte for byte whatever its length, on
+// every attempt: the exact length its header implies, a body cut short,
+// and one with trailing bytes. The backend's decoder, not the router,
+// judges the mismatched ones.
+func TestPayloadForwardedVerbatim(t *testing.T) {
+	s1, s2 := newStub(t), newStub(t)
+	rt := newTestRouter(t, Config{EjectThreshold: 100}, s1, s2)
+	s1.status.Store(http.StatusInternalServerError)
+	s2.status.Store(http.StatusInternalServerError)
+	exact := strings.Repeat("0123456789abcdef", 8) // f32 4×4×4, β = 0: (16 + 16) × 4 = 128 bytes
+	for name, payload := range map[string]string{"exact": exact, "short": exact[:77], "long": exact + "trailing"} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/gemm", strings.NewReader(tinyHeader+"\n"+payload))
+		if rec := do(rt, req); rec.Code != http.StatusBadGateway {
+			t.Fatalf("%s: status %d, want 502 once both backends fail", name, rec.Code)
+		}
+		for i, s := range []*stubBackend{s1, s2} {
+			if got := s.lastPayload(); got != payload {
+				t.Fatalf("%s: backend %d received %d payload bytes %q, want %d", name, i, len(got), got, len(payload))
+			}
+		}
 	}
 }
 

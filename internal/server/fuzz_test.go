@@ -10,9 +10,10 @@ import (
 // FuzzDecodeRequest drives the wire decoder with arbitrary bytes. The
 // decoder's contract under hostile input: never panic, never allocate
 // operands beyond what a validated header implies (the fuzz limits cap that
-// at a few KiB), and when it does accept, the request must be internally
-// consistent — stored operand lengths exactly matching the header's
-// dimensions.
+// at a few KiB, enough for payloads that cross the header reader's buffer), and
+// when it does accept, the request must be internally consistent — stored
+// operand lengths exactly matching the header's dimensions — and
+// re-encoding its operands must give back the input's payload bytes.
 func FuzzDecodeRequest(f *testing.F) {
 	rng := mat.NewRNG(7)
 	seed := func(h Header, a32, b32, c32 []float32, a64, b64, c64 []float64) {
@@ -30,6 +31,10 @@ func FuzzDecodeRequest(f *testing.F) {
 	a64 := mat.RandomF64(2, 3, rng).Data
 	b64 := mat.RandomF64(4, 2, rng).Data
 	seed(Header{Precision: "f64", Mode: "TT", M: 3, N: 4, K: 2, Alpha: -2, TimeoutMS: 5}, nil, nil, nil, a64, b64, nil)
+	a16 := mat.RandomF64(16, 16, rng).Data
+	b16 := mat.RandomF64(16, 16, rng).Data
+	c16 := mat.RandomF64(16, 16, rng).Data
+	seed(Header{Precision: "f64", Mode: "NT", M: 16, N: 16, K: 16, Alpha: 1, Beta: 1}, nil, nil, nil, a16, b16, c16)
 	// Hostile headers: length lies, non-finite scalars, negative dims,
 	// truncations. The JSON layer rejects some, the validators the rest;
 	// either way the property below must hold.
@@ -41,7 +46,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte("\n"))
 	f.Add([]byte("{}\n"))
 
-	const maxDim, maxPayload = 16, 1 << 12
+	const maxDim, maxPayload = 16, 1 << 13
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(bytes.NewReader(data), maxDim, maxPayload)
 		if err != nil {
@@ -68,6 +73,13 @@ func FuzzDecodeRequest(f *testing.F) {
 				t.Fatalf("inconsistent f32 operands: %d/%d/%d for %dx%dx%d %v",
 					len(req.A32), len(req.B32), len(req.C32), req.M, req.N, req.K, req.Mode)
 			}
+		}
+		_, payload, err := wireParts(req)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted request: %v", err)
+		}
+		if in := data[bytes.IndexByte(data, '\n')+1:]; !bytes.Equal(payload, in) {
+			t.Fatalf("re-encoded payload (%d bytes) differs from the accepted input's (%d bytes)", len(payload), len(in))
 		}
 	})
 }

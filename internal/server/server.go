@@ -1,12 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/pprof"
@@ -238,21 +238,23 @@ func wireParts(req *Request) (header, payload []byte, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var buf bytes.Buffer
+	size, _ := PayloadBytes(h, math.MaxInt64)
+	payload = make([]byte, size)
+	n := 0
 	if req.F64 {
-		_ = writeF64s(&buf, req.A64)
-		_ = writeF64s(&buf, req.B64)
+		n += putF64s(payload[n:], req.A64)
+		n += putF64s(payload[n:], req.B64)
 		if req.Beta != 0 {
-			_ = writeF64s(&buf, req.C64)
+			putF64s(payload[n:], req.C64)
 		}
 	} else {
-		_ = writeF32s(&buf, req.A32)
-		_ = writeF32s(&buf, req.B32)
+		n += putF32s(payload[n:], req.A32)
+		n += putF32s(payload[n:], req.B32)
 		if req.Beta != 0 {
-			_ = writeF32s(&buf, req.C32)
+			putF32s(payload[n:], req.C32)
 		}
 	}
-	return header, buf.Bytes(), nil
+	return header, payload, nil
 }
 
 // handleGEMM is the request path: decode, admit, wait for the coalesced

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"libshalom"
@@ -38,8 +39,15 @@ import (
 // TransA request ships A as the K×M matrix it is stored as, and leading
 // dimensions are implied (the stored row length). The response mirrors the
 // shape: a JSON header line followed by the m×n C payload.
+//
+// A payload is copied once on its way in and once on its way out. The
+// decoders read the header line through a pooled MaxHeaderBytes reader;
+// both directions stage each operand through one pooled chunk. The only
+// buffers sized from a header are the operands themselves, and only after
+// PayloadBytes has checked the header against the payload limit.
 
-// MaxHeaderBytes bounds the JSON header line of a request.
+// MaxHeaderBytes bounds the JSON header line of a request, and of a
+// response.
 const MaxHeaderBytes = 4096
 
 // Default decode limits; Config overrides them.
@@ -119,7 +127,8 @@ func DecodeRequest(r io.Reader, maxDim int, maxPayload int64) (*Request, error) 
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayloadBytes
 	}
-	br := bufio.NewReaderSize(r, MaxHeaderBytes)
+	br := AcquireReader(r)
+	defer ReleaseReader(br)
 	line, err := br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		return nil, fmt.Errorf("server: request header exceeds %d bytes", MaxHeaderBytes)
@@ -155,49 +164,38 @@ func DecodeRequest(r io.Reader, maxDim int, maxPayload int64) (*Request, error) 
 	if h.TimeoutMS < 0 {
 		return nil, fmt.Errorf("server: negative timeout_ms %d", h.TimeoutMS)
 	}
-	elem := int64(4)
-	if f64 {
-		elem = 8
+	if size, ok := PayloadBytes(h, maxPayload); !ok {
+		return nil, fmt.Errorf("server: payload %d bytes exceeds the limit %d", size, maxPayload)
 	}
-	aRows, aCols, bRows, bCols := storedDims(mode, h.M, h.N, h.K)
-	nA := int64(aRows) * int64(aCols)
-	nB := int64(bRows) * int64(bCols)
-	nC := int64(h.M) * int64(h.N)
-	payload := nA + nB
-	if h.Beta != 0 {
-		payload += nC
-	}
-	if payload*elem > maxPayload {
-		return nil, fmt.Errorf("server: payload %d bytes exceeds the limit %d", payload*elem, maxPayload)
-	}
+	nA, nB, nC := h.M*h.K, h.K*h.N, h.M*h.N
 	req := &Request{
 		F64: f64, Mode: mode, M: h.M, N: h.N, K: h.K,
 		Alpha: h.Alpha, Beta: h.Beta,
 		Timeout: time.Duration(h.TimeoutMS) * time.Millisecond,
 	}
 	if f64 {
-		if req.A64, err = readF64s(br, int(nA)); err != nil {
+		if req.A64, err = readF64s(br, nA); err != nil {
 			return nil, fmt.Errorf("server: A payload: %w", err)
 		}
-		if req.B64, err = readF64s(br, int(nB)); err != nil {
+		if req.B64, err = readF64s(br, nB); err != nil {
 			return nil, fmt.Errorf("server: B payload: %w", err)
 		}
 		if h.Beta != 0 {
-			if req.C64, err = readF64s(br, int(nC)); err != nil {
+			if req.C64, err = readF64s(br, nC); err != nil {
 				return nil, fmt.Errorf("server: C payload: %w", err)
 			}
 		} else {
 			req.C64 = make([]float64, nC)
 		}
 	} else {
-		if req.A32, err = readF32s(br, int(nA)); err != nil {
+		if req.A32, err = readF32s(br, nA); err != nil {
 			return nil, fmt.Errorf("server: A payload: %w", err)
 		}
-		if req.B32, err = readF32s(br, int(nB)); err != nil {
+		if req.B32, err = readF32s(br, nB); err != nil {
 			return nil, fmt.Errorf("server: B payload: %w", err)
 		}
 		if h.Beta != 0 {
-			if req.C32, err = readF32s(br, int(nC)); err != nil {
+			if req.C32, err = readF32s(br, nC); err != nil {
 				return nil, fmt.Errorf("server: C payload: %w", err)
 			}
 		} else {
@@ -216,28 +214,122 @@ func DecodeRequest(r io.Reader, maxDim int, maxPayload int64) (*Request, error) 
 // poisons every element of C, and no legitimate client sends one.
 func badScalar(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
-func readF32s(r io.Reader, n int) ([]float32, error) {
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("payload shorter than the header's dimensions imply: %w", err)
+// PayloadBytes returns the operand payload, in bytes, that h implies:
+// (m·k + k·n, plus m·n when β ≠ 0) × the element size. Transposition
+// changes how an operand is stored, not how many elements it has, so the
+// size is the same for every mode. ok reports whether the size is at most
+// limit. The arithmetic saturates at math.MaxInt64, which is never ok, so
+// dimensions whose products overflow are refused, not wrapped. h's
+// dimensions must be positive.
+func PayloadBytes(h Header, limit int64) (size int64, ok bool) {
+	elems := satAdd(satMul(int64(h.M), int64(h.K)), satMul(int64(h.K), int64(h.N)))
+	if h.Beta != 0 {
+		elems = satAdd(elems, satMul(int64(h.M), int64(h.N)))
 	}
+	size = satMul(elems, elemBytes(h.Precision))
+	return size, size != math.MaxInt64 && size <= limit
+}
+
+// ResponseBytes bounds the body of a 200 answer to h: a header line no
+// longer than MaxHeaderBytes, then the m×n C payload. It saturates like
+// PayloadBytes.
+func ResponseBytes(h Header) int64 {
+	return satAdd(MaxHeaderBytes, satMul(satMul(int64(h.M), int64(h.N)), elemBytes(h.Precision)))
+}
+
+func elemBytes(precision string) int64 {
+	if precision == "f64" {
+		return 8
+	}
+	return 4
+}
+
+// satMul and satAdd are the product and sum of non-negative int64s,
+// saturating at math.MaxInt64.
+func satMul(a, b int64) int64 {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
+}
+
+func satAdd(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
+
+// readers pools the MaxHeaderBytes readers that wire bodies are read
+// through, on both tiers.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, MaxHeaderBytes) }}
+
+// AcquireReader returns a pooled MaxHeaderBytes reader over r. Hand it back
+// with ReleaseReader once nothing read from it still aliases its buffer.
+func AcquireReader(r io.Reader) *bufio.Reader {
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+// ReleaseReader returns br to the pool, dropping its reference to the body
+// it read.
+func ReleaseReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readers.Put(br)
+}
+
+// chunkBytes sizes the pooled chunk the codecs stage an operand through: a
+// small GEMM's operand crosses in one Write or one io.ReadFull.
+const chunkBytes = 32 << 10
+
+var chunks = sync.Pool{New: func() any { return new([chunkBytes]byte) }}
+
+// readF32s and readF64s decode the next n elements of r, staging them
+// through one pooled chunk, the encoders' twin. A read of 4 KiB or more
+// bypasses a bufio.Reader's own buffer, so a large operand's bytes are
+// copied once before they are decoded.
+func readF32s(r io.Reader, n int) ([]float32, error) {
 	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	chunk := chunks.Get().(*[chunkBytes]byte)
+	defer chunks.Put(chunk)
+	for v := out; len(v) > 0; {
+		b := chunk[:4*min(len(v), chunkBytes/4)]
+		if err := readChunk(r, b, len(v) < n); err != nil {
+			return nil, err
+		}
+		v = v[getF32s(v, b):]
 	}
 	return out, nil
 }
 
 func readF64s(r io.Reader, n int) ([]float64, error) {
-	buf := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("payload shorter than the header's dimensions imply: %w", err)
-	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	chunk := chunks.Get().(*[chunkBytes]byte)
+	defer chunks.Put(chunk)
+	for v := out; len(v) > 0; {
+		b := chunk[:8*min(len(v), chunkBytes/8)]
+		if err := readChunk(r, b, len(v) < n); err != nil {
+			return nil, err
+		}
+		v = v[getF64s(v, b):]
 	}
 	return out, nil
+}
+
+// readChunk fills b, one chunk of an operand, from r. A body that ends
+// first is an error, reported as one io.ReadFull of the whole operand
+// would: io.EOF only when it ends before the operand's first byte, that is
+// before its first chunk (later is false).
+func readChunk(r io.Reader, b []byte, later bool) error {
+	_, err := io.ReadFull(r, b)
+	if err == io.EOF && later {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return fmt.Errorf("payload shorter than the header's dimensions imply: %w", err)
+	}
+	return nil
 }
 
 // EncodeRequest writes the wire form of a request: the header line followed
@@ -276,28 +368,70 @@ func EncodeRequest(w io.Writer, h Header, a32, b32, c32 []float32, a64, b64, c64
 }
 
 func writeF32s(w io.Writer, v []float32) error {
-	buf := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(x))
+	chunk := chunks.Get().(*[chunkBytes]byte)
+	defer chunks.Put(chunk)
+	for len(v) > 0 {
+		n := putF32s(chunk[:], v[:min(len(v), chunkBytes/4)])
+		if _, err := w.Write(chunk[:n]); err != nil {
+			return err
+		}
+		v = v[n/4:]
 	}
-	_, err := w.Write(buf)
-	return err
+	return nil
 }
 
 func writeF64s(w io.Writer, v []float64) error {
-	buf := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
+	chunk := chunks.Get().(*[chunkBytes]byte)
+	defer chunks.Put(chunk)
+	for len(v) > 0 {
+		n := putF64s(chunk[:], v[:min(len(v), chunkBytes/8)])
+		if _, err := w.Write(chunk[:n]); err != nil {
+			return err
+		}
+		v = v[n/8:]
 	}
-	_, err := w.Write(buf)
-	return err
+	return nil
+}
+
+// putF32s and putF64s write v's little-endian wire bytes to the start of b
+// and return how many they wrote; getF32s and getF64s decode b's into the
+// start of v and return how many elements they decoded.
+func putF32s(b []byte, v []float32) int {
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(x))
+	}
+	return 4 * len(v)
+}
+
+func putF64s(b []byte, v []float64) int {
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+	return 8 * len(v)
+}
+
+func getF32s(v []float32, b []byte) int {
+	v = v[:len(b)/4]
+	for i := range v {
+		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return len(v)
+}
+
+func getF64s(v []float64, b []byte) int {
+	v = v[:len(b)/8]
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return len(v)
 }
 
 // DecodeResponse reads a 200 response: the header line and the m×n C
 // payload in the request's precision.
 func DecodeResponse(r io.Reader, m, n int, f64 bool) (ResponseHeader, []float32, []float64, error) {
 	var rh ResponseHeader
-	br := bufio.NewReaderSize(r, MaxHeaderBytes)
+	br := AcquireReader(r)
+	defer ReleaseReader(br)
 	line, err := br.ReadSlice('\n')
 	if err != nil {
 		return rh, nil, nil, fmt.Errorf("server: reading response header: %w", err)

@@ -20,65 +20,80 @@ func encodeValid(t *testing.T, h Header, a32, b32, c32 []float32, a64, b64, c64 
 	return buf.Bytes()
 }
 
+// The second shape's operands cross the 4 KiB header reader's buffer and
+// end mid-buffer; the third's span two of the codecs' chunks and end
+// mid-chunk.
 func TestWireRoundTripF32(t *testing.T) {
 	rng := mat.NewRNG(1)
-	m, n, k := 5, 7, 3
-	a := mat.RandomF32(m, k, rng).Data
-	b := mat.RandomF32(k, n, rng).Data
-	c := mat.RandomF32(m, n, rng).Data
-	h := Header{Precision: "f32", Mode: "NN", M: m, N: n, K: k, Alpha: 1.5, Beta: -0.5, TimeoutMS: 250}
-	req, err := DecodeRequest(bytes.NewReader(encodeValid(t, h, a, b, c, nil, nil, nil)), 0, 0)
-	if err != nil {
-		t.Fatalf("DecodeRequest: %v", err)
-	}
-	if req.F64 || req.Mode != libshalom.NN || req.M != m || req.N != n || req.K != k {
-		t.Fatalf("decoded shape = %+v", req)
-	}
-	if req.Alpha != 1.5 || req.Beta != -0.5 || req.Timeout.Milliseconds() != 250 {
-		t.Fatalf("decoded scalars = %+v", req)
-	}
-	for i := range a {
-		if math.Float32bits(req.A32[i]) != math.Float32bits(a[i]) {
-			t.Fatalf("A[%d] not bitwise-identical", i)
+	for _, sh := range []struct{ m, n, k int }{{5, 7, 3}, {33, 31, 40}, {100, 90, 110}} {
+		m, n, k := sh.m, sh.n, sh.k
+		a := mat.RandomF32(m, k, rng).Data
+		b := mat.RandomF32(k, n, rng).Data
+		c := mat.RandomF32(m, n, rng).Data
+		h := Header{Precision: "f32", Mode: "NN", M: m, N: n, K: k, Alpha: 1.5, Beta: -0.5, TimeoutMS: 250}
+		req, err := DecodeRequest(bytes.NewReader(encodeValid(t, h, a, b, c, nil, nil, nil)), 0, 0)
+		if err != nil {
+			t.Fatalf("%dx%dx%d: DecodeRequest: %v", m, n, k, err)
 		}
-	}
-	for i := range b {
-		if math.Float32bits(req.B32[i]) != math.Float32bits(b[i]) {
-			t.Fatalf("B[%d] not bitwise-identical", i)
+		if req.F64 || req.Mode != libshalom.NN || req.M != m || req.N != n || req.K != k {
+			t.Fatalf("decoded shape = %+v", req)
 		}
-	}
-	for i := range c {
-		if math.Float32bits(req.C32[i]) != math.Float32bits(c[i]) {
-			t.Fatalf("C[%d] not bitwise-identical", i)
+		if req.Alpha != 1.5 || req.Beta != -0.5 || req.Timeout.Milliseconds() != 250 {
+			t.Fatalf("decoded scalars = %+v", req)
+		}
+		for name, pair := range map[string][2][]float32{"A": {req.A32, a}, "B": {req.B32, b}, "C": {req.C32, c}} {
+			got, want := pair[0], pair[1]
+			if len(got) != len(want) {
+				t.Fatalf("%dx%dx%d: len(%s) = %d, want %d", m, n, k, name, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%dx%dx%d: %s[%d] not bitwise-identical", m, n, k, name, i)
+				}
+			}
 		}
 	}
 }
 
 // A TransA request ships A as stored (k×m); the decoder must size it from
-// the stored dims, not the logical ones.
+// the stored dims, not the logical ones. The second shape's operands cross
+// the header reader's buffer and end mid-buffer; the third's span two
+// chunks and end mid-chunk.
 func TestWireRoundTripF64Transposed(t *testing.T) {
 	rng := mat.NewRNG(2)
-	m, n, k := 6, 4, 9
-	a := mat.RandomF64(k, m, rng).Data // stored k×m under TN
-	b := mat.RandomF64(k, n, rng).Data
-	h := Header{Precision: "f64", Mode: "TN", M: m, N: n, K: k, Alpha: 2, Beta: 0}
-	req, err := DecodeRequest(bytes.NewReader(encodeValid(t, h, nil, nil, nil, a, b, nil)), 0, 0)
-	if err != nil {
-		t.Fatalf("DecodeRequest: %v", err)
-	}
-	if !req.F64 || req.Mode != libshalom.TN {
-		t.Fatalf("decoded = %+v", req)
-	}
-	if len(req.A64) != k*m || len(req.B64) != k*n {
-		t.Fatalf("operand lengths %d, %d; want %d, %d", len(req.A64), len(req.B64), k*m, k*n)
-	}
-	// beta == 0: no C on the wire, but the decoder provides a zeroed one.
-	if len(req.C64) != m*n {
-		t.Fatalf("len(C) = %d, want %d", len(req.C64), m*n)
-	}
-	for i, v := range req.C64 {
-		if v != 0 {
-			t.Fatalf("C[%d] = %v, want 0", i, v)
+	for _, sh := range []struct{ m, n, k int }{{6, 4, 9}, {47, 45, 23}, {100, 90, 60}} {
+		m, n, k := sh.m, sh.n, sh.k
+		a := mat.RandomF64(k, m, rng).Data // stored k×m under TN
+		b := mat.RandomF64(k, n, rng).Data
+		h := Header{Precision: "f64", Mode: "TN", M: m, N: n, K: k, Alpha: 2, Beta: 0}
+		req, err := DecodeRequest(bytes.NewReader(encodeValid(t, h, nil, nil, nil, a, b, nil)), 0, 0)
+		if err != nil {
+			t.Fatalf("%dx%dx%d: DecodeRequest: %v", m, n, k, err)
+		}
+		if !req.F64 || req.Mode != libshalom.TN {
+			t.Fatalf("decoded = %+v", req)
+		}
+		if len(req.A64) != k*m || len(req.B64) != k*n {
+			t.Fatalf("operand lengths %d, %d; want %d, %d", len(req.A64), len(req.B64), k*m, k*n)
+		}
+		for i := range a {
+			if math.Float64bits(req.A64[i]) != math.Float64bits(a[i]) {
+				t.Fatalf("%dx%dx%d: A[%d] not bitwise-identical", m, n, k, i)
+			}
+		}
+		for i := range b {
+			if math.Float64bits(req.B64[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%dx%dx%d: B[%d] not bitwise-identical", m, n, k, i)
+			}
+		}
+		// beta == 0: no C on the wire, but the decoder provides a zeroed one.
+		if len(req.C64) != m*n {
+			t.Fatalf("len(C) = %d, want %d", len(req.C64), m*n)
+		}
+		for i, v := range req.C64 {
+			if v != 0 {
+				t.Fatalf("C[%d] = %v, want 0", i, v)
+			}
 		}
 	}
 }
@@ -97,6 +112,10 @@ func TestDecodeRequestRejects(t *testing.T) {
 		mut(&h)
 		return encodeValid(t, h, a, b, nil, nil, nil, nil)
 	}
+	// An A of 11,000 f32s spans two chunks; cut where the first ends, the
+	// body must still read as torn, as one io.ReadFull of A would report.
+	big := encodeValid(t, Header{Precision: "f32", Mode: "NN", M: 100, N: 90, K: 110, Alpha: 1},
+		mat.RandomF32(100, 110, rng).Data, mat.RandomF32(110, 90, rng).Data, nil, nil, nil, nil)
 	cases := []struct {
 		name string
 		in   []byte
@@ -113,6 +132,7 @@ func TestDecodeRequestRejects(t *testing.T) {
 		{"oversize dim", valid(func(h *Header) { h.N = 1 << 20 }), "exceed"},
 		{"negative timeout", valid(func(h *Header) { h.TimeoutMS = -1 }), "timeout_ms"},
 		{"truncated payload", truncateAfterHeader(valid(func(h *Header) {})), "shorter"},
+		{"truncated at a chunk's end", big[:bytes.IndexByte(big, '\n')+1+chunkBytes], "shorter than the header's dimensions imply: unexpected EOF"},
 		{"trailing bytes", append(valid(func(h *Header) {}), 0xFF), "longer"},
 	}
 	for _, tc := range cases {
