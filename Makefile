@@ -57,7 +57,7 @@ e2e:
 # six isacheck passes (including the symbolic footprint proof) on every
 # modelled platform.
 lint:
-	$(GO) run ./cmd/shalom-lint -all
+	$(GO) run ./cmd/shalom-bench lint
 
 # Short bounded fuzzes of the ISA analyzer and the wire decoder (the tier-1
 # suite runs only their seed corpora; this explores a little further). The

@@ -118,7 +118,7 @@ func ConfigureHealing(c HealingConfig) HealingConfig { return guard.Configure(c)
 // count still drives backoff) and the full trip history.
 type HealthReport = guard.Report
 
-// Health assembles the current health report; shalom-info -health renders
+// Health assembles the current health report; `shalom-bench info` ends with
 // the same view on the command line.
 func Health() HealthReport { return guard.Health() }
 

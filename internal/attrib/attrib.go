@@ -224,12 +224,8 @@ func (e *Engine) declareMetrics(r *telemetry.Recorder) {
 	}{
 		{"libshalom_attrib_rel_efficiency", "Measured/predicted GFLOPS against calibrated par (1.0 = on model).",
 			func(c Candidate) float64 { return c.RelEff }},
-		{"libshalom_attrib_roofline_efficiency", "Measured GFLOPS over the analytic roofline ceiling.",
-			func(c Candidate) float64 { return c.Efficiency }},
 		{"libshalom_attrib_candidate_score", "Tuning-candidate rank score: hot share times shortfall.",
 			func(c Candidate) float64 { return c.Score }},
-		{"libshalom_attrib_hot_share", "Key share of recent flops traffic.",
-			func(c Candidate) float64 { return c.HotShare }},
 	} {
 		r.GaugeFunc(g.name, g.help, []string{"precision", "mode", "shape_class", "kernel"}, func(emit telemetry.Emit) {
 			for _, c := range e.Feed() {

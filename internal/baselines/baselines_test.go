@@ -45,6 +45,9 @@ func TestAllLibsAllModesSmall(t *testing.T) {
 	}
 }
 
+// TestBaselineProperty drives every baseline over random shapes (every
+// dimension up to 96), scalars, modes, platforms and thread counts against
+// the reference.
 func TestBaselineProperty(t *testing.T) {
 	libs := All()
 	plats := platform.All()
@@ -53,10 +56,10 @@ func TestBaselineProperty(t *testing.T) {
 		lib := libs[rng.Intn(len(libs))]
 		mode := core.Modes()[rng.Intn(4)]
 		plat := plats[rng.Intn(3)]
-		m, n, k := rng.Intn(70)+1, rng.Intn(70)+1, rng.Intn(50)+1
+		m, n, k := rng.Intn(96)+1, rng.Intn(96)+1, rng.Intn(96)+1
 		threads := []int{1, 2, 4}[rng.Intn(3)]
-		alpha := float32(rng.Float64()*2 - 1)
-		beta := float32(rng.Float64()*2 - 1)
+		alpha := float32(rng.Float64()*4 - 2)
+		beta := float32(rng.Float64()*4 - 2)
 		la := mat.RandomF32(m, k, rng)
 		lb := mat.RandomF32(k, n, rng)
 		a, b := la, lb

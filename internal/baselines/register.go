@@ -6,12 +6,12 @@ import (
 	"libshalom/internal/kernels"
 )
 
-// Baseline kernels register alongside the LibShalom catalogue so shalom-lint
-// verifies them with the same footprint/tiling rigor. Their contracts do not
-// claim the §5.4 pipelined discipline — the batch schedule is these
-// libraries' documented behaviour (Fig 6a), not a defect in reproducing
-// them — so the depdist thresholds stay unset and only the honest structural
-// invariants are enforced.
+// Baseline kernels register alongside the LibShalom catalogue so
+// `shalom-bench lint` verifies them with the same footprint/tiling rigor.
+// Their contracts do not claim the §5.4 pipelined discipline — the batch
+// schedule is these libraries' documented behaviour (Fig 6a), not a defect
+// in reproducing them — so the depdist thresholds stay unset and only the
+// honest structural invariants are enforced.
 func init() {
 	// OpenBLAS's ARMv8 8×4 edge kernel: batch-scheduled ldp/ldr loads
 	// ahead of each iteration's FMA block (Fig 6a).

@@ -54,13 +54,14 @@ func TestSGEMMAllModesSmall(t *testing.T) {
 	}
 }
 
-// TestSGEMMProperty drives random shapes, strides, scalars, modes, platforms
-// and thread counts against the reference.
+// TestSGEMMProperty drives random shapes (every dimension up to 96),
+// strides, scalars, modes, platforms and thread counts against the
+// reference.
 func TestSGEMMProperty(t *testing.T) {
 	plats := platform.All()
 	f := func(seed uint32) bool {
 		rng := mat.NewRNG(uint64(seed) + 101)
-		m, n, k := rng.Intn(96)+1, rng.Intn(96)+1, rng.Intn(64)+1
+		m, n, k := rng.Intn(96)+1, rng.Intn(96)+1, rng.Intn(96)+1
 		mode := Modes()[rng.Intn(4)]
 		alpha := float32(rng.Float64()*4 - 2)
 		beta := float32(rng.Float64()*4 - 2)
@@ -70,7 +71,7 @@ func TestSGEMMProperty(t *testing.T) {
 		if rng.Intn(8) == 0 {
 			alpha = 0
 		}
-		threads := []int{1, 1, 2, 4, 7}[rng.Intn(5)]
+		threads := []int{1, 1, 2, 4, 7, 8}[rng.Intn(6)]
 		plat := plats[rng.Intn(len(plats))]
 		a, b, c := buildOperands32(mode, m, n, k, rng)
 		// Random extra stride on C to exercise non-compact views.
@@ -133,12 +134,15 @@ func TestDGEMMAllModes(t *testing.T) {
 	}
 }
 
+// TestDGEMMProperty drives random shapes (every dimension up to 96),
+// scalars, modes and thread counts against the FP64 reference.
 func TestDGEMMProperty(t *testing.T) {
 	f := func(seed uint32) bool {
 		rng := mat.NewRNG(uint64(seed)*3 + 7)
-		m, n, k := rng.Intn(48)+1, rng.Intn(48)+1, rng.Intn(48)+1
+		m, n, k := rng.Intn(96)+1, rng.Intn(96)+1, rng.Intn(96)+1
 		mode := Modes()[rng.Intn(4)]
-		threads := []int{1, 3}[rng.Intn(2)]
+		alpha, beta := rng.Float64()*4-2, rng.Float64()*4-2
+		threads := []int{1, 3, 4}[rng.Intn(3)]
 		la := mat.RandomF64(m, k, rng)
 		lb := mat.RandomF64(k, n, rng)
 		a, b := la, lb
@@ -157,8 +161,8 @@ func TestDGEMMProperty(t *testing.T) {
 		if mode.TransB() {
 			tb = mat.Transpose
 		}
-		mat.RefGEMMF64(ta, tb, -1.25, a, b, 0.5, want)
-		if err := DGEMM(Config{Threads: threads}, mode, m, n, k, -1.25, a.Data, a.Stride, b.Data, b.Stride, 0.5, c.Data, c.Stride); err != nil {
+		mat.RefGEMMF64(ta, tb, alpha, a, b, beta, want)
+		if err := DGEMM(Config{Threads: threads}, mode, m, n, k, alpha, a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride); err != nil {
 			return false
 		}
 		return c.Equal(want, 1e-9)

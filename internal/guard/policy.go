@@ -152,8 +152,8 @@ func (r Report) Healthy() bool {
 	return true
 }
 
-// Write renders the report as the human-readable health summary shalom-info
-// -health prints.
+// Write renders the report as the human-readable health summary that
+// `shalom-bench info` ends with.
 func (r Report) Write(w io.Writer) {
 	fmt.Fprintf(w, "healing policy: cooldown %v (doubles per trip), close after %d agreeing canaries, 1-in-%d canary sampling\n",
 		r.Config.Cooldown, r.Config.CanaryTarget, r.Config.CanaryStride)

@@ -40,9 +40,9 @@
 //     that name their family (Entry.SymFamily).
 //
 // Kernel generators in internal/kernels and internal/baselines self-register
-// (Register) with their contracts; cmd/shalom-lint runs every pass over every
-// registered kernel on every platform and is wired into `make check` as a
-// build gate.
+// (Register) with their contracts; `shalom-bench lint` runs every pass over
+// every registered kernel on every platform and is wired into `make check`
+// as a build gate.
 package isacheck
 
 import (

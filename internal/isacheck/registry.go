@@ -11,7 +11,7 @@ import (
 // Entry is one registered kernel: a name, the family it belongs to, the
 // contract its generator declares, and a builder producing a fresh program.
 // Generators self-register from init functions (internal/kernels,
-// internal/baselines), so any binary importing those packages — shalom-lint,
+// internal/baselines), so any binary importing those packages — shalom-bench,
 // the tests — sees the full catalogue without a hand-maintained list.
 type Entry struct {
 	Name     string // unique, e.g. "libshalom/main-7x12-f32"

@@ -99,8 +99,8 @@ type Options struct {
 	// admit record — required for deterministic replay, off by default
 	// (hash-only journaling for tamper evidence at minimal volume).
 	CapturePayloads bool
-	// Telemetry, when non-nil, receives journal counters (records, anchors,
-	// seals, fsyncs, bytes) next to the serving metrics.
+	// Telemetry, when non-nil, counts appended records next to the serving
+	// metrics. Anchors and sealed segments are in Writer.Status.
 	Telemetry *telemetry.Recorder
 }
 
@@ -111,23 +111,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// metrics are the journal's families, declared on Options.Telemetry so one
-// scrape shows journal volume and durability cadence next to the serving
-// counters it records.
-type metrics struct {
-	records, bytes, anchors, sealed, fsyncs *telemetry.Counter
-}
-
-func newMetrics(r *telemetry.Recorder) metrics {
-	return metrics{
-		records: r.Counter("libshalom_journal_records_total", "Event records appended to the request journal."),
-		bytes:   r.Counter("libshalom_journal_bytes_total", "Bytes appended to the request journal, frames included."),
-		anchors: r.Counter("libshalom_journal_anchors_total", "Merkle anchors committed to the journal chain."),
-		sealed:  r.Counter("libshalom_journal_segments_sealed_total", "Journal segments closed by a sealed anchor."),
-		fsyncs:  r.Counter("libshalom_journal_fsyncs_total", "Explicit fsyncs of the active journal segment."),
-	}
-}
-
 // Writer is the journal appender. A nil *Writer is the disabled journal:
 // every method no-ops (and Admit returns 0), so callers hold one field and
 // never branch. All methods are safe for concurrent use.
@@ -135,7 +118,8 @@ type Writer struct {
 	mu   sync.Mutex
 	opts Options
 	tel  *telemetry.Recorder
-	m    metrics
+	// appended counts event records on Options.Telemetry.
+	appended *telemetry.Counter
 
 	f        *os.File
 	segIndex uint64
@@ -146,15 +130,15 @@ type Writer struct {
 	leaves     [][32]byte // record leaf hashes since the last anchor
 	unanchored int
 
-	records     uint64 // records appended over the writer's lifetime
-	anchors     uint64
-	sealed      uint64 // segments sealed
-	truncated   int64  // torn-tail bytes dropped at Open
-	lastAnchor  time.Time
-	dirtyBytes  int64 // bytes appended since the last fsync
-	firstDirty  time.Time
-	closed      bool
-	err         error // sticky write error; the journal stops appending
+	records    uint64 // records appended over the writer's lifetime
+	anchors    uint64
+	sealed     uint64 // segments sealed
+	truncated  int64  // torn-tail bytes dropped at Open
+	lastAnchor time.Time
+	dirtyBytes int64 // bytes appended since the last fsync
+	firstDirty time.Time
+	closed     bool
+	err        error // sticky write error; the journal stops appending
 }
 
 // Open creates or reopens the journal in o.Dir. Reopening after a crash
@@ -169,7 +153,8 @@ func Open(o Options) (*Writer, error) {
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	w := &Writer{opts: o, tel: o.Telemetry, m: newMetrics(o.Telemetry)}
+	w := &Writer{opts: o, tel: o.Telemetry}
+	w.appended = o.Telemetry.Counter("libshalom_journal_records_total", "Event records appended to the request journal.")
 	paths, indices, err := Segments(o.Dir)
 	if err != nil {
 		return nil, err
@@ -524,8 +509,7 @@ func (w *Writer) appendLocked(e *Event) uint64 {
 		w.records++
 	}
 	w.markDirtyLocked(int64(len(frame)))
-	w.m.records.Add(1)
-	w.m.bytes.Add(uint64(len(frame)))
+	w.appended.Add(1)
 	if w.opts.Fsync == FsyncAlways {
 		w.fsyncLocked()
 	}
@@ -567,14 +551,11 @@ func (w *Writer) anchorLocked(seal bool) {
 	w.anchors++
 	w.lastAnchor = time.Now()
 	w.markDirtyLocked(int64(len(frame)))
-	w.m.anchors.Add(1)
-	w.m.bytes.Add(uint64(len(frame)))
 	if w.opts.Fsync != FsyncNone {
 		w.fsyncLocked()
 	}
 	if e.Sealed {
 		w.sealed++
-		w.m.sealed.Add(1)
 	}
 	if rotate {
 		if err := w.f.Close(); err != nil && w.err == nil {
@@ -655,7 +636,6 @@ func (w *Writer) fsyncLocked() {
 	}
 	w.dirtyBytes = 0
 	w.firstDirty = time.Time{}
-	w.m.fsyncs.Add(1)
 }
 
 // HashF32s returns the SHA-256 of v's little-endian wire bytes — the

@@ -6,13 +6,13 @@ import (
 )
 
 // The LibShalom kernel catalogue: every generator self-registers with the
-// contract it claims, so shalom-lint and the verifier tests see each emitted
-// program without a hand-maintained list. KC values are representative
-// panel depths (any multiple of the lane count produces the same schedule
-// pattern); the schedule thresholds are pinned to the measured steady-state
-// metrics of these programs with a little headroom, so a generator
-// regression that batches loads or shortens a load→use distance trips the
-// depdist/pressure passes.
+// contract it claims, so `shalom-bench lint` and the verifier tests see
+// each emitted program without a hand-maintained list. KC values are
+// representative panel depths (any multiple of the lane count produces the
+// same schedule pattern); the schedule thresholds are pinned to the
+// measured steady-state metrics of these programs with a little headroom,
+// so a generator regression that batches loads or shortens a load→use
+// distance trips the depdist/pressure passes.
 func init() {
 	// Main outer-product micro-kernel, FP32 7×12 (§5.2's Eq. 1 optimum),
 	// pipelined schedule, consuming a packed B (LDB = NR).

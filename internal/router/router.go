@@ -203,8 +203,7 @@ func New(cfg Config) (*Router, error) {
 // machinery spent on them, and how the ejection state machine moved.
 type metrics struct {
 	forwarded, attempts, retries, hedges, shed, errors, rejected *telemetry.Counter
-	ejections, readmissions, probes, probeFails                  *telemetry.Counter
-	eligible, ejected                                            *telemetry.Gauge
+	ejections, readmissions                                      *telemetry.Counter
 }
 
 // declareMetrics declares the router's families, and the per-backend
@@ -222,10 +221,6 @@ func (rt *Router) declareMetrics() {
 		rejected:     t.Counter("libshalom_router_requests_rejected_total", "Requests refused at the router's decode step (HTTP 400)."),
 		ejections:    t.Counter("libshalom_router_ejections_total", "Backends ejected by the outlier state machine."),
 		readmissions: t.Counter("libshalom_router_readmissions_total", "Ejected backends readmitted after a successful backoff probe."),
-		probes:       t.Counter("libshalom_router_probes_total", "Readiness probes issued to backends."),
-		probeFails:   t.Counter("libshalom_router_probe_failures_total", "Readiness probes that failed (connect error or non-ready status)."),
-		eligible:     t.Gauge("libshalom_router_backends_eligible", "Backends currently eligible for routing (healthy and ready)."),
-		ejected:      t.Gauge("libshalom_router_backends_ejected", "Backends currently ejected by the outlier state machine."),
 	}
 	t.GaugeFunc("libshalom_router_backend_up", "Backend eligibility: 1 routed-to, 0 out of rotation.",
 		[]string{"backend", "state"}, func(emit telemetry.Emit) {
@@ -247,21 +242,6 @@ func (rt *Router) declareMetrics() {
 				emit(float64(h.Sheds), h.URL, "shed")
 			}
 		})
-	t.CounterFunc("libshalom_router_backend_trips_total", "Ejection trips per backend.",
-		[]string{"backend"}, func(emit telemetry.Emit) {
-			for _, b := range rt.backends {
-				h := b.health()
-				emit(float64(h.Trips), h.URL)
-			}
-		})
-}
-
-// probed counts one readiness probe and its verdict.
-func (rt *Router) probed(ok bool) {
-	rt.m.probes.Add(1)
-	if !ok {
-		rt.m.probeFails.Add(1)
-	}
 }
 
 // configHash digests the routing policy and backend set into the
@@ -345,7 +325,8 @@ func (rt *Router) logf(format string, args ...any) {
 	}
 }
 
-// eligibleCounts returns the fleet gauges.
+// eligibleCounts counts the backends eligible for routing and those
+// ejected.
 func (rt *Router) eligibleCounts() (eligible, ejected int) {
 	for _, b := range rt.backends {
 		if b.eligible() {
@@ -358,15 +339,9 @@ func (rt *Router) eligibleCounts() (eligible, ejected int) {
 	return
 }
 
-func (rt *Router) updateGauges() {
-	el, ej := rt.eligibleCounts()
-	rt.m.eligible.Set(int64(el))
-	rt.m.ejected.Set(int64(ej))
-}
-
 // probeLoop is the active health scanner: every tick it probes each
 // healthy backend's readiness and each ejected backend whose readmission
-// cooldown has expired, then refreshes the fleet gauges.
+// cooldown has expired.
 func (rt *Router) probeLoop(ctx context.Context) {
 	defer close(rt.probeDone)
 	tick := time.NewTicker(rt.cfg.ProbeInterval)
@@ -398,7 +373,6 @@ func (rt *Router) probeSweep(ctx context.Context) {
 		}(b)
 	}
 	wg.Wait()
-	rt.updateGauges()
 }
 
 // probe issues one readiness probe and applies its verdict to the state
@@ -412,7 +386,6 @@ func (rt *Router) probe(ctx context.Context, b *backend) {
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		rt.probed(false)
 		if ctx.Err() != nil {
 			return // prober shutting down, not a backend verdict
 		}
@@ -426,7 +399,6 @@ func (rt *Router) probe(ctx context.Context, b *backend) {
 	resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		rt.probed(true)
 		if b.probeOK() {
 			rt.m.readmissions.Add(1)
 			rt.logf("router: backend %s READMITTED", b.id)
@@ -434,10 +406,8 @@ func (rt *Router) probe(ctx context.Context, b *backend) {
 	case http.StatusServiceUnavailable:
 		// Alive but not ready — a draining node. Routed around, never
 		// penalized: drain is deliberate, not an outlier.
-		rt.probed(false)
 		b.probeNotReady(time.Now())
 	default:
-		rt.probed(false)
 		if b.probeFail(fmt.Sprintf("probe status %d", resp.StatusCode), rt.cfg, time.Now()) {
 			rt.m.ejections.Add(1)
 			rt.logf("router: backend %s EJECTED (probe status %d)", b.id, resp.StatusCode)
@@ -645,7 +615,6 @@ func (rt *Router) attempt(ctx context.Context, b *backend, hdr server.Header, pa
 		if b.recordFailure(errStr, rt.cfg, time.Now()) {
 			rt.m.ejections.Add(1)
 			rt.logf("router: backend %s EJECTED (%s)", b.id, errStr)
-			rt.updateGauges()
 		}
 	}
 	results <- res

@@ -196,7 +196,8 @@ func TestHedgedRetryOnFailure(t *testing.T) {
 	for _, torn := range []bool{false, true} {
 		s1, s2, s3 := newStub(t), newStub(t), newStub(t)
 		stubs := []*stubBackend{s1, s2, s3}
-		rt := newTestRouter(t, Config{}, s1, s2, s3)
+		tel := telemetry.New(telemetry.Options{})
+		rt := newTestRouter(t, Config{Telemetry: tel}, s1, s2, s3)
 		// Find the class owner and make it fail.
 		do(rt, gemmRequest(tinyHeader))
 		var ownerIdx int
@@ -219,6 +220,9 @@ func TestHedgedRetryOnFailure(t *testing.T) {
 		}
 		if be := rec.Header().Get("X-Shalom-Backend"); be == stubs[ownerIdx].srv.URL {
 			t.Fatalf("torn %v: winning backend is the failing owner %s", torn, be)
+		}
+		if got := tel.Snapshot().Metric("libshalom_router_retries_total"); got != 1 {
+			t.Fatalf("torn %v: retries_total = %v, want 1", torn, got)
 		}
 	}
 }
@@ -365,7 +369,8 @@ func TestTimeoutRewrittenPerAttempt(t *testing.T) {
 // retry budget — and a fleet that sheds answers 503 with Retry-After.
 func TestExhaustedBudgetVerdicts(t *testing.T) {
 	s1, s2 := newStub(t), newStub(t)
-	rt := newTestRouter(t, Config{}, s1, s2)
+	tel := telemetry.New(telemetry.Options{})
+	rt := newTestRouter(t, Config{Telemetry: tel}, s1, s2)
 	s1.status.Store(http.StatusInternalServerError)
 	s2.status.Store(http.StatusInternalServerError)
 	if rec := do(rt, gemmRequest(tinyHeader)); rec.Code != http.StatusBadGateway {
@@ -387,13 +392,18 @@ func TestExhaustedBudgetVerdicts(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("router shed response missing Retry-After")
 	}
+	snap := tel.Snapshot()
+	if errs, shed := snap.Metric("libshalom_router_requests_error_total"), snap.Metric("libshalom_router_requests_shed_total"); errs != 2 || shed != 1 {
+		t.Fatalf("requests_error_total = %v, requests_shed_total = %v; want 2 and 1", errs, shed)
+	}
 }
 
 // Malformed requests are rejected at the router, 400, without consuming a
 // backend attempt.
 func TestMalformedRejectedAtRouter(t *testing.T) {
 	s1 := newStub(t)
-	rt := newTestRouter(t, Config{}, s1)
+	tel := telemetry.New(telemetry.Options{})
+	rt := newTestRouter(t, Config{Telemetry: tel}, s1)
 	for _, hdr := range []string{
 		`{"precision":"f16","mode":"NN","m":4,"n":4,"k":4}`,
 		`{"precision":"f32","mode":"XX","m":4,"n":4,"k":4}`,
@@ -417,6 +427,9 @@ func TestMalformedRejectedAtRouter(t *testing.T) {
 	}
 	if s1.count() != 0 {
 		t.Fatalf("malformed requests reached the backend %d times", s1.count())
+	}
+	if got := tel.Snapshot().Metric("libshalom_router_requests_rejected_total"); got != 8 {
+		t.Fatalf("requests_rejected_total = %v, want 8", got)
 	}
 }
 
@@ -598,7 +611,8 @@ func TestLatencyHedge(t *testing.T) {
 	fast := newStub(t)
 	// Order the backends so the slow one can own some class; find a class it
 	// owns and hedge off it.
-	rt, err := New(Config{Backends: []string{slow.URL, fast.srv.URL}, HedgeDelay: 30 * time.Millisecond})
+	tel := telemetry.New(telemetry.Options{})
+	rt, err := New(Config{Backends: []string{slow.URL, fast.srv.URL}, HedgeDelay: 30 * time.Millisecond, Telemetry: tel})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -624,5 +638,8 @@ func TestLatencyHedge(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("hedged answer took %v", elapsed)
+	}
+	if got := tel.Snapshot().Metric("libshalom_router_hedges_total"); got != 1 {
+		t.Fatalf("hedges_total = %v, want 1", got)
 	}
 }

@@ -333,7 +333,8 @@ func minDeadline(remaining []*pending) (time.Time, bool) {
 	return min, !min.IsZero()
 }
 
-// recordWait records the request's queue wait once, at its first flush.
+// recordWait records the request's queue wait once, at its first flush, for
+// its response header.
 //
 //shalom:hotpath noalloc
 func (co *coalescer) recordWait(p *pending, now time.Time) {
@@ -342,7 +343,6 @@ func (co *coalescer) recordWait(p *pending, now time.Time) {
 	}
 	p.waited = true
 	p.wait = now.Sub(p.enq)
-	co.m.queueWait.Observe(float64(max(p.wait, 1)))
 }
 
 // finish releases the request's in-flight flops reservation and delivers

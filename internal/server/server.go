@@ -144,11 +144,10 @@ type Server struct {
 
 // metrics are the serving layer's families, declared on the Context's
 // recorder so one scrape shows the front end next to the driver it feeds:
-// admission outcomes, flush sizes (the coalescing win is batch sizes > 1),
-// and the time requests wait in the coalescing queue.
+// admission outcomes and flush sizes (the coalescing win is batch sizes > 1).
 type metrics struct {
 	accepted, shed, expired, rejected, coalesced *telemetry.Counter
-	batchSize, queueWait                         *telemetry.Histogram
+	batchSize                                    *telemetry.Histogram
 }
 
 func newMetrics(r *telemetry.Recorder) *metrics {
@@ -160,8 +159,6 @@ func newMetrics(r *telemetry.Recorder) *metrics {
 		coalesced: r.Counter("libshalom_server_coalesced_requests_total", "Requests that shared a flush with at least one other request."),
 		batchSize: r.Histogram("libshalom_server_batch_size", "Coalescer flush sizes, log2-bucketed.",
 			telemetry.Log2{Buckets: 12, Scale: 1, NoSum: true}),
-		queueWait: r.Histogram("libshalom_server_queue_wait_seconds", "Request wait in the coalescing queue, log2-bucketed.",
-			telemetry.Log2{Buckets: telemetry.NumLatencyBuckets, Scale: 1e9}),
 	}
 }
 

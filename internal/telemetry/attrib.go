@@ -121,22 +121,14 @@ type attribStats struct {
 	windows *Counter // completed attribution windows
 }
 
-// declareAttrib declares the sketch's families: the clean-call counter,
-// the per-key GFLOPS statistics computed from the sketch at scrape time,
-// and the engine's window counter.
+// declareAttrib declares the sketch's families: the clean-call counter and
+// the engine's window counter. The per-key GFLOPS statistics reach readers
+// through the snapshot's Attrib section and /attrib.
 func (r *Recorder) declareAttrib() {
 	if r == nil {
 		return
 	}
 	r.attrib.calls = r.CounterVec("libshalom_attrib_calls_total", "Clean (outcome ok) calls feeding the attribution sketch.", callLabels[:4]...)
-	r.GaugeFunc("libshalom_attrib_gflops", "Achieved GFLOPS from the fine attribution sketch (stat: mean, p50, p99).",
-		[]string{"precision", "mode", "shape_class", "kernel", "stat"}, func(emit Emit) {
-			for _, a := range r.attribSnapshot() {
-				emit(a.MeanGFLOPS, a.Precision, a.Mode, a.ShapeClass, a.Kernel, "mean")
-				emit(a.P50GFLOPS, a.Precision, a.Mode, a.ShapeClass, a.Kernel, "p50")
-				emit(a.P99GFLOPS, a.Precision, a.Mode, a.ShapeClass, a.Kernel, "p99")
-			}
-		})
 	r.attrib.windows = r.Counter("libshalom_attrib_windows_total", "Completed attribution windows.")
 }
 

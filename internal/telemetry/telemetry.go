@@ -141,7 +141,7 @@ type Recorder struct {
 	// Pool scheduling (fed through the parallel.Observer interface).
 	tasksQueued, tasksStarted, tasksDone *Counter
 	inFlight                             *Gauge
-	queueWaitNs, busyNs                  *Counter
+	queueWaitNs, busyNs                  *Counter // nanoseconds; exposed in seconds
 
 	// Thread-policy accounting (§7.4 clamping visibility).
 	threadCalls, threadsReq, threadsChose, clampedCalls *Counter
@@ -210,8 +210,11 @@ func New(o Options) *Recorder {
 	r.tasksStarted = r.Counter("libshalom_pool_tasks_started_total", "Tasks begun by pool workers.")
 	r.tasksDone = r.Counter("libshalom_pool_tasks_done_total", "Tasks completed by pool workers.")
 	r.inFlight = r.Gauge("libshalom_pool_tasks_in_flight", "Tasks started but not yet finished.")
-	r.queueWaitNs = r.Counter("libshalom_pool_queue_wait_seconds_total_ns", "Summed task queue wait in nanoseconds.")
-	r.busyNs = r.Counter("libshalom_pool_worker_busy_seconds_total_ns", "Summed task execution time in nanoseconds.")
+	r.queueWaitNs, r.busyNs = new(Counter), new(Counter)
+	r.CounterFunc("libshalom_pool_queue_wait_seconds_total", "Summed task queue wait.", nil,
+		func(emit Emit) { emit(float64(r.queueWaitNs.v.Load()) / 1e9) })
+	r.CounterFunc("libshalom_pool_worker_busy_seconds_total", "Summed task execution time.", nil,
+		func(emit Emit) { emit(float64(r.busyNs.v.Load()) / 1e9) })
 	r.threadCalls = r.Counter("libshalom_threads_policy_calls_total", "Calls routed through the thread policy.")
 	r.threadsReq = r.Counter("libshalom_threads_requested_total", "Summed requested thread widths.")
 	r.threadsChose = r.Counter("libshalom_threads_chosen_total", "Summed chosen thread widths.")

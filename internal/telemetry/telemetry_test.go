@@ -191,6 +191,16 @@ func TestThreadAndPoolStats(t *testing.T) {
 	if s.Pool.InFlight != 0 || s.Pool.QueueWaitNs != 100 || s.Pool.BusyNs != 200 {
 		t.Fatalf("pool gauges = %+v", s.Pool)
 	}
+	// The exposition carries the same sums in seconds.
+	var buf bytes.Buffer
+	if err := s.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"libshalom_pool_queue_wait_seconds_total 1e-07\n", "libshalom_pool_worker_busy_seconds_total 2e-07\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
 }
 
 func TestEventCounters(t *testing.T) {
