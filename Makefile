@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: build test vet staticlint race lint check fuzz test-chaos test-soak e2e
+.PHONY: build test vet fmt staticlint race lint check fuzz test-chaos test-soak e2e
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate: fails when any file of the module's packages needs
+# reformatting. Each package's own *.go files are listed, so perfbench (a
+# separate module) and the testdata trees stay out.
+fmt:
+	@out="$$(gofmt -l $$($(GO) list -f '{{.Dir}}/*.go' ./...))" || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # The project's own analyzers (cmd/shalom-vet): hot-path invariants
 # (//shalom:hotpath), telemetry nil-guard discipline, context propagation,
@@ -69,4 +76,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/server/
 
 # The CI gate.
-check: vet staticlint build test race test-chaos test-soak e2e lint
+check: vet fmt staticlint build test race test-chaos test-soak e2e lint

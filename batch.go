@@ -13,7 +13,8 @@ type SBatchEntry = core.BatchEntry[float32]
 type DBatchEntry = core.BatchEntry[float64]
 
 // SGEMMBatch executes many independent small FP32 GEMMs under one mode,
-// spreading entries across the context's worker pool. This is the paper's
+// spreading entries across the context's worker pool when their summed
+// work pays for the fork (see WithThreads). This is the paper's
 // small-GEMM parallelization model (§7.4): each problem runs the
 // single-threaded driver; parallelism comes from problem independence —
 // the pattern CP2K's block-sparse multiplications use.
@@ -37,61 +38,10 @@ func (c *Context) DGEMMBatch(mode Mode, batch []DBatchEntry) error {
 // errors.Is(err, context.Canceled) holds, Completed counts entries whose
 // results are exactly those of an uncancelled run.
 func (c *Context) SGEMMBatchCtx(ctx context.Context, mode Mode, batch []SBatchEntry) error {
-	return core.SGEMMBatchCtx(ctx, c.config(batchWidth(c, batch)), mode, batch)
+	return core.SGEMMBatchCtx(ctx, c.config(core.PoolWidth(c.requested(), batch)), mode, batch)
 }
 
 // DGEMMBatchCtx is the FP64 counterpart of SGEMMBatchCtx.
 func (c *Context) DGEMMBatchCtx(ctx context.Context, mode Mode, batch []DBatchEntry) error {
-	return core.DGEMMBatchCtx(ctx, c.config(batchWidth(c, batch)), mode, batch)
-}
-
-// batchThreads is the automatic policy for batch calls: one thread for a
-// single entry, otherwise up to one worker per entry bounded by the
-// machine's parallelism.
-func batchThreads(entries int) int {
-	if entries < 2 {
-		return 1
-	}
-	if p := gomaxprocs(); entries > p {
-		return p
-	}
-	return entries
-}
-
-// batchWidth resolves the thread width of one batch call and records the
-// decision in the thread-policy telemetry, mirroring chooseThreads for the
-// single-call path. The degenerate clamp overrides even a configured width:
-// a batch whose every entry fits inside one micro-tile (m, n ≤ 4) carries so
-// little work per entry that task dispatch would dominate — such a batch
-// never spins up the pool, whatever width was requested.
-func batchWidth[T core.Float](c *Context, batch []core.BatchEntry[T]) int {
-	chosen := c.threads
-	if chosen == 0 {
-		chosen = batchThreads(len(batch))
-	}
-	if chosen > 1 && allDegenerate(batch) {
-		chosen = 1
-	}
-	if c.tel != nil {
-		requested := c.threads
-		if requested == 0 {
-			requested = gomaxprocs()
-		}
-		c.tel.ThreadChoice(requested, chosen)
-	}
-	return chosen
-}
-
-// allDegenerate reports whether every entry of a non-empty batch is
-// micro-tile-degenerate (the same m, n ≤ 4 bound threadsFor clamps on).
-func allDegenerate[T core.Float](batch []core.BatchEntry[T]) bool {
-	if len(batch) == 0 {
-		return false
-	}
-	for _, e := range batch {
-		if e.M > 4 || e.N > 4 {
-			return false
-		}
-	}
-	return true
+	return core.DGEMMBatchCtx(ctx, c.config(core.PoolWidth(c.requested(), batch)), mode, batch)
 }

@@ -64,18 +64,6 @@ func TestPublicDGEMMBatchNT(t *testing.T) {
 	}
 }
 
-func TestBatchThreadsPolicy(t *testing.T) {
-	if batchThreads(1) != 1 {
-		t.Fatal("single entry must be serial")
-	}
-	if batchThreads(2) < 1 {
-		t.Fatal("policy must return at least one thread")
-	}
-	if batchThreads(10000) > gomaxprocs() {
-		t.Fatal("policy must not exceed machine parallelism")
-	}
-}
-
 func TestMicroKernelTileForVectorExport(t *testing.T) {
 	tl, err := MicroKernelTileForVector(512, 4)
 	if err != nil || tl.MR != 15 || tl.NR != 16 {
@@ -91,10 +79,10 @@ func TestMicroKernelTileForVectorExport(t *testing.T) {
 }
 
 // A batch of micro-tile-degenerate entries (every m, n <= 4) must never spin
-// the worker pool, whatever width was requested: the per-entry work is
-// smaller than a task dispatch. This is the batch-path counterpart of the
-// single-call degenerate clamp in threadsFor — the assertion the serving
-// path relies on when a storm of 1x1x1 requests coalesces into one flush.
+// the worker pool, whatever width was requested: the batch's work is
+// smaller than a fork-join, so the work rule keeps it serial — the
+// assertion the serving path relies on when a storm of 1x1x1 requests
+// coalesces into one flush.
 func TestBatchDegenerateClampSkipsPool(t *testing.T) {
 	ctx := New(WithThreads(8), WithTelemetry())
 	defer ctx.Close()
@@ -119,10 +107,10 @@ func TestBatchDegenerateClampSkipsPool(t *testing.T) {
 		t.Fatalf("thread policy record = %+v, want one clamped call of width 1", snap.Threads)
 	}
 
-	// One non-degenerate entry lifts the clamp: the batch may parallelize.
-	big := mat.RandomF32(8, 8, rng)
-	bigC := mat.NewF32(8, 8)
-	mixed := append(batch[:8:8], SBatchEntry{M: 8, N: 8, K: 8, Alpha: 1,
+	// One entry whose work clears the fork floor lets the batch fork.
+	big := mat.RandomF32(96, 96, rng)
+	bigC := mat.NewF32(96, 96)
+	mixed := append(batch[:8:8], SBatchEntry{M: 96, N: 96, K: 96, Alpha: 1,
 		A: big.Data, LDA: big.Stride, B: big.Data, LDB: big.Stride, Beta: 0, C: bigC.Data, LDC: bigC.Stride})
 	if err := ctx.SGEMMBatch(NN, mixed); err != nil {
 		t.Fatal(err)

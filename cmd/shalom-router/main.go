@@ -147,8 +147,9 @@ func main() {
 	rt.Close()
 
 	snap := tel.Snapshot()
-	n := func(name string) uint64 { return uint64(snap.Metric("libshalom_router_" + name)) }
+	n := func(name string) uint64 { return uint64(snap.Metric(name)) }
 	fmt.Printf("shalom-router: drained — forwarded %d, attempts %d, retries %d, hedges %d, shed %d, errors %d, ejections %d, readmissions %d\n",
-		n("requests_forwarded_total"), n("attempts_total"), n("retries_total"), n("hedges_total"),
-		n("requests_shed_total"), n("requests_error_total"), n("ejections_total"), n("readmissions_total"))
+		n("libshalom_router_requests_forwarded_total"), n("libshalom_router_attempts_total"), n("libshalom_router_retries_total"),
+		n("libshalom_router_hedges_total"), n("libshalom_router_requests_shed_total"), n("libshalom_router_requests_error_total"),
+		n("libshalom_router_ejections_total"), n("libshalom_router_readmissions_total"))
 }

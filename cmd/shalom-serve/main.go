@@ -309,8 +309,8 @@ func main() {
 			eng.Windows(), eng.DriftTotal())
 	}
 	snap := lib.Snapshot()
-	n := func(name string) uint64 { return uint64(snap.Metric("libshalom_server_" + name)) }
+	n := func(name string) uint64 { return uint64(snap.Metric(name)) }
 	fmt.Printf("shalom-serve: drained — accepted %d, coalesced %d, shed %d, expired %d, rejected %d, flushes %d\n",
-		n("requests_accepted_total"), n("coalesced_requests_total"), n("requests_shed_total"),
-		n("requests_expired_total"), n("requests_rejected_total"), n("batch_size"))
+		n("libshalom_server_requests_accepted_total"), n("libshalom_server_coalesced_requests_total"), n("libshalom_server_requests_shed_total"),
+		n("libshalom_server_requests_expired_total"), n("libshalom_server_requests_rejected_total"), n("libshalom_server_batch_size"))
 }

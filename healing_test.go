@@ -79,6 +79,9 @@ func TestHealingLoopEndToEnd(t *testing.T) {
 	if snap.HealCount("breaker-open") != 1 || snap.HealCount("transient-retry") != 1 {
 		t.Fatalf("after trip: heal events = %+v", snap.Heal)
 	}
+	if snap.BreakersOpen != 1 || snap.BreakersProbing != 0 {
+		t.Fatalf("after trip: breaker gauges open %d, probing %d; want 1, 0", snap.BreakersOpen, snap.BreakersProbing)
+	}
 
 	// 2. During the cooldown every call runs the reference path — correct,
 	// and counted under the "ref" kernel label.
@@ -95,11 +98,19 @@ func TestHealingLoopEndToEnd(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	for i := 0; i < 8; i++ {
 		p.run(t, ctx, "canary call")
+		if i == 0 {
+			if s := ctx.Snapshot(); s.BreakersOpen != 0 || s.BreakersProbing != 1 {
+				t.Fatalf("while canaries run: breaker gauges open %d, probing %d; want 0, 1", s.BreakersOpen, s.BreakersProbing)
+			}
+		}
 	}
 	if !libshalom.Health().Healthy() {
 		t.Fatalf("breaker did not close after 8 canaries: %+v", libshalom.Health().Breakers)
 	}
 	snap = ctx.Snapshot()
+	if snap.BreakersOpen != 0 || snap.BreakersProbing != 0 {
+		t.Fatalf("after close: breaker gauges open %d, probing %d; want 0, 0", snap.BreakersOpen, snap.BreakersProbing)
+	}
 	if snap.HealCount("breaker-probe") != 1 || snap.HealCount("canary-agree") != 8 || snap.HealCount("breaker-close") != 1 {
 		t.Fatalf("healing events = %+v", snap.Heal)
 	}

@@ -79,9 +79,16 @@ func Solve(j, budget int) Tile {
 	return best
 }
 
+// elemTiles[e] is the tile for e-byte elements, FP32 and FP64 solved once:
+// the answer depends only on the element size, so no call re-runs Solve.
+var elemTiles = [9]Tile{4: Solve(platform.VectorLanes(4), RegisterBudget), 8: Solve(platform.VectorLanes(8), RegisterBudget)}
+
 // SolveForElem returns the micro-kernel tile for the element size in bytes
 // (4 → FP32 lanes j=4 → 7×12; 8 → FP64 lanes j=2 → 7×6).
 func SolveForElem(elemBytes int) Tile {
+	if elemBytes == 4 || elemBytes == 8 {
+		return elemTiles[elemBytes]
+	}
 	return Solve(platform.VectorLanes(elemBytes), RegisterBudget)
 }
 
@@ -184,11 +191,4 @@ func (p Partition) Validate(t int) error {
 		return fmt.Errorf("analytic: partition %dx%d does not use exactly %d threads", p.TM, p.TN, t)
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

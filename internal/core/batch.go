@@ -15,7 +15,7 @@ import (
 // methodology (§7.4) parallelizes across independent problems rather than
 // inside one small problem; Batch implements exactly that: every entry runs
 // the single-threaded LibShalom driver, and the batch is spread over the
-// worker pool.
+// worker pool as wide as its summed work pays for (PoolWidth).
 type BatchEntry[T Float] struct {
 	M, N, K int
 	Alpha   T
@@ -103,7 +103,7 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, ks kernelSet[T], mode M
 	}
 	// Entries run the dispatch ladder single-threaded: the batch spreads
 	// whole entries over the pool instead of splitting one.
-	cl := newCall(cfg, ks, mode, 1)
+	cl := newCall(cfg, ks, mode)
 
 	// ran marks the entries that ran to the end. Entries run whole or not
 	// at all, so their results are identical to an uncancelled run's; slots
@@ -111,32 +111,29 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, ks kernelSet[T], mode M
 	// cancellation telemetry can label the abandoned entries precisely and
 	// BatchCancelError can carry per-entry accounting.
 	ran := make([]bool, len(batch))
-	if cfg.Threads <= 1 || len(batch) == 1 {
-		for i := range batch {
-			if ctx.Err() != nil {
-				return cl.cancelled(ctx, batch, ran)
-			}
-			if err := cl.run(&batch[i], i, -1, cfg.Tel.Now()); err != nil {
-				return err
-			}
-			ran[i] = true
-		}
-		return nil
+	if threads := PoolWidth(cfg.Threads, batch); threads > 1 {
+		return runPooled(ctx, cl, threads, batch, ran)
 	}
-	return runPooled(ctx, cl, batch, ran)
+	for i := range batch {
+		if ctx.Err() != nil {
+			return cl.cancelled(ctx, batch, ran)
+		}
+		if err := cl.run(&batch[i], i, -1, cfg.Tel.Now()); err != nil {
+			return err
+		}
+		ran[i] = true
+	}
+	return nil
 }
 
-// runPooled spreads a batch over the worker pool in chunks, so tiny
-// problems do not drown in task dispatch. cl is taken by value: the
+// runPooled spreads a batch threads wide over the worker pool in chunks, so
+// tiny problems do not drown in task dispatch. cl is taken by value: the
 // escaping chunk tasks capture it, and a captured pointer would move the
 // caller's call to the heap on the serial path too.
-func runPooled[T Float](ctx context.Context, cl call[T], batch []BatchEntry[T], ran []bool) error {
-	threads, tel := cl.cfg.Threads, cl.cfg.Tel
-	pool := cl.cfg.Pool
-	if pool == nil {
-		pool = parallel.NewPoolObserved(threads, cl.cfg.poolObserver())
-		defer pool.Close()
-	}
+func runPooled[T Float](ctx context.Context, cl call[T], threads int, batch []BatchEntry[T], ran []bool) error {
+	tel := cl.cfg.Tel
+	pool, release := cl.cfg.pool(threads)
+	defer release()
 	chunk := max((len(batch)+threads*4-1)/(threads*4), 1)
 	var tasks []func(int)
 	var errSlots []error

@@ -63,7 +63,8 @@ func TestBatchParallelMatchesSerial(t *testing.T) {
 	rng := mat.NewRNG(2)
 	pool := parallel.NewPool(8)
 	defer pool.Close()
-	batch, wants := makeBatch(t, rng, 64, NN)
+	// 256 entries of up to 30³: enough summed work for the batch to fork.
+	batch, wants := makeBatch(t, rng, 256, NN)
 	if err := SGEMMBatch(Config{Threads: 8, Pool: pool}, NN, batch); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"libshalom/internal/mat"
+	"libshalom/internal/telemetry"
 )
 
 // pollLimitCtx is a deterministic cancellation source: Err returns nil for
@@ -29,13 +30,15 @@ func (c *pollLimitCtx) Err() error {
 	return nil
 }
 
-func sBatchFor(t *testing.T, entries int, seed uint64) ([]BatchEntry[float32], []*mat.F32) {
+// sBatchFor builds entries of varied shapes of about base³, with beta 0.5
+// so every entry that runs changes its C.
+func sBatchFor(t *testing.T, entries, base int, seed uint64) ([]BatchEntry[float32], []*mat.F32) {
 	t.Helper()
 	rng := mat.NewRNG(seed)
 	batch := make([]BatchEntry[float32], entries)
 	var cs []*mat.F32
 	for i := range batch {
-		m, n, k := 9+i%5, 7+i%7, 11+i%3
+		m, n, k := base+i%5, base-2+i%7, base+2+i%3
 		a := mat.RandomF32(m, k, rng)
 		b := mat.RandomF32(k, n, rng)
 		c := mat.RandomF32(m, n, rng)
@@ -55,13 +58,13 @@ func TestBatchCtxCancelMidwayBitwiseIdentical(t *testing.T) {
 	const stopAfter = 4
 
 	// Uncancelled run: the reference results.
-	full, fullC := sBatchFor(t, entries, 42)
+	full, fullC := sBatchFor(t, entries, 9, 42)
 	if err := SGEMMBatch(Config{Threads: 1}, NN, full); err != nil {
 		t.Fatalf("uncancelled batch: %v", err)
 	}
 
 	// Identical inputs, cancelled after stopAfter entries.
-	cancelled, cancelledC := sBatchFor(t, entries, 42)
+	cancelled, cancelledC := sBatchFor(t, entries, 9, 42)
 	before := make([]*mat.F32, entries)
 	for i, c := range cancelledC {
 		before[i] = c.Clone()
@@ -98,10 +101,11 @@ func TestBatchCtxCancelMidwayBitwiseIdentical(t *testing.T) {
 }
 
 // A context cancelled before the call must prevent every entry from
-// running, on both the serial and the pooled path.
+// running, on both the serial and the pooled path (the entries are about
+// 32³ so that the batch's work clears the fork floor at 4 threads).
 func TestBatchCtxPreCancelled(t *testing.T) {
 	for _, threads := range []int{1, 4} {
-		batch, cs := sBatchFor(t, 8, 7)
+		batch, cs := sBatchFor(t, 8, 32, 7)
 		before := make([]*mat.F32, len(cs))
 		for i, c := range cs {
 			before[i] = c.Clone()
@@ -127,20 +131,30 @@ func TestBatchCtxPreCancelled(t *testing.T) {
 }
 
 // On the pooled path the completion accounting must agree exactly with the
-// set of entries whose C changed: entries run whole or not at all.
+// set of entries whose C changed: entries run whole or not at all. The
+// entries are about 32³, so the batch's work clears the fork floor and it
+// runs on the pool, which the recorder proves.
 func TestBatchCtxPooledAccountingMatchesWrites(t *testing.T) {
 	const entries = 64
-	batch, cs := sBatchFor(t, entries, 99)
+	batch, cs := sBatchFor(t, entries, 32, 99)
 	before := make([]*mat.F32, entries)
 	for i, c := range cs {
 		before[i] = c.Clone()
 	}
+	tel := telemetry.New(telemetry.Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(2 * time.Millisecond)
+		// Cancel mid-run, once the pool holds the batch's tasks; the
+		// bound keeps a batch that never reaches the pool from hanging.
+		for start := time.Now(); tel.Snapshot().Pool.TasksQueued == 0 && time.Since(start) < time.Second; {
+			time.Sleep(100 * time.Microsecond)
+		}
 		cancel()
 	}()
-	err := SGEMMBatchCtx(ctx, Config{Threads: 4}, NN, batch)
+	err := SGEMMBatchCtx(ctx, Config{Threads: 4, Tel: tel}, NN, batch)
+	if q := tel.Snapshot().Pool.TasksQueued; q == 0 {
+		t.Fatal("batch never ran on the pool")
+	}
 	touched := 0
 	for i, c := range cs {
 		for j := range c.Data {

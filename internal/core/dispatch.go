@@ -24,7 +24,7 @@ import (
 //     candidate canary-shadowed, healthy serves the tuned tile, open keeps
 //     the incumbent;
 //  5. the hardened block runner on the resolved fast route, split over the
-//     pool by the §6 partition when the problem has more than one thread.
+//     pool by the planned §6 partition when the plan forks.
 
 // call is what every problem of one driver invocation shares. The
 // single-call driver builds one per call, the batch driver one per batch.
@@ -36,9 +36,9 @@ type call[T Float] struct {
 	// fam is the kernel family's fast route: its breaker path and the
 	// Eq. 1–2 tile with the platform's cache blocking.
 	fam fastRoute
-	// threads is the §6 parallel width of one problem: the call's width
-	// for a single call, 1 for batch entries (the batch spreads whole
-	// entries over the pool instead).
+	// threads is a single call's planned fork-join width (see split).
+	// Batch entries leave it zero and run serially: the batch spreads
+	// whole entries over the pool instead.
 	threads int
 	// tid is the caller's trace lane.
 	tid int32
@@ -53,10 +53,10 @@ type fastRoute struct {
 	kernel uint8
 }
 
-// newCall is the plan phase: contract verification (memoised per platform
-// — the registration-time leg of the fallback chain, tripping the breaker
-// of any kernel family that fails), the tile solve and the blocking.
-func newCall[T Float](cfg Config, ks kernelSet[T], mode Mode, threads int) call[T] {
+// newCall is the plan phase of both drivers: contract verification (memoised
+// per platform — the registration-time leg of the fallback chain, tripping
+// the breaker of any kernel family that fails), the tile and the blocking.
+func newCall[T Float](cfg Config, ks kernelSet[T], mode Mode) call[T] {
 	plat := cfg.platform()
 	guard.VerifyContracts(plat)
 	return call[T]{
@@ -67,8 +67,7 @@ func newCall[T Float](cfg Config, ks kernelSet[T], mode Mode, threads int) call[
 			path:   guard.PathFor(ks.elemBytes),
 			kernel: telemetry.KernelFast,
 		},
-		threads: threads,
-		tid:     cfg.Tel.CallTid(),
+		tid: cfg.Tel.CallTid(),
 	}
 }
 
@@ -203,18 +202,12 @@ type blockResult struct {
 }
 
 // runSplit is the single-call driver's §6 parallel split of the fast route:
-// the shape-aware partition's C blocks run as one pool task each. A
-// partition of one block runs on the calling goroutine.
+// the planned partition's C blocks, aligned to the plan's tile even when a
+// tuned tile serves them, run as one pool task each.
 func (cl *call[T]) runSplit(e *BatchEntry[T], fp fastRoute) (bool, error) {
-	blocks := parallel.Blocks(e.M, e.N, analytic.PartitionFor(e.M, e.N, cl.threads), fp.tile.MR, fp.tile.NR)
-	if len(blocks) <= 1 {
-		return cl.runBlock(e, fp, parallel.Block{M: e.M, N: e.N}, -1, cl.tid)
-	}
-	pool := cl.cfg.Pool
-	if pool == nil {
-		pool = parallel.NewPoolObserved(cl.threads, cl.cfg.poolObserver())
-		defer pool.Close()
-	}
+	blocks := parallel.Blocks(e.M, e.N, analytic.PartitionFor(e.M, e.N, cl.threads), cl.fam.tile.MR, cl.fam.tile.NR)
+	pool, release := cl.cfg.pool(cl.threads)
+	defer release()
 	s := &splitRun[T]{cl: *cl, e: *e, fp: fp, res: make([]blockResult, len(blocks))}
 	tasks := make([]func(int), len(blocks))
 	for bi, bl := range blocks {

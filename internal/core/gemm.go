@@ -18,12 +18,12 @@ type Config struct {
 	// packing decision (§4.2) and blocking parameters. Defaults to
 	// Kunpeng 920 when nil.
 	Plat *platform.Platform
-	// Threads is the parallel width; values < 2 run single-threaded.
-	// The paper parallelizes only irregular-shaped GEMM (§6); callers are
-	// expected to pass 1 for small inputs, and the public API does so.
+	// Threads is the requested parallel width, a cap: a call or batch forks
+	// only as wide as the work rule (forkWidth) lets its work pay for, and
+	// values < 2 run single-threaded.
 	Threads int
-	// Pool optionally supplies a shared worker pool. When nil and
-	// Threads > 1 a transient pool is created for the call.
+	// Pool optionally supplies a shared worker pool. When nil and the plan
+	// forks, a transient pool is created for the call.
 	Pool *parallel.Pool
 	// NumericGuard enables the runtime numeric guard: operand and result
 	// blocks are scanned for NaN/Inf, and a fast path that panics or
@@ -53,13 +53,18 @@ type Config struct {
 	Tel *telemetry.Recorder
 }
 
-// poolObserver adapts cfg.Tel into the pool's Observer hook without handing
-// the pool a typed-nil interface when telemetry is off.
-func (c Config) poolObserver() parallel.Observer {
-	if c.Tel == nil {
-		return nil
+// pool returns the pool a fork runs on and its release: Config.Pool, or a
+// transient pool threads wide, observed by Tel but never by a typed nil.
+func (c Config) pool(threads int) (*parallel.Pool, func()) {
+	if c.Pool != nil {
+		return c.Pool, func() {}
 	}
-	return c.Tel
+	var obs parallel.Observer
+	if c.Tel != nil {
+		obs = c.Tel
+	}
+	p := parallel.NewPoolObserved(threads, obs)
+	return p, p.Close
 }
 
 func (c Config) platform() *platform.Platform {
@@ -160,9 +165,9 @@ func sliceNeed(rows, cols, ld int) int {
 	return (rows-1)*ld + cols
 }
 
-// gemm is the single-call driver: the plan phase (contract verification,
-// tile solve, blocking), then the call as one problem down the dispatch
-// ladder, split over the pool by the §6 partition on the fast route.
+// gemm is the single-call driver: the plan phase (newCall, then split),
+// then the call as one problem down the dispatch ladder, split over the
+// pool by the planned partition on the fast route.
 func gemm[T Float](cfg Config, ks kernelSet[T], mode Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) error {
 	if err := checkArgs(mode, m, n, k, a, lda, b, ldb, c, ldc); err != nil {
 		return err
@@ -170,7 +175,8 @@ func gemm[T Float](cfg Config, ks kernelSet[T], mode Mode, m, n, k int, alpha T,
 	tel := cfg.Tel
 	prec := telemetry.PrecFor(ks.elemBytes)
 	start := tel.Now()
-	cl := newCall(cfg, ks, mode, cfg.Threads)
+	cl := newCall(cfg, ks, mode)
+	cl.threads, _ = split(cfg.Threads, m, n, k, cl.fam.tile)
 	tel.Span(telemetry.PhasePlan, cl.tid, start, uint8(mode), prec, m, n, k)
 	e := BatchEntry[T]{M: m, N: n, K: k, Alpha: alpha, A: a, LDA: lda, B: b, LDB: ldb, Beta: beta, C: c, LDC: ldc}
 	err := cl.run(&e, -1, -1, start)
@@ -189,14 +195,7 @@ func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], plat *
 	mc, kc, nc := blk.MC, blk.KC, blk.NC
 	prec := telemetry.PrecFor(ks.elemBytes)
 
-	// §4.2 packing decision for B (NN/TN); NT/TT always pack (§4.3).
-	sizeB := n * k * ks.elemBytes
-	var bStrategy pack.Strategy
-	if mode.TransB() {
-		bStrategy = pack.ShouldPackBNT()
-	} else {
-		bStrategy = pack.ShouldPackBNN(sizeB, plat.L1.SizeBytes)
-	}
+	bStrategy := mode.bStrategy(n*k*ks.elemBytes, plat.L1.SizeBytes)
 
 	var bc []T
 	if bStrategy != pack.NoPack {

@@ -10,11 +10,13 @@ import (
 	"libshalom/internal/telemetry"
 )
 
-// Plan describes every decision the driver will take for a GEMM call,
-// before any arithmetic happens: the micro-kernel tile, the blocking, the
-// §4 packing strategy, the §5.3.2 lookahead depth, and the §6 parallel
-// partition. It exists for introspection (tools, tests, documentation);
-// the driver derives the same quantities internally.
+// Plan describes every decision the driver takes for a GEMM call, before
+// any arithmetic happens: the micro-kernel tile, the blocking, the §4
+// packing strategy, the §5.3.2 lookahead depth, and the fork-join width
+// with its §6 partition. PlanFor and the driver's plan phase make each
+// through the same function, so the plan is the one the driver runs; it
+// reports the incumbent route (breakers and tuned overrides are decided per
+// problem by the dispatch ladder).
 //
 // For parallel calls the packing decision is re-evaluated per thread on the
 // thread's sub-block; Plan reports the decision for the whole problem and
@@ -36,6 +38,7 @@ type Plan struct {
 	// row-major block buffer (TN/TT, §4.3).
 	PackA bool
 
+	// Threads is the fork-join width: a forked call runs Threads blocks.
 	Threads   int
 	Partition analytic.Partition
 	// ThreadBlockM/N is the representative per-thread C block.
@@ -44,47 +47,96 @@ type Plan struct {
 	ThreadBStrategy pack.Strategy
 }
 
-// PlanFor computes the execution plan the driver would follow.
+// PlanFor computes the execution plan the driver follows for a call under
+// cfg; cfg.Threads is the requested width, which the work rule caps.
 func PlanFor(cfg Config, mode Mode, m, n, k, elemBytes int) Plan {
 	plat := cfg.platform()
+	tile := analytic.SolveForElem(elemBytes)
+	l1 := plat.L1.SizeBytes
 	p := Plan{
 		Mode:       mode,
 		ElemBytes:  elemBytes,
-		Tile:       analytic.SolveForElem(elemBytes),
+		Tile:       tile,
 		Blocking:   analytic.BlockingFor(plat, elemBytes),
 		ShapeClass: telemetry.ClassifyShape(m, n, k),
+		BStrategy:  mode.bStrategy(n*k*elemBytes, l1),
+		Depth:      pack.DepthFor(n*k*elemBytes, plat.LLC().SizeBytes),
 		PackA:      mode.TransA(),
-		Threads:    1,
 	}
-	decide := func(nn, kk int) pack.Strategy {
-		if mode.TransB() {
-			return pack.ShouldPackBNT()
-		}
-		return pack.ShouldPackBNN(nn*kk*elemBytes, plat.L1.SizeBytes)
-	}
-	p.BStrategy = decide(n, k)
-	p.Depth = pack.DepthFor(n*k*elemBytes, plat.LLC().SizeBytes)
-	p.ThreadBlockM, p.ThreadBlockN = m, n
-	p.ThreadBStrategy = p.BStrategy
-	p.Partition = analytic.Partition{TM: 1, TN: 1}
-
-	if cfg.Threads > 1 && m > 0 && n > 0 {
-		part := analytic.PartitionFor(m, n, cfg.Threads)
-		blocks := parallel.Blocks(m, n, part, p.Tile.MR, p.Tile.NR)
-		if len(blocks) > 1 {
-			p.Threads = cfg.Threads
-			p.Partition = part
-			worst := blocks[0]
-			for _, b := range blocks {
-				if b.M*b.N > worst.M*worst.N {
-					worst = b
-				}
+	p.Threads, p.Partition = split(cfg.Threads, m, n, k, tile)
+	p.ThreadBlockM, p.ThreadBlockN, p.ThreadBStrategy = m, n, p.BStrategy
+	if p.Threads > 1 {
+		var worst parallel.Block
+		for _, b := range parallel.Blocks(m, n, p.Partition, tile.MR, tile.NR) {
+			if b.M*b.N > worst.M*worst.N {
+				worst = b
 			}
-			p.ThreadBlockM, p.ThreadBlockN = worst.M, worst.N
-			p.ThreadBStrategy = decide(worst.N, k)
 		}
+		p.ThreadBlockM, p.ThreadBlockN = worst.M, worst.N
+		p.ThreadBStrategy = mode.bStrategy(worst.N*k*elemBytes, l1)
 	}
 	return p
+}
+
+// bStrategy is the §4 packing rule for a B operand of sizeB bytes: NT and
+// TT always pack (§4.3), NN and TN pack only a B that exceeds the L1 (§4.2).
+func (m Mode) bStrategy(sizeB, l1 int) pack.Strategy {
+	if m.TransB() {
+		return pack.ShouldPackBNT()
+	}
+	return pack.ShouldPackBNN(sizeB, l1)
+}
+
+// forkFloor is the least work, in flops per worker, that pays for a
+// fork-join. Measured on a 2-vCPU Xeon with go1.24.0, WithThreads(2)
+// against WithThreads(1) in 15 alternating pairs per shape: the pool lost
+// at up to 33k flops per worker (8³ and 16³ batches, 1.2–2.0× slower),
+// tied between 65k and 221k (0.87–1.22×), and won on every measured batch
+// and single call from 262k on (0.79–0.91×, 10–14 pairs of 15).
+const forkFloor = 1 << 18
+
+// forkWidth is the one work rule of both fork-join sites, the §6 split of
+// a call and the batch pool: min(requested, units, ⌊flops/forkFloor⌋), at
+// least 1. units is what the fork spreads — partition blocks or batch
+// entries — so a requested width is a cap, never a promise.
+func forkWidth(requested, units int, flops float64) int {
+	return max(1, min(requested, units, int(flops/forkFloor)))
+}
+
+// split plans the §6 fork of one problem: its width and the shape-aware
+// partition at that width. A width whose partition has fewer blocks than
+// workers (C too narrow for the grid) drops to the block count and is
+// partitioned again, so the width, the partition's size and the split's
+// pool tasks are one number. It allocates nothing.
+func split(requested, m, n, k int, tile analytic.Tile) (int, analytic.Partition) {
+	flops := 2 * float64(m) * float64(n) * float64(k)
+	t := forkWidth(requested, requested, flops)
+	for t > 1 {
+		part := analytic.PartitionFor(m, n, t)
+		units := parallel.BlockCount(m, n, part, tile.MR, tile.NR)
+		if units == t {
+			return t, part
+		}
+		t = forkWidth(t, units, flops)
+	}
+	return 1, analytic.Partition{TM: 1, TN: 1}
+}
+
+// SplitWidth is split's width, for a caller that must know before a call
+// whether it forks.
+func SplitWidth(requested, m, n, k, elemBytes int) int {
+	t, _ := split(requested, m, n, k, analytic.SolveForElem(elemBytes))
+	return t
+}
+
+// PoolWidth is the fork-join width of one batch: the work rule over its
+// entries and their summed flops.
+func PoolWidth[T Float](requested int, batch []BatchEntry[T]) int {
+	flops := 0.0
+	for i := range batch {
+		flops += 2 * float64(batch[i].M) * float64(batch[i].N) * float64(batch[i].K)
+	}
+	return forkWidth(requested, len(batch), flops)
 }
 
 // String renders the plan for humans.

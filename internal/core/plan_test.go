@@ -1,10 +1,13 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
+	"libshalom/internal/analytic"
 	"libshalom/internal/pack"
+	"libshalom/internal/parallel"
 	"libshalom/internal/platform"
 )
 
@@ -95,5 +98,67 @@ func TestPlanString(t *testing.T) {
 	s1 := PlanFor(Config{}, TN, 8, 8, 8, 8).String()
 	if !strings.Contains(s1, "single-threaded") || !strings.Contains(s1, "A gathered") {
 		t.Fatalf("TN plan rendering wrong:\n%s", s1)
+	}
+}
+
+// The work rule: min(requested, units, ⌊flops/forkFloor⌋), never below one.
+// A single-entry batch runs serially, and a batch requesting GOMAXPROCS
+// workers gets between 1 and GOMAXPROCS of them.
+func TestForkWidth(t *testing.T) {
+	for _, c := range []struct {
+		requested, units int
+		flops            float64
+		want             int
+	}{
+		{8, 64, 8 * forkFloor, 8},
+		{8, 64, 3*forkFloor - 1, 2},  // the work binds
+		{8, 3, 64 * forkFloor, 3},    // the units bind
+		{2, 64, 64 * forkFloor, 2},   // the request binds
+		{8, 64, forkFloor * 1.99, 1}, // one worker's worth stays serial
+		{8, 1, 64 * forkFloor, 1},    // one unit never forks
+		{0, 64, 64 * forkFloor, 1},
+		{8, 0, 0, 1},
+		{-3, -3, -1, 1},
+	} {
+		if got := forkWidth(c.requested, c.units, c.flops); got != c.want {
+			t.Errorf("forkWidth(%d, %d, %g) = %d, want %d", c.requested, c.units, c.flops, got, c.want)
+		}
+	}
+	procs := runtime.GOMAXPROCS(0)
+	entry := BatchEntry[float32]{M: 512, N: 512, K: 512}
+	if got := PoolWidth(procs, []BatchEntry[float32]{entry}); got != 1 {
+		t.Fatalf("single-entry batch width %d, want 1", got)
+	}
+	many := make([]BatchEntry[float32], 10000)
+	for i := range many {
+		many[i] = entry
+	}
+	if got := PoolWidth(procs, many); got < 1 || got > procs {
+		t.Fatalf("batch width %d outside [1, GOMAXPROCS=%d]", got, procs)
+	}
+}
+
+// split's width is a fixpoint of the rule: the partition at the width has
+// exactly that many blocks, so re-planning a planned width (as the driver
+// does with the width the public Context passes it) changes nothing.
+func TestSplitIsAFixpoint(t *testing.T) {
+	tile := analytic.SolveForElem(4)
+	for _, m := range []int{1, 5, 7, 14, 33, 64, 256, 2048} {
+		for _, n := range []int{1, 12, 13, 36, 100, 512, 4096} {
+			for _, k := range []int{1, 64, 512, 4096} {
+				for _, req := range []int{1, 2, 3, 4, 8, 64} {
+					w, part := split(req, m, n, k, tile)
+					if w < 1 || w > req && req >= 1 {
+						t.Fatalf("%dx%dx%d at %d: width %d", m, n, k, req, w)
+					}
+					if w > 1 && (part.TM*part.TN != w || parallel.BlockCount(m, n, part, tile.MR, tile.NR) != w) {
+						t.Fatalf("%dx%dx%d at %d: width %d over partition %+v", m, n, k, req, w, part)
+					}
+					if w2, _ := split(w, m, n, k, tile); w2 != w {
+						t.Fatalf("%dx%dx%d at %d: width %d re-plans to %d", m, n, k, req, w, w2)
+					}
+				}
+			}
+		}
 	}
 }

@@ -202,7 +202,9 @@ func TestChaosSlowWorkerStaysCorrect(t *testing.T) {
 	cs := make([]*mat.F32, entries)
 	wants := make([]*mat.F32, entries)
 	for i := range batch {
-		m, n, k := 8+i%5, 9+i%4, 7+i%6
+		// About 32³ each: the batch's work clears the fork floor, so it runs
+		// on the pool, where the slow worker acts.
+		m, n, k := 32+i%5, 33+i%4, 31+i%6
 		a := mat.RandomF32(m, k, rng)
 		b := mat.RandomF32(k, n, rng)
 		c := mat.RandomF32(m, n, rng)
@@ -239,7 +241,9 @@ func TestChaosSlowWorkerWithCancellation(t *testing.T) {
 	cs := make([]*mat.F32, entries)
 	before := make([]*mat.F32, entries)
 	for i := range batch {
-		m, n, k := 10, 10, 10
+		// 32³ entries: the batch's work clears the fork floor, so it runs
+		// on the pool, where the slow worker acts.
+		m, n, k := 32, 32, 32
 		a := mat.RandomF32(m, k, rng)
 		b := mat.RandomF32(k, n, rng)
 		c := mat.RandomF32(m, n, rng)
@@ -414,8 +418,9 @@ func TestChaosTelemetryOneEventPerInjection(t *testing.T) {
 				return
 			}
 			// NT with m > mr so a corrupted packed panel is consumed; threads 4
-			// so the pool injection sites are on the path.
-			p := newProblem(uint64(30+pt), core.NT, 64, 36, 16)
+			// and 1.2 MFLOP, enough work for the plan to fork four blocks, so
+			// the pool injection sites are on the path.
+			p := newProblem(uint64(30+pt), core.NT, 64, 96, 96)
 			cfg := core.Config{Plat: platform.KP920(), Threads: 4, NumericGuard: true, Tel: tel}
 			if err := p.run(cfg); err != nil {
 				t.Fatalf("%v: guarded call errored: %v", pt, err)
@@ -528,7 +533,9 @@ func TestChaosBatchDeadlineExpires(t *testing.T) {
 	cs := make([]*mat.F32, entries)
 	before := make([]*mat.F32, entries)
 	for i := range batch {
-		m, n, k := 10, 10, 10
+		// 32³ entries: the batch's 4.2 MFLOP clear the fork floor, so it
+		// runs on the pool, where the deadline and the slow worker act.
+		m, n, k := 32, 32, 32
 		a := mat.RandomF32(m, k, rng)
 		b := mat.RandomF32(k, n, rng)
 		c := mat.RandomF32(m, n, rng)
@@ -537,8 +544,16 @@ func TestChaosBatchDeadlineExpires(t *testing.T) {
 			A: a.Data, LDA: a.Stride, B: b.Data, LDB: b.Stride,
 			Beta: 0.5, C: c.Data, LDC: c.Stride}
 	}
-	cfg := core.Config{Plat: platform.KP920(), Threads: 4, Deadline: 3 * time.Millisecond}
+	// Contract verification runs once per platform after a reset, and its
+	// first run in a process can outlast the deadline; finish it before the
+	// clock starts so the deadline lands in the pooled batch.
+	guard.VerifyContracts(platform.KP920())
+	tel := telemetry.New(telemetry.Options{})
+	cfg := core.Config{Plat: platform.KP920(), Threads: 4, Deadline: 3 * time.Millisecond, Tel: tel}
 	err := core.SGEMMBatch(cfg, core.NN, batch)
+	if q := tel.Snapshot().Pool.TasksQueued; q == 0 {
+		t.Fatal("batch never ran on the pool")
+	}
 	if err == nil {
 		return // the machine outran the deadline: legitimate
 	}
@@ -603,14 +618,15 @@ func TestChaosEveryPointLeavesRuntimeUsable(t *testing.T) {
 	for _, pt := range faults.Points() {
 		resetAll()
 		faults.Arm(pt, 1)
-		p := newProblem(uint64(10+pt), core.NT, 64, 36, 16)
+		// 1.2 MFLOP, enough work for the plan to fork four blocks.
+		p := newProblem(uint64(10+pt), core.NT, 64, 96, 96)
 		cfg := core.Config{Plat: platform.KP920(), Threads: 4, NumericGuard: true}
 		if err := p.run(cfg); err != nil {
 			t.Fatalf("%v: guarded call errored: %v", pt, err)
 		}
 		p.assertCorrect(t, pt.String()+": guarded call")
 		faults.Reset()
-		p2 := newProblem(uint64(20+pt), core.NT, 64, 36, 16)
+		p2 := newProblem(uint64(20+pt), core.NT, 64, 96, 96)
 		if err := p2.run(cfg); err != nil {
 			t.Fatalf("%v: follow-up call errored: %v", pt, err)
 		}

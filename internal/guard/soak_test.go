@@ -104,7 +104,9 @@ func TestSoakRandomFaultSchedule(t *testing.T) {
 		}
 		calls++
 	}
-	t.Logf("soak: %d calls, %d correct, %d typed stuck errors", calls, failedOK, stuck)
+	// At WithThreads(2) a forked call records width 2, a serial one 1.
+	th := ctx.Snapshot().Threads
+	t.Logf("soak: %d calls, %d correct, %d typed stuck errors, %d forked", calls, failedOK, stuck, th.ChosenSum-th.Calls)
 	if calls == 0 {
 		t.Fatal("soak made no calls")
 	}

@@ -47,21 +47,28 @@ func Blocks(m, n int, part analytic.Partition, mr, nr int) []Block {
 	return blocks
 }
 
+// BlockCount is len(Blocks(m, n, part, mr, nr)), without the allocation.
+func BlockCount(m, n int, part analytic.Partition, mr, nr int) int {
+	if m <= 0 || n <= 0 {
+		return 0
+	}
+	return spanCount(m, part.TM, mr) * spanCount(n, part.TN, nr)
+}
+
 type span struct{ off, len int }
+
+// spanCount is the number of chunks splitAligned makes: min(parts, tiles),
+// at least one, and every chunk holds at least one whole tile.
+func spanCount(extent, parts, unit int) int {
+	return max(1, min(parts, (extent+max(unit, 1)-1)/max(unit, 1)))
+}
 
 // splitAligned divides extent into at most parts chunks, each a multiple of
 // unit except possibly the last nonempty chunk.
 func splitAligned(extent, parts, unit int) []span {
-	if unit < 1 {
-		unit = 1
-	}
+	unit = max(unit, 1)
 	tiles := (extent + unit - 1) / unit
-	if parts > tiles {
-		parts = tiles
-	}
-	if parts < 1 {
-		parts = 1
-	}
+	parts = spanCount(extent, parts, unit)
 	base := tiles / parts
 	extra := tiles % parts
 	spans := make([]span, 0, parts)
@@ -112,8 +119,12 @@ type Observer interface {
 type Pool struct {
 	workers int
 	tasks   chan func(worker int)
-	closed  atomic.Bool
 	obs     Observer // nil: scheduling is not instrumented
+	// mu orders Close after the runs still handing out tasks: tasks is
+	// closed when the last of them finishes, so no send races the close.
+	mu      sync.Mutex
+	sending int
+	closed  atomic.Bool
 }
 
 // NewPool starts a pool with the given number of worker goroutines
@@ -128,7 +139,6 @@ func NewPoolObserved(workers int, obs Observer) *Pool {
 	}
 	p := &Pool{workers: workers, tasks: make(chan func(worker int)), obs: obs}
 	for i := 0; i < workers; i++ {
-		i := i
 		go func() {
 			for f := range p.tasks {
 				f(i)
@@ -169,7 +179,6 @@ func (e *PanicError) Error() string {
 func (p *Pool) Run(tasks []func()) error {
 	wrapped := make([]func(worker int), len(tasks))
 	for i, t := range tasks {
-		t := t
 		wrapped[i] = func(int) { t() }
 	}
 	return p.RunWorker(wrapped)
@@ -205,11 +214,16 @@ func (p *Pool) RunWorkerCfg(rc RunConfig, tasks []func(worker int)) error {
 	if len(tasks) == 0 {
 		return nil
 	}
+	p.mu.Lock()
 	if p.closed.Load() {
+		p.mu.Unlock()
 		return ErrClosed
 	}
+	p.sending++
+	p.mu.Unlock()
 	if rc.Ctx != nil {
 		if err := rc.Ctx.Err(); err != nil {
+			p.doneSending()
 			return err
 		}
 	}
@@ -247,18 +261,7 @@ func (p *Pool) RunWorkerCfg(rc RunConfig, tasks []func(worker int)) error {
 	}
 	wg.Add(len(tasks))
 	go func() {
-		handed := 0
-		// A Close racing an in-flight Run (a documented misuse) panics the
-		// send below; convert that into ErrClosed and release the join
-		// instead of crashing the process or deadlocking the caller.
-		defer func() {
-			if r := recover(); r != nil {
-				fail(ErrClosed)
-				for i := handed; i < len(tasks); i++ {
-					wg.Done()
-				}
-			}
-		}()
+		defer p.doneSending()
 		for i, t := range tasks {
 			if rc.Ctx != nil && !failed.Load() {
 				select {
@@ -269,15 +272,13 @@ func (p *Pool) RunWorkerCfg(rc RunConfig, tasks []func(worker int)) error {
 			}
 			if failed.Load() {
 				wg.Done()
-				handed++
 				continue
 			}
-			i, t := i, t
 			var enqueued time.Time
 			if p.obs != nil {
 				enqueued = time.Now()
 			}
-			p.tasks <- func(worker int) {
+			run := func(worker int) {
 				defer wg.Done()
 				defer func() {
 					if r := recover(); r != nil {
@@ -311,7 +312,7 @@ func (p *Pool) RunWorkerCfg(rc RunConfig, tasks []func(worker int)) error {
 				}
 				t(worker)
 			}
-			handed++
+			p.tasks <- run
 		}
 	}()
 	if !watched {
@@ -343,21 +344,37 @@ func (p *Pool) RunWorkerCfg(rc RunConfig, tasks []func(worker int)) error {
 				if s <= 0 || now-s <= int64(rc.TaskBudget) {
 					continue
 				}
-				fail(&guard.StuckWorkerError{
+				// Stuck even after an earlier failure (a cancelled
+				// context): the caller must not read what stragglers write.
+				stuck := &guard.StuckWorkerError{
 					Task:    i,
 					Budget:  rc.TaskBudget,
 					Elapsed: time.Duration(now - s),
-				})
-				return firstError()
+				}
+				fail(stuck)
+				return stuck
 			}
 		}
 	}
 }
 
-// Close terminates the worker goroutines. The pool must be idle; closing a
-// pool twice is a no-op.
+// Close terminates the worker goroutines once no run is still handing out
+// tasks (a run a watchdog early return left behind finishes that first).
+// Closing a pool twice is a no-op.
 func (p *Pool) Close() {
-	if p.closed.CompareAndSwap(false, true) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.closed.Swap(true) && p.sending == 0 {
+		close(p.tasks)
+	}
+}
+
+// doneSending ends one run's hand-out, closing tasks if Close came first:
+// after a watchdog early return the run's dispatcher may still be sending.
+func (p *Pool) doneSending() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.sending--; p.sending == 0 && p.closed.Load() {
 		close(p.tasks)
 	}
 }

@@ -44,6 +44,21 @@ func TestBlocksCoverExactly(t *testing.T) {
 	}
 }
 
+// BlockCount is the size of the partition the driver plans with, so it
+// must agree with Blocks for every shape, width and tile.
+func TestBlockCountMatchesBlocks(t *testing.T) {
+	f := func(mRaw, nRaw, tRaw, tile uint16) bool {
+		m, n := int(mRaw%300), int(nRaw%300)
+		threads := []int{1, 2, 3, 4, 6, 8, 16, 64}[tRaw%8]
+		mr, nr := []int{7, 7, 4, 1}[tile%4], []int{12, 6, 8, 1}[tile%4]
+		part := analytic.PartitionFor(m, n, threads)
+		return BlockCount(m, n, part, mr, nr) == len(Blocks(m, n, part, mr, nr))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBlocksAlignment checks the §6 property: interior block boundaries fall
 // on micro-tile multiples, so only the final row/column of the grid can
 // contain partial tiles.

@@ -46,6 +46,54 @@ func TestWatchdogConvertsStuckTask(t *testing.T) {
 	}
 }
 
+// A watchdog early return is reported as stuck even when a cancelled
+// context failed the run first: the straggler is still running, so the
+// caller must not take the context's error as a completed join. Task 1
+// holds the second worker until the context is done, so the dispatcher
+// records the cancellation before the watchdog fires on task 0.
+func TestWatchdogAfterCancelReportsStuck(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	release := make(chan struct{})
+	defer close(release)
+	tasks := []func(int){
+		func(int) { cancel(); <-release },
+		func(int) { <-ctx.Done() },
+		func(int) {},
+		func(int) {},
+	}
+	err := p.RunWorkerCfg(RunConfig{Ctx: ctx, TaskBudget: 20 * time.Millisecond}, tasks)
+	var swe *guard.StuckWorkerError
+	if !errors.As(err, &swe) || swe.Task != 0 {
+		t.Fatalf("err = %v (%T), want *guard.StuckWorkerError for task 0", err, err)
+	}
+}
+
+// Closing a pool right after a watchdog early return, while its dispatcher
+// is still blocked handing out the next task, does not race that send (run
+// under -race): the task channel closes once the hand-out ends, and the
+// task handed over late sees the failed run and does not run.
+func TestCloseAfterWatchdogReturn(t *testing.T) {
+	p := NewPool(1)
+	release := make(chan struct{})
+	var ran atomic.Int32
+	tasks := []func(int){
+		func(int) { <-release },
+		func(int) { ran.Add(1) },
+	}
+	err := p.RunWorkerCfg(RunConfig{TaskBudget: 10 * time.Millisecond}, tasks)
+	p.Close()
+	close(release)
+	var swe *guard.StuckWorkerError
+	if !errors.As(err, &swe) {
+		t.Fatalf("err = %v (%T), want *guard.StuckWorkerError", err, err)
+	}
+	if ran.Load() != 0 {
+		t.Fatal("a task ran after its pool closed")
+	}
+}
+
 // Without a budget, RunWorkerCfg behaves exactly like RunWorker: slow tasks
 // are not failures.
 func TestNoBudgetMeansNoWatchdog(t *testing.T) {

@@ -95,11 +95,11 @@ type serverStats struct{ Accepted, Shed, Expired, Rejected, Coalesced, Flushes u
 
 func statsOf(lib *libshalom.Context) serverStats {
 	snap := lib.Snapshot()
-	n := func(name string) uint64 { return uint64(snap.Metric("libshalom_server_" + name)) }
+	n := func(name string) uint64 { return uint64(snap.Metric(name)) }
 	return serverStats{
-		Accepted: n("requests_accepted_total"), Shed: n("requests_shed_total"),
-		Expired: n("requests_expired_total"), Rejected: n("requests_rejected_total"),
-		Coalesced: n("coalesced_requests_total"), Flushes: n("batch_size"),
+		Accepted: n("libshalom_server_requests_accepted_total"), Shed: n("libshalom_server_requests_shed_total"),
+		Expired: n("libshalom_server_requests_expired_total"), Rejected: n("libshalom_server_requests_rejected_total"),
+		Coalesced: n("libshalom_server_coalesced_requests_total"), Flushes: n("libshalom_server_batch_size"),
 	}
 }
 

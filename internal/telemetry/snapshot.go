@@ -48,9 +48,9 @@ type PoolStats struct {
 	BusyNs      uint64 `json:"busy_ns"`
 }
 
-// ThreadStats exposes the §7.4 thread-policy decisions: how many calls went
+// ThreadStats exposes the width decisions: how many calls and batches went
 // through the policy, the summed requested and chosen widths, and how many
-// calls the small-GEMM rule clamped below their request.
+// ran narrower than their request (the §7.4 policy or the work rule).
 type ThreadStats struct {
 	Calls        uint64 `json:"calls"`
 	RequestedSum uint64 `json:"requested_sum"`

@@ -9,7 +9,7 @@
 //     histograms keyed by (precision, mode, shape class, kernel path,
 //     outcome), pool scheduling gauges (queue wait, tasks in flight, worker
 //     busy time), thread-policy accounting (requested vs. chosen width,
-//     §7.4 clamping), and degradation/fault-injection event counters.
+//     narrowed calls), and degradation/fault-injection event counters.
 //   - Tracing: per-call phase spans (plan → pack → block loop →
 //     micro-kernel batches → barrier, with worker attribution) recorded
 //     into a fixed-size ring buffer, exportable as Chrome trace_event JSON
@@ -143,7 +143,7 @@ type Recorder struct {
 	inFlight                             *Gauge
 	queueWaitNs, busyNs                  *Counter // nanoseconds; exposed in seconds
 
-	// Thread-policy accounting (§7.4 clamping visibility).
+	// Thread-policy accounting: requested vs. chosen fork-join widths.
 	threadCalls, threadsReq, threadsChose, clampedCalls *Counter
 
 	// Event counters: fault injections by point, degradations by reason,
@@ -218,7 +218,7 @@ func New(o Options) *Recorder {
 	r.threadCalls = r.Counter("libshalom_threads_policy_calls_total", "Calls routed through the thread policy.")
 	r.threadsReq = r.Counter("libshalom_threads_requested_total", "Summed requested thread widths.")
 	r.threadsChose = r.Counter("libshalom_threads_chosen_total", "Summed chosen thread widths.")
-	r.clampedCalls = r.Counter("libshalom_threads_clamped_calls_total", "Calls whose width the small-GEMM policy clamped.")
+	r.clampedCalls = r.Counter("libshalom_threads_clamped_calls_total", "Calls and batches run narrower than the requested width, by the §7.4 policy or the work rule.")
 
 	r.faultEvents = r.CounterVec("libshalom_fault_events_total", "Fired fault-injection points.", Label{"point", faultPoints})
 	r.degrEvents = r.CounterVec("libshalom_degradation_events_total", "Kernel-path demotions observed by the runtime.", Label{"reason", degrNames[:]})
@@ -314,9 +314,9 @@ func (r *Recorder) CallEvent(prec, mode, class, kernel, outcome uint8) {
 	r.calls.At(keyIndex(prec, mode, class, kernel, outcome)).Add(1)
 }
 
-// ThreadChoice records the §7.4 thread policy's decision for one call:
-// requested is the width the caller asked for (WithThreads, or GOMAXPROCS
-// under the automatic policy), chosen what the policy granted.
+// ThreadChoice records the width decision for one call or batch: requested
+// is the width the caller asked for (WithThreads, or GOMAXPROCS under the
+// automatic policy), chosen what the §7.4 policy and the work rule granted.
 //
 //shalom:hotpath noalloc,nolock,noblock
 func (r *Recorder) ThreadChoice(requested, chosen int) {

@@ -92,9 +92,10 @@ func WithPlatform(p *Platform) Option {
 	return func(c *Context) { c.plat = p }
 }
 
-// WithThreads fixes the parallel width. Zero restores the automatic policy:
+// WithThreads sets the parallel width. Zero restores the automatic policy:
 // small inputs run single-threaded, irregular-shaped inputs use all cores
-// (§7.4). One disables parallelism.
+// (§7.4). One disables parallelism. Any width is a cap: a call or batch
+// forks only as many workers as its work pays for (PlanFor reports them).
 func WithThreads(n int) Option {
 	return func(c *Context) { c.threads = n }
 }
@@ -117,13 +118,14 @@ func WithAliasCheck() Option {
 	return func(c *Context) { c.aliasCheck = true }
 }
 
-// WithDeadline bounds every call made through the context. Parallel calls
-// arm the stuck-worker watchdog with d as the per-block budget: a worker
-// exceeding it converts the call into a *StuckWorkerError instead of a hang
-// (the output buffer is then undefined — the stuck goroutine cannot be
-// killed). Batch calls additionally abandon unstarted entries once d
-// expires, surfacing a *BatchCancelError that unwraps to
-// context.DeadlineExceeded. Zero disables the bound (the default).
+// WithDeadline bounds every call made through the context. A call or batch
+// whose plan forks arms the stuck-worker watchdog with d as the per-block
+// budget: a worker exceeding it converts the call into a *StuckWorkerError
+// instead of a hang (the output buffer is then undefined — the stuck
+// goroutine cannot be killed). The watchdog covers forked calls only, as
+// it always left single-threaded ones unwatched. Batch calls additionally
+// abandon unstarted entries once d expires, surfacing a *BatchCancelError
+// that unwraps to context.DeadlineExceeded. Zero disables the bound.
 func WithDeadline(d time.Duration) Option {
 	return func(c *Context) { c.deadline = d }
 }
@@ -162,31 +164,32 @@ func (c *Context) Close() {
 // Platform returns the context's platform model.
 func (c *Context) Platform() *Platform { return c.plat }
 
-func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
-
-// threadsFor implements the §7.4 policy: small GEMM runs single-threaded
+// threadsFor is the width a call requests: the configured width, or under
+// the automatic policy the §7.4 answer — small GEMM runs single-threaded
 // (parallelism across independent problems is the caller's job); irregular
-// or large GEMM uses every core.
+// or large GEMM uses every core. The work rule caps it (core.SplitWidth).
 func (c *Context) threadsFor(m, n, k int) int {
-	// A degenerate problem that fits inside one micro-tile cannot be
-	// partitioned (the C split is over m×n), so no width — configured or
-	// automatic — ever justifies spinning up the pool for it.
-	if m <= 4 && n <= 4 {
-		return 1
-	}
-	if c.threads > 0 {
-		return c.threads
-	}
 	// Irregular: one C dimension much larger than the other, or the work
 	// is simply large.
 	large := m >= 256 && n >= 256
 	irregular := (m >= 8*n || n >= 8*m) && (m >= 512 || n >= 512)
-	if large || irregular {
-		return runtime.GOMAXPROCS(0)
+	if c.threads > 0 || large || irregular {
+		return c.requested()
 	}
 	return 1
 }
 
+// requested is the widest the context forks: the configured width, or the
+// machine's parallelism under the automatic policy.
+func (c *Context) requested() int {
+	if c.threads > 0 {
+		return c.threads
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// ensurePool returns the shared pool when a plan forks threads wide,
+// starting it requested() workers wide so that it serves every width.
 func (c *Context) ensurePool(threads int) *parallel.Pool {
 	if threads <= 1 {
 		return nil
@@ -198,44 +201,31 @@ func (c *Context) ensurePool(threads int) *parallel.Pool {
 		if c.tel != nil {
 			obs = c.tel
 		}
-		c.pool = parallel.NewPoolObserved(threads, obs)
+		c.pool = parallel.NewPoolObserved(c.requested(), obs)
 	}
 	return c.pool
-}
-
-// chooseThreads runs the §7.4 policy and records its decision: requested is
-// the width the caller configured (WithThreads) or the machine's
-// parallelism under the automatic policy, chosen what the policy granted —
-// the visibility needed to see whether clamping ever starves large shapes.
-func (c *Context) chooseThreads(m, n, k int) int {
-	chosen := c.threadsFor(m, n, k)
-	if c.tel != nil {
-		requested := c.threads
-		if requested == 0 {
-			requested = gomaxprocs()
-		}
-		c.tel.ThreadChoice(requested, chosen)
-	}
-	return chosen
 }
 
 // SGEMM computes C = alpha·op(A)·op(B) + beta·C in single precision.
 // op(A) is m×k and op(B) is k×n.
 func (c *Context) SGEMM(mode Mode, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, cOut []float32, ldc int) error {
-	threads := c.chooseThreads(m, n, k)
-	cfg := c.config(threads)
+	cfg := c.config(core.SplitWidth(c.threadsFor(m, n, k), m, n, k, 4))
 	return core.SGEMM(cfg, mode, m, n, k, alpha, a, lda, b, ldb, beta, cOut, ldc)
 }
 
 // DGEMM computes C = alpha·op(A)·op(B) + beta·C in double precision.
 func (c *Context) DGEMM(mode Mode, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, cOut []float64, ldc int) error {
-	threads := c.chooseThreads(m, n, k)
-	cfg := c.config(threads)
+	cfg := c.config(core.SplitWidth(c.threadsFor(m, n, k), m, n, k, 8))
 	return core.DGEMM(cfg, mode, m, n, k, alpha, a, lda, b, ldb, beta, cOut, ldc)
 }
 
-// config assembles the per-call driver configuration.
+// config assembles the driver configuration of a call or batch whose plan
+// forks threads wide, and records that width against requested() in the
+// thread-policy telemetry.
 func (c *Context) config(threads int) core.Config {
+	if c.tel != nil {
+		c.tel.ThreadChoice(c.requested(), threads)
+	}
 	return core.Config{
 		Plat:           c.plat,
 		Threads:        threads,
@@ -264,11 +254,10 @@ func DGEMM(mode Mode, m, n, k int, alpha float64, a []float64, lda int, b []floa
 // blocking, §4 packing strategy, §6 partition); see core.Plan.
 type Plan = core.Plan
 
-// PlanFor returns the execution plan a context would follow for the given
-// call, without running it. elemBytes is 4 (FP32) or 8 (FP64).
+// PlanFor returns the execution plan a context follows for the given call,
+// without running it. elemBytes is 4 (FP32) or 8 (FP64).
 func (c *Context) PlanFor(mode Mode, m, n, k, elemBytes int) Plan {
-	threads := c.threadsFor(m, n, k)
-	return core.PlanFor(core.Config{Plat: c.plat, Threads: threads}, mode, m, n, k, elemBytes)
+	return core.PlanFor(core.Config{Plat: c.plat, Threads: c.threadsFor(m, n, k)}, mode, m, n, k, elemBytes)
 }
 
 // Tile is a solved micro-kernel register tile.

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"libshalom/internal/mat"
+	"libshalom/internal/parallel"
 	"libshalom/internal/telemetry"
 )
 
@@ -223,6 +224,66 @@ func TestTelemetryOnAttribSketchAllocs(t *testing.T) {
 	}
 }
 
+// TestAllocationPins pins the allocations per call of the driver paths the
+// zero-allocation work targets: a packed single-threaded call, a forked
+// irregular call, and batches on both sides of the fork floor. A pin may
+// only go down. testing.AllocsPerRun runs at GOMAXPROCS 1, so every pin
+// sets its width explicitly.
+func TestAllocationPins(t *testing.T) {
+	rng := mat.NewRNG(12)
+	call := func(mode Mode, m, n, k int) func(*Context) error {
+		A := mat.RandomF32(m, k, rng)
+		B := mat.RandomF32(k, n, rng)
+		C := mat.NewF32(m, n)
+		ldb := n
+		if mode.TransB() {
+			ldb = k
+		}
+		return func(ctx *Context) error {
+			return ctx.SGEMM(mode, m, n, k, 1, A.Data, k, B.Data, ldb, 0, C.Data, n)
+		}
+	}
+	batch := func(entries, s int) func(*Context) error {
+		b := make([]SBatchEntry, entries)
+		for i := range b {
+			A := mat.RandomF32(s, s, rng)
+			b[i] = SBatchEntry{M: s, N: s, K: s, Alpha: 1,
+				A: A.Data, LDA: s, B: A.Data, LDB: s, C: make([]float32, s*s), LDC: s}
+		}
+		return func(ctx *Context) error { return ctx.SGEMMBatch(NN, b) }
+	}
+	for _, pin := range []struct {
+		name    string
+		threads int
+		runs    int
+		max     float64
+		run     func(*Context) error
+	}{
+		// gemmST's packed-B sliver.
+		{"NT 32x32x32", 1, 100, 1, call(NT, 32, 32, 32)},
+		// The split's blocks, tasks and per-block pack buffers.
+		{"NN 64x2048x512", 2, 3, 18, call(NN, 64, 2048, 512)},
+		// Below the fork floor a batch runs serially: only its completion
+		// bitmap allocates.
+		{"batch 16 x 8^3", 2, 100, 1, batch(16, 8)},
+		{"batch 2 x 8^3", 2, 100, 1, batch(2, 8)},
+		// Above it: the chunk tasks, their error slots and the pool's join.
+		{"batch 8 x 64^3", 2, 20, 34, batch(8, 64)},
+	} {
+		ctx := New(WithThreads(pin.threads))
+		var err error
+		got := testing.AllocsPerRun(pin.runs, func() { err = pin.run(ctx) })
+		ctx.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", pin.name, err)
+		}
+		t.Logf("%s: %v allocations per call", pin.name, got)
+		if got > pin.max {
+			t.Errorf("%s at WithThreads(%d) allocates %v objects per call, pinned at %v", pin.name, pin.threads, got, pin.max)
+		}
+	}
+}
+
 // TestDegenerateGEMMNeverStartsPool is the thread-policy regression: a
 // 1x1x1 GEMM must not spin up the worker pool, whatever width was
 // requested, and the clamp must be visible in the telemetry snapshot.
@@ -245,6 +306,84 @@ func TestDegenerateGEMMNeverStartsPool(t *testing.T) {
 		}
 		ctx.Close()
 	}
+}
+
+// TestPlanForMatchesDriver is the plan-phase parity test: for every shape,
+// mode, requested width and precision, the width the driver records in the
+// thread-policy telemetry is PlanFor's Threads, the pool tasks it queues
+// are PlanFor's partition blocks (none when the plan does not fork), and
+// the shared pool starts exactly when the plan forks. The shapes cover
+// degenerate, tiny, both sides of the fork floor, a C too narrow for its
+// grid, and irregular.
+func TestPlanForMatchesDriver(t *testing.T) {
+	shapes := [][3]int{
+		{1, 1, 1}, {4, 4, 4}, {1, 4096, 1}, // degenerate
+		{8, 8, 8}, {13, 7, 29}, // tiny, irregular edges
+		{64, 64, 63}, {64, 64, 64}, {64, 64, 128}, // straddling 2 and 4 workers' floor
+		{14, 12, 4096},  // the partition has fewer blocks than workers
+		{32, 1024, 32},  // irregular: the automatic policy forks
+		{1024, 16, 64},  // irregular along M
+		{100, 100, 100}, // small, above the floor
+	}
+	for _, elem := range []int{4, 8} {
+		for _, mode := range []Mode{NN, NT, TN, TT} {
+			for _, width := range []int{0, 1, 2, 3, 4, 8} {
+				for _, sh := range shapes {
+					m, n, k := sh[0], sh[1], sh[2]
+					name := fmt.Sprintf("f%d %s %dx%dx%d WithThreads(%d)", 8*elem, mode, m, n, k, width)
+					ctx := New(WithThreads(width), WithTelemetry())
+					plan := ctx.PlanFor(mode, m, n, k, elem)
+					if err := runPlanned(ctx, mode, m, n, k, elem); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					snap := ctx.Snapshot()
+					blocks := 0
+					if plan.Threads > 1 {
+						blocks = len(parallel.Blocks(m, n, plan.Partition, plan.Tile.MR, plan.Tile.NR))
+					}
+					switch {
+					case snap.Threads.Calls != 1 || snap.Threads.ChosenSum != uint64(plan.Threads):
+						t.Errorf("%s: driver chose %+v, plan says %d threads", name, snap.Threads, plan.Threads)
+					case snap.Pool.TasksQueued != uint64(blocks):
+						t.Errorf("%s: driver queued %d tasks, plan has %d blocks", name, snap.Pool.TasksQueued, blocks)
+					case (ctx.pool != nil) != (plan.Threads > 1):
+						t.Errorf("%s: pool started %v, plan forks %v", name, ctx.pool != nil, plan.Threads > 1)
+					}
+					ctx.Close()
+				}
+			}
+		}
+	}
+}
+
+// runPlanned runs one GEMM of the shape through ctx on operands stored as
+// mode says, in the precision elem names.
+func runPlanned(ctx *Context, mode Mode, m, n, k, elem int) error {
+	lda, ldb := k, n
+	if mode.TransA() {
+		lda = m
+	}
+	if mode.TransB() {
+		ldb = k
+	}
+	if elem == 8 {
+		a, b := make([]float64, m*k), make([]float64, k*n)
+		for i := range a {
+			a[i] = float64(i%7) - 3
+		}
+		for i := range b {
+			b[i] = float64(i%5) - 2
+		}
+		return ctx.DGEMM(mode, m, n, k, 1, a, lda, b, ldb, 0, make([]float64, m*n), n)
+	}
+	a, b := make([]float32, m*k), make([]float32, k*n)
+	for i := range a {
+		a[i] = float32(i%7) - 3
+	}
+	for i := range b {
+		b[i] = float32(i%5) - 2
+	}
+	return ctx.SGEMM(mode, m, n, k, 1, a, lda, b, ldb, 0, make([]float32, m*n), n)
 }
 
 // TestThreadChoiceRecorded checks requested-vs-chosen accounting through
@@ -289,27 +428,29 @@ func TestTelemetryDisabledSurface(t *testing.T) {
 }
 
 // TestBatchTelemetry checks per-entry accounting through the batch API:
-// every entry lands in the snapshot with the right shape class.
+// every entry lands in the snapshot with the right shape class. The
+// entries are 64³ so the batch's work clears the fork floor and the pool
+// accounting is exercised too.
 func TestBatchTelemetry(t *testing.T) {
 	ctx := New(WithThreads(2), WithTelemetry())
 	defer ctx.Close()
 	rng := mat.NewRNG(3)
 	var batch []SBatchEntry
 	for i := 0; i < 6; i++ {
-		A := mat.RandomF32(8, 8, rng)
-		B := mat.RandomF32(8, 8, rng)
-		C := mat.NewF32(8, 8)
+		A := mat.RandomF32(64, 64, rng)
+		B := mat.RandomF32(64, 64, rng)
+		C := mat.NewF32(64, 64)
 		batch = append(batch, SBatchEntry{
-			M: 8, N: 8, K: 8, Alpha: 1,
-			A: A.Data, LDA: 8, B: B.Data, LDB: 8, Beta: 0, C: C.Data, LDC: 8,
+			M: 64, N: 64, K: 64, Alpha: 1,
+			A: A.Data, LDA: 64, B: B.Data, LDB: 64, Beta: 0, C: C.Data, LDC: 64,
 		})
 	}
 	if err := ctx.SGEMMBatch(NN, batch); err != nil {
 		t.Fatal(err)
 	}
 	snap := ctx.Snapshot()
-	if got := snap.CallsTotal("tiny"); got != 6 {
-		t.Fatalf("batch recorded %d tiny calls, want 6", got)
+	if got := snap.CallsTotal("small"); got != 6 {
+		t.Fatalf("batch recorded %d small calls, want 6", got)
 	}
 	if snap.Pool.TasksQueued == 0 {
 		t.Fatal("threaded batch recorded no pool tasks")
