@@ -18,9 +18,11 @@ import (
 // enough consecutive canaries agree. See DESIGN.md, "Self-healing model".
 
 // KernelPanicError is returned when a fast-path block computation panics
-// and the numeric guard is not enabled: the worker recovered, the pool
-// stayed usable, and the error carries platform, mode, kernel path, the C
-// block coordinates (plus batch entry index, if any) and the stack.
+// under WithoutTransientRetry with the numeric guard off; by default the
+// transient retry recomputes the block on the reference path and the call
+// succeeds, degraded. The worker recovered, the pool stayed usable, and the
+// error carries platform, mode, kernel path, the C block coordinates (plus
+// batch entry index, if any) and the stack.
 type KernelPanicError = guard.KernelPanicError
 
 // DegradedReason classifies why a kernel path was demoted: a static

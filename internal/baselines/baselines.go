@@ -129,49 +129,15 @@ func (l Lib) String() string { return SpecFor(l).Name }
 
 // SGEMM runs the baseline's FP32 GEMM: C = α·op(A)·op(B) + β·C.
 func SGEMM(lib Lib, plat *platform.Platform, threads int, mode core.Mode, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) error {
-	return blGemm[float32](lib, plat, threads, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, f32ops())
+	return blGemm(lib, plat, threads, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // DGEMM runs the baseline's FP64 GEMM.
 func DGEMM(lib Lib, plat *platform.Platform, threads int, mode core.Mode, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) error {
-	return blGemm[float64](lib, plat, threads, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, f64ops())
+	return blGemm(lib, plat, threads, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
-type ops[T core.Float] struct {
-	elemBytes int
-	micro     func(mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int)
-	scale     func(mr, nr int, beta T, c []T, ldc int)
-	packB     func(dst []T, b []T, ldb, k0, j0, kc, nc int)
-	packBT    func(dst []T, bt []T, ldbt, k0, j0, kc, nc int)
-	packA     func(dst []T, a []T, lda, i0, k0, mc, kc int)
-	packAT    func(dst []T, at []T, ldat, i0, k0, mc, kc int)
-}
-
-func f32ops() ops[float32] {
-	return ops[float32]{
-		elemBytes: 4,
-		micro:     kernels.SGEMMMicro,
-		scale:     kernels.SScaleRows,
-		packB:     pack.PackBF32,
-		packBT:    pack.PackBTransposedF32,
-		packA:     pack.PackAF32,
-		packAT:    pack.PackATransposedF32,
-	}
-}
-
-func f64ops() ops[float64] {
-	return ops[float64]{
-		elemBytes: 8,
-		micro:     kernels.DGEMMMicro,
-		scale:     kernels.DScaleRows,
-		packB:     pack.PackBF64,
-		packBT:    pack.PackBTransposedF64,
-		packA:     pack.PackAF64,
-		packAT:    pack.PackATransposedF64,
-	}
-}
-
-func blGemm[T core.Float](lib Lib, plat *platform.Platform, threads int, mode core.Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, o ops[T]) error {
+func blGemm[T kernels.Float](lib Lib, plat *platform.Platform, threads int, mode core.Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) error {
 	if err := checkDims(mode, m, n, k, len(a), lda, len(b), ldb, len(c), ldc); err != nil {
 		return err
 	}
@@ -180,7 +146,7 @@ func blGemm[T core.Float](lib Lib, plat *platform.Platform, threads int, mode co
 	}
 	if alpha == 0 || k == 0 {
 		if beta != 1 {
-			o.scale(m, n, beta, c, ldc)
+			kernels.ScaleRows(m, n, beta, c, ldc)
 		}
 		return nil
 	}
@@ -198,7 +164,6 @@ func blGemm[T core.Float](lib Lib, plat *platform.Platform, threads int, mode co
 			defer pool.Close()
 			tasks := make([]func(), len(blocks))
 			for i, blk := range blocks {
-				blk := blk
 				tasks[i] = func() {
 					aOff := blk.I0 * lda
 					if mode.TransA() {
@@ -208,13 +173,13 @@ func blGemm[T core.Float](lib Lib, plat *platform.Platform, threads int, mode co
 					if mode.TransB() {
 						bOff = blk.J0 * ldb
 					}
-					gotoGemm(spec, plat, mode, blk.M, blk.N, k, alpha, a[aOff:], lda, b[bOff:], ldb, beta, c[blk.I0*ldc+blk.J0:], ldc, o)
+					gotoGemm(spec, plat, mode, blk.M, blk.N, k, alpha, a[aOff:], lda, b[bOff:], ldb, beta, c[blk.I0*ldc+blk.J0:], ldc)
 				}
 			}
 			return pool.Run(tasks)
 		}
 	}
-	gotoGemm(spec, plat, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, o)
+	gotoGemm(spec, plat, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 	return nil
 }
 
@@ -244,12 +209,12 @@ func splitFor(s ParallelScheme, m, n, threads, mr, nr int) []parallel.Block {
 // gotoGemm is the conventional Goto loop nest (Fig 1): jj → kk → [pack Bc]
 // → ii → [pack Ac] → GEBP, with both operands always packed sequentially.
 // LIBXSMM's small-cube direct path bypasses it entirely.
-func gotoGemm[T core.Float](spec Spec, plat *platform.Platform, mode core.Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, o ops[T]) {
+func gotoGemm[T kernels.Float](spec Spec, plat *platform.Platform, mode core.Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	if spec.SmallDirectCube > 0 && cubeRoot(m, n, k) <= spec.SmallDirectCube && !mode.TransA() && !mode.TransB() {
-		directGemm(spec, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, o)
+		directGemm(spec, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		return
 	}
-	blk := analytic.BlockingFor(plat, o.elemBytes)
+	blk := analytic.BlockingFor(plat, kernels.ElemBytes[T]())
 	mc, kc, nc := blk.MC, blk.KC, blk.NC
 
 	bc := make([]T, kc*nc)
@@ -260,9 +225,9 @@ func gotoGemm[T core.Float](spec Spec, plat *platform.Platform, mode core.Mode, 
 	}
 
 	for jj := 0; jj < n; jj += nc {
-		ncb := minI(nc, n-jj)
+		ncb := min(nc, n-jj)
 		for kk := 0; kk < k; kk += kc {
-			kcb := minI(kc, k-kk)
+			kcb := min(kc, k-kk)
 			betaEff := T(1)
 			if kk == 0 {
 				betaEff = beta
@@ -270,31 +235,31 @@ func gotoGemm[T core.Float](spec Spec, plat *platform.Platform, mode core.Mode, 
 			// Sequential pack of the kc×nc B panel (always; §3.2's first
 			// missed opportunity).
 			if mode.TransB() {
-				o.packBT(bc, b, ldb, kk, jj, kcb, ncb)
+				pack.PackBTransposed(bc, b, ldb, kk, jj, kcb, ncb)
 			} else {
-				o.packB(bc, b, ldb, kk, jj, kcb, ncb)
+				pack.PackB(bc, b, ldb, kk, jj, kcb, ncb)
 			}
 			for ii := 0; ii < m; ii += mc {
-				mcb := minI(mc, m-ii)
+				mcb := min(mc, m-ii)
 				// Sequential pack of the mc×kc A block.
 				if mode.TransA() {
-					o.packAT(ac, a, lda, ii, kk, mcb, kcb)
+					pack.PackATransposed(ac, a, lda, ii, kk, mcb, kcb)
 				} else {
-					o.packA(ac, a, lda, ii, kk, mcb, kcb)
+					pack.PackA(ac, a, lda, ii, kk, mcb, kcb)
 				}
-				gebp(spec, mcb, ncb, kcb, alpha, ac, kcb, bc, ncb, betaEff, c[ii*ldc+jj:], ldc, padC, o)
+				gebp(spec, mcb, ncb, kcb, alpha, ac, kcb, bc, ncb, betaEff, c[ii*ldc+jj:], ldc, padC)
 			}
 		}
 	}
 }
 
 // gebp runs the block-times-panel kernel over packed operands.
-func gebp[T core.Float](spec Spec, mc, nc, kc int, alpha T, ac []T, ldac int, bc []T, ldbc int, beta T, c []T, ldc int, padC []T, o ops[T]) {
+func gebp[T kernels.Float](spec Spec, mc, nc, kc int, alpha T, ac []T, ldac int, bc []T, ldbc int, beta T, c []T, ldc int, padC []T) {
 	mr, nr := spec.MR, spec.NR
 	for j := 0; j < nc; j += nr {
-		nrb := minI(nr, nc-j)
+		nrb := min(nr, nc-j)
 		for i := 0; i < mc; i += mr {
-			mrb := minI(mr, mc-i)
+			mrb := min(mr, mc-i)
 			if spec.Edge == EdgePad && (mrb < mr || nrb < nr) {
 				// BLIS-style: run the full-size kernel into a scratch tile
 				// (the packed operands' tails read as zeros is emulated by
@@ -303,7 +268,7 @@ func gebp[T core.Float](spec Spec, mc, nc, kc int, alpha T, ac []T, ldac int, bc
 				for x := range padC {
 					padC[x] = 0
 				}
-				o.micro(mrb, nrb, kc, alpha, ac[i*ldac:], ldac, bc[j:], ldbc, 0, padC, nr)
+				kernels.Micro(mrb, nrb, kc, alpha, ac[i*ldac:], ldac, bc[j:], ldbc, 0, padC, nr)
 				for bi := 0; bi < mrb; bi++ {
 					for bj := 0; bj < nrb; bj++ {
 						if beta == 0 {
@@ -315,19 +280,19 @@ func gebp[T core.Float](spec Spec, mc, nc, kc int, alpha T, ac []T, ldac int, bc
 				}
 				continue
 			}
-			o.micro(mrb, nrb, kc, alpha, ac[i*ldac:], ldac, bc[j:], ldbc, beta, c[i*ldc+j:], ldc)
+			kernels.Micro(mrb, nrb, kc, alpha, ac[i*ldac:], ldac, bc[j:], ldbc, beta, c[i*ldc+j:], ldc)
 		}
 	}
 }
 
 // directGemm is LIBXSMM's JIT path: a single pass of unpacked micro-tiles.
-func directGemm[T core.Float](spec Spec, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, o ops[T]) {
+func directGemm[T kernels.Float](spec Spec, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	mr, nr := spec.MR, spec.NR
 	for i := 0; i < m; i += mr {
-		mrb := minI(mr, m-i)
+		mrb := min(mr, m-i)
 		for j := 0; j < n; j += nr {
-			nrb := minI(nr, n-j)
-			o.micro(mrb, nrb, k, alpha, a[i*lda:], lda, b[j:], ldb, beta, c[i*ldc+j:], ldc)
+			nrb := min(nr, n-j)
+			kernels.Micro(mrb, nrb, k, alpha, a[i*lda:], lda, b[j:], ldb, beta, c[i*ldc+j:], ldc)
 		}
 	}
 }
@@ -364,7 +329,7 @@ func checkDims(mode core.Mode, m, n, k, lenA, lda, lenB, ldb, lenC, ldc int) err
 	if mode.TransB() {
 		brows, bcols = n, k
 	}
-	if lda < maxI(1, acols) || ldb < maxI(1, bcols) || ldc < maxI(1, n) {
+	if lda < max(1, acols) || ldb < max(1, bcols) || ldc < max(1, n) {
 		return fmt.Errorf("baselines: leading dimension too small (lda=%d ldb=%d ldc=%d)", lda, ldb, ldc)
 	}
 	if need := need(arows, acols, lda); lenA < need {
@@ -384,18 +349,4 @@ func need(rows, cols, ld int) int {
 		return 0
 	}
 	return (rows-1)*ld + cols
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"libshalom/internal/guard"
+	"libshalom/internal/kernels"
 	"libshalom/internal/parallel"
 	"libshalom/internal/telemetry"
 )
@@ -57,13 +58,13 @@ func (e *BatchCancelError) Unwrap() error { return e.Cause }
 // malformed), and per-entry results are independent.
 func SGEMMBatch(cfg Config, mode Mode, batch []BatchEntry[float32]) error {
 	//shalom:allow ctxflow — the no-context convenience API is itself the root
-	return gemmBatch(context.Background(), cfg, f32Kernels(), mode, batch)
+	return gemmBatch(context.Background(), cfg, mode, batch)
 }
 
 // DGEMMBatch is the FP64 counterpart of SGEMMBatch.
 func DGEMMBatch(cfg Config, mode Mode, batch []BatchEntry[float64]) error {
 	//shalom:allow ctxflow — the no-context convenience API is itself the root
-	return gemmBatch(context.Background(), cfg, f64Kernels(), mode, batch)
+	return gemmBatch(context.Background(), cfg, mode, batch)
 }
 
 // SGEMMBatchCtx is SGEMMBatch with cooperative cancellation: the runtime
@@ -71,15 +72,15 @@ func DGEMMBatch(cfg Config, mode Mode, batch []BatchEntry[float64]) error {
 // aborts the remaining entries with a *BatchCancelError carrying
 // partial-completion accounting.
 func SGEMMBatchCtx(ctx context.Context, cfg Config, mode Mode, batch []BatchEntry[float32]) error {
-	return gemmBatch(ctx, cfg, f32Kernels(), mode, batch)
+	return gemmBatch(ctx, cfg, mode, batch)
 }
 
 // DGEMMBatchCtx is the FP64 counterpart of SGEMMBatchCtx.
 func DGEMMBatchCtx(ctx context.Context, cfg Config, mode Mode, batch []BatchEntry[float64]) error {
-	return gemmBatch(ctx, cfg, f64Kernels(), mode, batch)
+	return gemmBatch(ctx, cfg, mode, batch)
 }
 
-func gemmBatch[T Float](ctx context.Context, cfg Config, ks kernelSet[T], mode Mode, batch []BatchEntry[T]) error {
+func gemmBatch[T Float](ctx context.Context, cfg Config, mode Mode, batch []BatchEntry[T]) error {
 	if ctx == nil {
 		ctx = context.Background() //shalom:allow ctxflow — nil-ctx callers opted out of cancellation
 	}
@@ -103,7 +104,7 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, ks kernelSet[T], mode M
 	}
 	// Entries run the dispatch ladder single-threaded: the batch spreads
 	// whole entries over the pool instead of splitting one.
-	cl := newCall(cfg, ks, mode)
+	cl := newCall[T](cfg, mode)
 
 	// ran marks the entries that ran to the end. Entries run whole or not
 	// at all, so their results are identical to an uncancelled run's; slots
@@ -156,7 +157,7 @@ func runPooled[T Float](ctx context.Context, cl call[T], threads int, batch []Ba
 	}
 	barrierStart := tel.Now()
 	poolErr := pool.RunWorkerCfg(parallel.RunConfig{Ctx: ctx, TaskBudget: cl.cfg.Deadline}, tasks)
-	tel.Span(telemetry.PhaseBarrier, cl.tid, barrierStart, uint8(cl.mode), telemetry.PrecFor(cl.ks.elemBytes), len(batch), 0, 0)
+	tel.Span(telemetry.PhaseBarrier, cl.tid, barrierStart, uint8(cl.mode), telemetry.PrecFor(kernels.ElemBytes[T]()), len(batch), 0, 0)
 	var stuck *guard.StuckWorkerError
 	if errors.As(poolErr, &stuck) {
 		// Watchdog early return: stragglers may still be writing errSlots
@@ -193,7 +194,7 @@ func (cl *call[T]) cancelled(ctx context.Context, batch []BatchEntry[T], ran []b
 			continue
 		}
 		e := batch[i]
-		cl.cfg.Tel.CallEvent(telemetry.PrecFor(cl.ks.elemBytes), uint8(cl.mode),
+		cl.cfg.Tel.CallEvent(telemetry.PrecFor(kernels.ElemBytes[T]()), uint8(cl.mode),
 			uint8(telemetry.ClassifyShape(e.M, e.N, e.K)),
 			telemetry.KernelFast, telemetry.OutcomeCancelled)
 	}
@@ -212,8 +213,7 @@ var ErrAliasedBatch = errors.New("core: batch entries write overlapping C storag
 // adjacent-but-disjoint views of one backing array pass.
 func CheckBatchAliasing[T Float](batch []BatchEntry[T]) error {
 	type extent struct{ lo, hi uintptr }
-	var elem T
-	size := uintptr(unsafe.Sizeof(elem))
+	size := uintptr(kernels.ElemBytes[T]())
 	extents := make([]extent, 0, len(batch))
 	for _, e := range batch {
 		if len(e.C) == 0 {

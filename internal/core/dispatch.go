@@ -7,6 +7,7 @@ import (
 	"libshalom/internal/analytic"
 	"libshalom/internal/faults"
 	"libshalom/internal/guard"
+	"libshalom/internal/kernels"
 	"libshalom/internal/parallel"
 	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
@@ -30,7 +31,6 @@ import (
 // single-call driver builds one per call, the batch driver one per batch.
 type call[T Float] struct {
 	cfg  Config
-	ks   kernelSet[T]
 	plat *platform.Platform
 	mode Mode
 	// fam is the kernel family's fast route: its breaker path and the
@@ -56,15 +56,16 @@ type fastRoute struct {
 // newCall is the plan phase of both drivers: contract verification (memoised
 // per platform — the registration-time leg of the fallback chain, tripping
 // the breaker of any kernel family that fails), the tile and the blocking.
-func newCall[T Float](cfg Config, ks kernelSet[T], mode Mode) call[T] {
+func newCall[T Float](cfg Config, mode Mode) call[T] {
 	plat := cfg.platform()
 	guard.VerifyContracts(plat)
+	elemBytes := kernels.ElemBytes[T]()
 	return call[T]{
-		cfg: cfg, ks: ks, plat: plat, mode: mode,
+		cfg: cfg, plat: plat, mode: mode,
 		fam: fastRoute{
-			tile:   analytic.SolveForElem(ks.elemBytes),
-			blk:    analytic.BlockingFor(plat, ks.elemBytes),
-			path:   guard.PathFor(ks.elemBytes),
+			tile:   analytic.SolveForElem(elemBytes),
+			blk:    analytic.BlockingFor(plat, elemBytes),
+			path:   guard.PathFor(elemBytes),
 			kernel: telemetry.KernelFast,
 		},
 		tid: cfg.Tel.CallTid(),
@@ -86,7 +87,7 @@ func (cl *call[T]) run(e *BatchEntry[T], entry, worker int, start int64) error {
 		time.Sleep(d)
 	}
 	kernel, outcome, err := cl.route(e, class, entry, telemetry.WorkerTid(worker, cl.tid))
-	tel.CallDone(telemetry.PrecFor(cl.ks.elemBytes), uint8(cl.mode), class, kernel, outcome, start,
+	tel.CallDone(telemetry.PrecFor(kernels.ElemBytes[T]()), uint8(cl.mode), class, kernel, outcome, start,
 		2*float64(e.M)*float64(e.N)*float64(e.K))
 	return err
 }
@@ -98,7 +99,7 @@ func (cl *call[T]) route(e *BatchEntry[T], class uint8, entry int, tid int32) (k
 	}
 	if e.Alpha == 0 || e.K == 0 {
 		if e.Beta != 1 {
-			cl.ks.scale(e.M, e.N, e.Beta, e.C, e.LDC)
+			kernels.ScaleRows(e.M, e.N, e.Beta, e.C, e.LDC)
 		}
 		return telemetry.KernelFast, telemetry.OutcomeOK, nil
 	}
@@ -163,7 +164,7 @@ func (cl *call[T]) dispatch(path string) guard.Disposition {
 // possible only in the instant before Trip evicts the override — keeps the
 // incumbent tile on the fast path, never the reference.
 func (cl *call[T]) tuned(class uint8) (fp fastRoute, canary bool) {
-	ov, ok := guard.OverrideFor(cl.ks.elemBytes, class)
+	ov, ok := guard.OverrideFor(kernels.ElemBytes[T](), class)
 	if !ok {
 		return cl.fam, false
 	}
@@ -180,7 +181,7 @@ func (cl *call[T]) tuned(class uint8) (fp fastRoute, canary bool) {
 
 // ref runs a problem on the portable reference path.
 func (cl *call[T]) ref(e *BatchEntry[T]) {
-	cl.ks.ref(cl.mode.TransA(), cl.mode.TransB(), e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
+	kernels.GEMMRef(cl.mode.TransA(), cl.mode.TransB(), e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
 }
 
 // splitRun is what the tasks of one parallel split share. The tasks escape
@@ -219,7 +220,7 @@ func (cl *call[T]) runSplit(e *BatchEntry[T], fp fastRoute) (bool, error) {
 	tel := cl.cfg.Tel
 	barrierStart := tel.Now()
 	poolErr := pool.RunWorkerCfg(parallel.RunConfig{TaskBudget: cl.cfg.Deadline}, tasks)
-	tel.Span(telemetry.PhaseBarrier, cl.tid, barrierStart, uint8(cl.mode), telemetry.PrecFor(cl.ks.elemBytes), e.M, e.N, e.K)
+	tel.Span(telemetry.PhaseBarrier, cl.tid, barrierStart, uint8(cl.mode), telemetry.PrecFor(kernels.ElemBytes[T]()), e.M, e.N, e.K)
 	if poolErr != nil {
 		// On a watchdog early return stragglers may still be writing their
 		// result slots; the pool error must win before those are read.

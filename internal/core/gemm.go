@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"libshalom/internal/analytic"
+	"libshalom/internal/faults"
 	"libshalom/internal/kernels"
 	"libshalom/internal/pack"
 	"libshalom/internal/parallel"
@@ -74,61 +75,20 @@ func (c Config) platform() *platform.Platform {
 	return platform.KP920()
 }
 
-// Float constrains the generic driver to the two GEMM precisions.
-type Float interface {
-	~float32 | ~float64
-}
-
-// kernelSet wires the generic driver to the precision-specific micro-kernels.
-type kernelSet[T Float] struct {
-	elemBytes int
-	micro     func(mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int)
-	packB     func(mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int)
-	nt        func(mr, nr, kc int, alpha T, a []T, lda int, bT []T, ldbT int, beta T, c []T, ldc int)
-	ntPack    func(mr, nr, kc int, alpha T, a []T, lda int, bT []T, ldbT int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int)
-	scale     func(mr, nr int, beta T, c []T, ldc int)
-	packAT    func(dst []T, at []T, ldat, i0, k0, mc, kc int)
-	// ref is the portable reference GEMM the guard demotes to when the
-	// fast-path kernel family misbehaves (internal/guard fallback chain).
-	ref func(transA, transB bool, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int)
-}
-
-func f32Kernels() kernelSet[float32] {
-	return kernelSet[float32]{
-		elemBytes: 4,
-		micro:     kernels.SGEMMMicro,
-		packB:     kernels.SGEMMMicroPackB,
-		nt:        kernels.SGEMMMicroNT,
-		ntPack:    kernels.SGEMMMicroNTPack,
-		scale:     kernels.SScaleRows,
-		packAT:    pack.PackATransposedF32,
-		ref:       kernels.SGEMMRef,
-	}
-}
-
-func f64Kernels() kernelSet[float64] {
-	return kernelSet[float64]{
-		elemBytes: 8,
-		micro:     kernels.DGEMMMicro,
-		packB:     kernels.DGEMMMicroPackB,
-		nt:        kernels.DGEMMMicroNT,
-		ntPack:    kernels.DGEMMMicroNTPack,
-		scale:     kernels.DScaleRows,
-		packAT:    pack.PackATransposedF64,
-		ref:       kernels.DGEMMRef,
-	}
-}
+// Float constrains the generic driver to the two GEMM precisions: the
+// compute kernels' constraint.
+type Float = kernels.Float
 
 // SGEMM computes C = α·op(A)·op(B) + β·C in single precision with
 // LibShalom's driver. op(A) is m×k and op(B) is k×n; lda/ldb/ldc are the
 // row strides of the operands as stored.
 func SGEMM(cfg Config, mode Mode, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) error {
-	return gemm[float32](cfg, f32Kernels(), mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	return gemm(cfg, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // DGEMM is the double-precision counterpart of SGEMM.
 func DGEMM(cfg Config, mode Mode, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) error {
-	return gemm[float64](cfg, f64Kernels(), mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	return gemm(cfg, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 func checkArgs[T Float](mode Mode, m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int) error {
@@ -168,14 +128,14 @@ func sliceNeed(rows, cols, ld int) int {
 // gemm is the single-call driver: the plan phase (newCall, then split),
 // then the call as one problem down the dispatch ladder, split over the
 // pool by the planned partition on the fast route.
-func gemm[T Float](cfg Config, ks kernelSet[T], mode Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) error {
+func gemm[T Float](cfg Config, mode Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) error {
 	if err := checkArgs(mode, m, n, k, a, lda, b, ldb, c, ldc); err != nil {
 		return err
 	}
 	tel := cfg.Tel
-	prec := telemetry.PrecFor(ks.elemBytes)
+	prec := telemetry.PrecFor(kernels.ElemBytes[T]())
 	start := tel.Now()
-	cl := newCall(cfg, ks, mode)
+	cl := newCall[T](cfg, mode)
 	cl.threads, _ = split(cfg.Threads, m, n, k, cl.fam.tile)
 	tel.Span(telemetry.PhasePlan, cl.tid, start, uint8(mode), prec, m, n, k)
 	e := BatchEntry[T]{M: m, N: n, K: k, Alpha: alpha, A: a, LDA: lda, B: b, LDB: ldb, Beta: beta, C: c, LDC: ldc}
@@ -189,13 +149,17 @@ func gemm[T Float](cfg Config, ks kernelSet[T], mode Mode, m, n, k int, alpha T,
 // lane of the executing worker; spans are recorded per kc-block — pack
 // spans around the explicit A gather, kernel-batch spans around the
 // micro-tile sweep (which includes the §5.3 fused B packing) — coarse
-// enough to stay off the micro-tile critical path.
-func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], plat *platform.Platform, tile analytic.Tile, blk analytic.Blocking, mode Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
+// enough to stay off the micro-tile critical path. corruptPack lets the
+// CorruptPack injection point poison the packed B panel right after each
+// packing micro-kernel fills it (the numeric guard is on and the point is
+// armed).
+func gemmST[T Float](tel *telemetry.Recorder, tid int32, corruptPack bool, plat *platform.Platform, tile analytic.Tile, blk analytic.Blocking, mode Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	mr, nr := tile.MR, tile.NR
 	mc, kc, nc := blk.MC, blk.KC, blk.NC
-	prec := telemetry.PrecFor(ks.elemBytes)
+	elemBytes := kernels.ElemBytes[T]()
+	prec := telemetry.PrecFor(elemBytes)
 
-	bStrategy := mode.bStrategy(n*k*ks.elemBytes, plat.L1.SizeBytes)
+	bStrategy := mode.bStrategy(n*k*elemBytes, plat.L1.SizeBytes)
 
 	var bc []T
 	if bStrategy != pack.NoPack {
@@ -222,7 +186,7 @@ func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], plat *
 					// §4.3: TN/TT gather the transposed A block into a
 					// row-major buffer (the NT-style packing of A).
 					packStart := tel.Now()
-					ks.packAT(aBuf, a, lda, ii, kk, mcb, kcb)
+					pack.PackATransposed(aBuf, a, lda, ii, kk, mcb, kcb)
 					tel.Span(telemetry.PhasePack, tid, packStart, uint8(mode), prec, mcb, 0, kcb)
 					aBlk, ldaEff = aBuf, kcb
 				} else {
@@ -240,10 +204,13 @@ func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], plat *
 						// with the 7×12 outer-product kernel.
 						bT := b[jAbs*ldb+kk:]
 						mrb := min(mr, mcb)
-						ks.ntPack(mrb, nrb, kcb, alpha, aBlk, ldaEff, bT, ldb, betaEff, cTile, ldc, bc, nrb, 0)
+						kernels.MicroNTPack(mrb, nrb, kcb, alpha, aBlk, ldaEff, bT, ldb, betaEff, cTile, ldc, bc, nrb, 0)
+						if corruptPack {
+							poison(tel, faults.CorruptPack, bc)
+						}
 						for i := mrb; i < mcb; i += mr {
 							mrb2 := min(mr, mcb-i)
-							ks.micro(mrb2, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bc, nrb, betaEff, cTile[i*ldc:], ldc)
+							kernels.Micro(mrb2, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bc, nrb, betaEff, cTile[i*ldc:], ldc)
 						}
 					case bStrategy == pack.PackOverlap:
 						// NN/TN with large B: pack the sliver inside the
@@ -256,10 +223,13 @@ func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], plat *
 						// timing model prices the t=1 variant.
 						bBlk := b[kk*ldb+jAbs:]
 						mrb := min(mr, mcb)
-						ks.packB(mrb, nrb, kcb, alpha, aBlk, ldaEff, bBlk, ldb, betaEff, cTile, ldc, bc, nrb, 0)
+						kernels.MicroPackB(mrb, nrb, kcb, alpha, aBlk, ldaEff, bBlk, ldb, betaEff, cTile, ldc, bc, nrb, 0)
+						if corruptPack {
+							poison(tel, faults.CorruptPack, bc)
+						}
 						for i := mrb; i < mcb; i += mr {
 							mrb2 := min(mr, mcb-i)
-							ks.micro(mrb2, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bc, nrb, betaEff, cTile[i*ldc:], ldc)
+							kernels.Micro(mrb2, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bc, nrb, betaEff, cTile[i*ldc:], ldc)
 						}
 					default:
 						// Small B (fits L1): no packing at all (Alg 1
@@ -267,7 +237,7 @@ func gemmST[T Float](tel *telemetry.Recorder, tid int32, ks kernelSet[T], plat *
 						bBlk := b[kk*ldb+jAbs:]
 						for i := 0; i < mcb; i += mr {
 							mrb2 := min(mr, mcb-i)
-							ks.micro(mrb2, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bBlk, ldb, betaEff, cTile[i*ldc:], ldc)
+							kernels.Micro(mrb2, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bBlk, ldb, betaEff, cTile[i*ldc:], ldc)
 						}
 					}
 				}

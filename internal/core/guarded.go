@@ -7,6 +7,7 @@ import (
 
 	"libshalom/internal/faults"
 	"libshalom/internal/guard"
+	"libshalom/internal/kernels"
 	"libshalom/internal/parallel"
 	"libshalom/internal/telemetry"
 )
@@ -24,9 +25,9 @@ import (
 // the portable reference path, and the call still succeeds — degraded,
 // recorded, correct.
 //
-// The faults package's injection points live here (and only fire when a
-// test armed them), so the chaos suite exercises exactly the machinery
-// production calls use.
+// The faults package's injection points live here, CorruptPack in gemmST's
+// packing step (and only fire when a test armed them), so the chaos suite
+// exercises exactly the machinery production calls use.
 
 // runBlock executes the fast route for one C block with panic isolation and
 // (optionally) the numeric guard. e holds the block-relative operand views
@@ -44,25 +45,22 @@ func (cl *call[T]) runBlock(e *BatchEntry[T], fp fastRoute, bl parallel.Block, e
 	m, n, k := e.M, e.N, e.K
 	blockStart := tel.Now()
 	defer func() {
-		tel.Span(telemetry.PhaseBlock, tid, blockStart, uint8(cl.mode), telemetry.PrecFor(cl.ks.elemBytes), m, n, k)
+		tel.Span(telemetry.PhaseBlock, tid, blockStart, uint8(cl.mode), telemetry.PrecFor(kernels.ElemBytes[T]()), m, n, k)
 	}()
-	ks := cl.ks
-	var inputsFinite bool
+	var corruptPack, inputsFinite bool
 	var snap []T
 	// The snapshot exists to undo a partial fast-path write before the
 	// reference recompute. RetryTransient alone only needs it when beta != 0:
 	// with beta == 0 the reference path overwrites C without reading it, so
 	// no restore is required.
 	if cfg.NumericGuard {
-		if faults.Armed(faults.CorruptPack) {
-			ks = corruptPackKernels(ks, tel)
-		}
+		corruptPack = faults.Armed(faults.CorruptPack)
 		inputsFinite = finiteOperands(cl.mode, e)
 		snap = snapshotC(e.C, m, n, e.LDC)
 	} else if cfg.RetryTransient && e.Beta != 0 {
 		snap = snapshotC(e.C, m, n, e.LDC)
 	}
-	panicErr := cl.runFast(ks, fp, e, bl, entry, tid)
+	panicErr := cl.runFast(corruptPack, fp, e, bl, entry, tid)
 	if panicErr == nil && cfg.NumericGuard {
 		poison(tel, faults.SpuriousNaN, e.C)
 	}
@@ -118,7 +116,7 @@ func (cl *call[T]) runCanary(e *BatchEntry[T], fp fastRoute, tid int32) (degrade
 	shadow.C, shadow.LDC = snapshotC(e.C, m, n, e.LDC), n
 	cl.ref(&shadow)
 
-	panicErr := cl.runFast(cl.ks, fp, e, parallel.Block{M: m, N: n}, -1, tid)
+	panicErr := cl.runFast(false, fp, e, parallel.Block{M: m, N: n}, -1, tid)
 	if panicErr == nil && fp.kernel == telemetry.KernelTuned {
 		// Chaos: a candidate that cleared every static proof yet computes a
 		// wrong answer on live traffic. The corruption lands in the fast-path
@@ -131,7 +129,7 @@ func (cl *call[T]) runCanary(e *BatchEntry[T], fp fastRoute, tid int32) (degrade
 	switch {
 	case panicErr != nil:
 		mismatch = panicErr.Error()
-	case !guard.Agrees(e.C, e.LDC, shadow.C, n, m, n, guard.Tolerance(cl.ks.elemBytes)):
+	case !guard.Agrees(e.C, e.LDC, shadow.C, n, m, n, guard.Tolerance(kernels.ElemBytes[T]())):
 		mismatch = "canary disagreed with reference shadow"
 	case faults.Fire(faults.CanaryMismatch):
 		tel.FaultInjected(faults.CanaryMismatch)
@@ -154,14 +152,15 @@ func (cl *call[T]) runCanary(e *BatchEntry[T], fp fastRoute, tid int32) (degrade
 
 // runFast runs the fast route on one problem or block with panic
 // isolation, converting a panic into a structured KernelPanicError. The
-// PanicInKernel injection point fires inside the protected region.
-func (cl *call[T]) runFast(ks kernelSet[T], fp fastRoute, e *BatchEntry[T], bl parallel.Block, entry int, tid int32) (err error) {
+// PanicInKernel injection point fires inside the protected region, and
+// corruptPack arms the CorruptPack point on the packed B panel (gemmST).
+func (cl *call[T]) runFast(corruptPack bool, fp fastRoute, e *BatchEntry[T], bl parallel.Block, entry int, tid int32) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &guard.KernelPanicError{
 				Platform: cl.plat.Name,
 				Mode:     cl.mode.String(),
-				Kernel:   guard.PathFor(ks.elemBytes),
+				Kernel:   guard.PathFor(kernels.ElemBytes[T]()),
 				I0:       bl.I0, J0: bl.J0, M: bl.M, N: bl.N,
 				Entry: entry,
 				Value: r,
@@ -174,7 +173,7 @@ func (cl *call[T]) runFast(ks kernelSet[T], fp fastRoute, e *BatchEntry[T], bl p
 		tel.FaultInjected(faults.PanicInKernel)
 		panic(faults.InjectedPanicMsg)
 	}
-	gemmST(tel, tid, ks, cl.plat, fp.tile, fp.blk, cl.mode, e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
+	gemmST(tel, tid, corruptPack, cl.plat, fp.tile, fp.blk, cl.mode, e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
 	return nil
 }
 
@@ -207,27 +206,6 @@ func poison[T Float](tel *telemetry.Recorder, p faults.Point, s []T) {
 		tel.FaultInjected(p)
 		s[0] = T(math.NaN())
 	}
-}
-
-// corruptPackKernels wraps the packing micro-kernels so the CorruptPack
-// injection point can poison the packed-B panel right after it is filled;
-// each fire is reported to tel (nil-safe) so the chaos suite can assert a
-// one-to-one fault-to-event mapping.
-func corruptPackKernels[T Float](ks kernelSet[T], tel *telemetry.Recorder) kernelSet[T] {
-	packB, ntPack := ks.packB, ks.ntPack
-	ks.packB = func(mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int) {
-		packB(mr, nr, kc, alpha, a, lda, b, ldb, beta, c, ldc, bc, nrTotal, jOff)
-		if len(bc) > 0 {
-			poison(tel, faults.CorruptPack, bc)
-		}
-	}
-	ks.ntPack = func(mr, nr, kc int, alpha T, a []T, lda int, bT []T, ldbT int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int) {
-		ntPack(mr, nr, kc, alpha, a, lda, bT, ldbT, beta, c, ldc, bc, nrTotal, jOff)
-		if len(bc) > 0 {
-			poison(tel, faults.CorruptPack, bc)
-		}
-	}
-	return ks
 }
 
 // finiteOperands scans the operand views of one block for NaN/Inf. The scan

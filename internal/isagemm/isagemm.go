@@ -141,17 +141,3 @@ func roundUp(a, b int) int {
 	}
 	return (a + b - 1) / b * b
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -166,7 +166,7 @@ func TestFuzzNTPackSpecs(t *testing.T) {
 		if spec.Accum {
 			beta = 1
 		}
-		SGEMMMicroNTPack(mr, nb, kc, 1, a, spec.LDA, bT, spec.LDBT, beta, c[jOff:], spec.LDC, bcGo, nrTotal, jOff)
+		MicroNTPack(mr, nb, kc, 1, a, spec.LDA, bT, spec.LDBT, beta, c[jOff:], spec.LDC, bcGo, nrTotal, jOff)
 		for i := 0; i < mr; i++ {
 			for j := 0; j < nb; j++ {
 				d := cISA[i*spec.LDC+jOff+j] - c[jOff+i*spec.LDC+j]

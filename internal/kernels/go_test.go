@@ -84,37 +84,50 @@ func TestSGEMMMicroBetaZeroIgnoresGarbage(t *testing.T) {
 	}
 }
 
+// TestSpecialized7x12EqualsGeneric checks that both fixed-shape kernels,
+// 7×12 and 7×6, give the generic loop's bits in both precisions: each C
+// element sums in the same k order.
 func TestSpecialized7x12EqualsGeneric(t *testing.T) {
 	f := func(seed uint16) bool {
 		rng := mat.NewRNG(uint64(seed) + 7)
 		kc := 4 * (rng.Intn(8) + 1)
-		a := fillRand32(7*kc, rng)
-		b := fillRand32(kc*12, rng)
-		c1 := fillRand32(7*12, rng)
-		c2 := append([]float32(nil), c1...)
-		sgemmMicro7x12(kc, 1.5, a, kc, b, 12, 0.5, c1, 12)
-		// Force the generic path with a shape the dispatcher won't special-case
-		// by calling the scalar loop inline.
-		for i := 0; i < 7; i++ {
-			for j := 0; j < 12; j++ {
-				var acc float32
-				for k := 0; k < kc; k++ {
-					acc += a[i*kc+k] * b[k*12+j]
-				}
-				c2[i*12+j] = 1.5*acc + 0.5*c2[i*12+j]
-			}
-		}
-		for i := range c1 {
-			d := c1[i] - c2[i]
-			if d > 1e-4 || d < -1e-4 {
-				return false
-			}
-		}
-		return true
+		return fixedShapeMatchesLoop[float32](rng, kc, 12) && fixedShapeMatchesLoop[float32](rng, kc, 6) &&
+			fixedShapeMatchesLoop[float64](rng, kc, 12) && fixedShapeMatchesLoop[float64](rng, kc, 6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fixedShapeMatchesLoop runs Micro on a 7×nr tile, which takes the
+// fixed-shape path, and compares it bit for bit with the generic loop
+// written out inline.
+func fixedShapeMatchesLoop[T Float](rng *mat.RNG, kc, nr int) bool {
+	a := make([]T, 7*kc)
+	b := make([]T, kc*nr)
+	c1 := make([]T, 7*nr)
+	for _, s := range [][]T{a, b, c1} {
+		for i := range s {
+			s[i] = T(rng.Float64() - 0.5)
+		}
+	}
+	c2 := append([]T(nil), c1...)
+	Micro(7, nr, kc, 1.5, a, kc, b, nr, 0.5, c1, nr)
+	for i := 0; i < 7; i++ {
+		for j := 0; j < nr; j++ {
+			var acc T
+			for k := 0; k < kc; k++ {
+				acc += a[i*kc+k] * b[k*nr+j]
+			}
+			c2[i*nr+j] = 1.5*acc + 0.5*c2[i*nr+j]
+		}
+	}
+	for i := range c1 {
+		if c1[i] != c2[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestDGEMMMicroMatchesRef(t *testing.T) {
@@ -155,7 +168,7 @@ func TestPackBKernelsPackAndCompute(t *testing.T) {
 	c := fillRand32(mr*nr, rng)
 	cc := append([]float32(nil), c...)
 	bc := make([]float32, kc*nrTotal)
-	SGEMMMicroPackB(mr, nr, kc, 1, a, kc, b, ldb, 1, cc, nr, bc, nrTotal, jOff)
+	MicroPackB(mr, nr, kc, 1, a, kc, b, ldb, 1, cc, nr, bc, nrTotal, jOff)
 	// Compute must match the plain kernel.
 	SGEMMMicro(mr, nr, kc, 1, a, kc, b, ldb, 1, c, nr)
 	for i := range c {
@@ -179,7 +192,7 @@ func TestNTKernelsMatchTransposedRef(t *testing.T) {
 	a := fillRand32(mr*kc, rng)
 	bT := fillRand32(nr*kc, rng) // stored N×K
 	c := make([]float32, mr*nr)
-	SGEMMMicroNT(mr, nr, kc, 1, a, kc, bT, kc, 0, c, nr)
+	MicroNT(mr, nr, kc, 1, a, kc, bT, kc, 0, c, nr)
 	for i := 0; i < mr; i++ {
 		for j := 0; j < nr; j++ {
 			var acc float32
@@ -203,7 +216,7 @@ func TestNTPackScatterLayout(t *testing.T) {
 	// Fill the full 12-wide Bc with four 3-column calls, as §5.3.2 says.
 	fullBT := fillRand32(nrTotal*kc, rng)
 	for jOff := 0; jOff < nrTotal; jOff += nb {
-		SGEMMMicroNTPack(mr, nb, kc, 1, a, kc, fullBT[jOff*kc:], kc, 0, c[jOff:], nrTotal, bc, nrTotal, jOff)
+		MicroNTPack(mr, nb, kc, 1, a, kc, fullBT[jOff*kc:], kc, 0, c[jOff:], nrTotal, bc, nrTotal, jOff)
 	}
 	// Bc must now be the row-major K×N image of the transposed operand.
 	for k := 0; k < kc; k++ {
@@ -232,7 +245,7 @@ func TestDGEMMMicroNTPackParity(t *testing.T) {
 	c := make([]float64, mr*nrTotal)
 	bc := make([]float64, kc*nrTotal)
 	for jOff := 0; jOff < nrTotal; jOff += nb {
-		DGEMMMicroNTPack(mr, nb, kc, 1, a, kc, bT[jOff*kc:], kc, 0, c[jOff:], nrTotal, bc, nrTotal, jOff)
+		MicroNTPack(mr, nb, kc, 1, a, kc, bT[jOff*kc:], kc, 0, c[jOff:], nrTotal, bc, nrTotal, jOff)
 	}
 	c2 := make([]float64, mr*nrTotal)
 	DGEMMMicro(mr, nrTotal, kc, 1, a, kc, bc, nrTotal, 0, c2, nrTotal)
@@ -246,23 +259,23 @@ func TestDGEMMMicroNTPackParity(t *testing.T) {
 
 func TestScaleRows(t *testing.T) {
 	c := []float32{1, 2, 3, 4, 5, 6}
-	SScaleRows(2, 2, 2, c, 3) // scales (0,0),(0,1),(1,0),(1,1)
+	ScaleRows(2, 2, 2, c, 3) // scales (0,0),(0,1),(1,0),(1,1)
 	want := []float32{2, 4, 3, 8, 10, 6}
 	for i := range want {
 		if c[i] != want[i] {
 			t.Fatalf("c = %v", c)
 		}
 	}
-	SScaleRows(2, 2, 0, c, 3)
+	ScaleRows(2, 2, 0, c, 3)
 	if c[0] != 0 || c[1] != 0 || c[2] != 3 {
 		t.Fatal("beta=0 scale wrong")
 	}
 	d := []float64{1, 2}
-	DScaleRows(1, 2, 3, d, 2)
+	ScaleRows(1, 2, 3, d, 2)
 	if d[0] != 3 || d[1] != 6 {
 		t.Fatal("FP64 scale wrong")
 	}
-	DScaleRows(1, 2, 0, d, 2)
+	ScaleRows(1, 2, 0, d, 2)
 	if d[0] != 0 || d[1] != 0 {
 		t.Fatal("FP64 beta=0 scale wrong")
 	}

@@ -177,7 +177,7 @@ func TestNTPackISAAgainstGo(t *testing.T) {
 				beta = 1
 			}
 			// Go counterpart: C written at column offset JOff.
-			SGEMMMicroNTPack(spec.MR, spec.NB, spec.KC, 1, a, spec.LDA, bT, spec.LDBT, beta, c[spec.JOff:], spec.LDC, bc, spec.NRTotal, spec.JOff)
+			MicroNTPack(spec.MR, spec.NB, spec.KC, 1, a, spec.LDA, bT, spec.LDBT, beta, c[spec.JOff:], spec.LDC, bc, spec.NRTotal, spec.JOff)
 			for i := 0; i < spec.MR; i++ {
 				for j := 0; j < spec.NB; j++ {
 					got := cISA[i*spec.LDC+spec.JOff+j]
@@ -205,7 +205,7 @@ func TestNTPackISAAgainstGo(t *testing.T) {
 			if err := vexec.RunF64(p, a, bT, cISA, bcISA); err != nil {
 				t.Fatal(err)
 			}
-			DGEMMMicroNTPack(spec.MR, spec.NB, spec.KC, 1, a, spec.LDA, bT, spec.LDBT, 0, cGo[spec.JOff:], spec.LDC, bcGo, spec.NRTotal, spec.JOff)
+			MicroNTPack(spec.MR, spec.NB, spec.KC, 1, a, spec.LDA, bT, spec.LDBT, 0, cGo[spec.JOff:], spec.LDC, bcGo, spec.NRTotal, spec.JOff)
 			for i := 0; i < spec.MR; i++ {
 				for j := 0; j < spec.NB; j++ {
 					d := cISA[i*spec.LDC+spec.JOff+j] - cGo[spec.JOff+i*spec.LDC+j]

@@ -12,24 +12,11 @@ package kernels
 // internal/mat oracle), and beta == 0 overwrites C without reading it,
 // matching the driver's semantics for uninitialised output buffers.
 
-type float interface {
-	~float32 | ~float64
-}
-
-// SGEMMRef computes C = alpha*op(A)*op(B) + beta*C in single precision
-// through the portable reference path. op(A) is m×k and op(B) is k×n;
-// transposed operands are supplied as stored (A: K×M, B: N×K, row-major),
-// exactly as the driver receives them.
-func SGEMMRef(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	gemmRef(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
-// DGEMMRef is the double-precision counterpart of SGEMMRef.
-func DGEMMRef(transA, transB bool, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	gemmRef(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
-func gemmRef[T float](transA, transB bool, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
+// GEMMRef computes C = alpha*op(A)*op(B) + beta*C through the portable
+// reference path. op(A) is m×k and op(B) is k×n; transposed operands are
+// supplied as stored (A: K×M, B: N×K, row-major), exactly as the driver
+// receives them.
+func GEMMRef[T Float](transA, transB bool, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	at := func(i, p int) T {
 		if transA {
 			return a[p*lda+i]
@@ -55,4 +42,14 @@ func gemmRef[T float](transA, transB bool, m, n, k int, alpha T, a []T, lda int,
 			}
 		}
 	}
+}
+
+// SGEMMRef is GEMMRef for FP32.
+func SGEMMRef(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
+	GEMMRef(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+}
+
+// DGEMMRef is GEMMRef for FP64.
+func DGEMMRef(transA, transB bool, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
+	GEMMRef(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }

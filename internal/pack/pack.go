@@ -2,10 +2,12 @@
 // packing routines every GEMM driver uses and the runtime packing decision
 // rules of §4. LibShalom's drivers (internal/core) call the predicates to
 // decide whether to pack at all and, when packing, do it inside the
-// micro-kernel (internal/kernels Pack* kernels); the baseline drivers
-// (internal/baselines) use the sequential whole-panel routines here, which is
-// exactly the behaviour the paper contrasts against.
+// micro-kernel (internal/kernels MicroPackB and MicroNTPack); the baseline
+// drivers (internal/baselines) use the sequential whole-panel routines here,
+// which is exactly the behaviour the paper contrasts against.
 package pack
+
+import "libshalom/internal/kernels"
 
 // Strategy describes what a driver decided to do about one operand.
 type Strategy int
@@ -62,11 +64,6 @@ func ShouldPackBNN(sizeBBytes, l1Bytes int) Strategy {
 // packing is overlapped with computation.
 func ShouldPackBNT() Strategy { return PackOverlap }
 
-// ShouldPackANN is §4.2's A decision: never pack A under NN — its rows are
-// walked contiguously, so hardware prefetch hides the latency even when A is
-// the only operand exceeding L1.
-func ShouldPackANN() Strategy { return NoPack }
-
 // DepthFor implements §5.3.2's t selection: lookahead packing only pays off
 // when B cannot live in the LLC (irregular-shaped inputs).
 func DepthFor(sizeBBytes, llcBytes int) Depth {
@@ -76,36 +73,40 @@ func DepthFor(sizeBBytes, llcBytes int) Depth {
 	return DepthCurrent
 }
 
-// PackBF32 copies the kc×nc block of B starting at (k0, j0) into dst as a
+// PackB copies the kc×nc block of B starting at (k0, j0) into dst as a
 // dense row-major kc×nc buffer (ldb is B's stride). This is the sequential
 // whole-panel packing conventional libraries always run (Fig 1 step L2).
 //
 //shalom:hotpath noalloc,nolock,noblock,notime
-func PackBF32(dst []float32, b []float32, ldb, k0, j0, kc, nc int) {
+func PackB[T kernels.Float](dst []T, b []T, ldb, k0, j0, kc, nc int) {
 	for k := 0; k < kc; k++ {
 		src := b[(k0+k)*ldb+j0 : (k0+k)*ldb+j0+nc]
 		copy(dst[k*nc:k*nc+nc], src)
 	}
 }
 
-// PackBF64 is the FP64 counterpart of PackBF32.
+// PackBF32 is PackB for FP32.
+//
+//shalom:hotpath noalloc,nolock,noblock,notime
+func PackBF32(dst []float32, b []float32, ldb, k0, j0, kc, nc int) {
+	PackB(dst, b, ldb, k0, j0, kc, nc)
+}
+
+// PackBF64 is PackB for FP64.
 //
 //shalom:hotpath noalloc,nolock,noblock,notime
 func PackBF64(dst []float64, b []float64, ldb, k0, j0, kc, nc int) {
-	for k := 0; k < kc; k++ {
-		src := b[(k0+k)*ldb+j0 : (k0+k)*ldb+j0+nc]
-		copy(dst[k*nc:k*nc+nc], src)
-	}
+	PackB(dst, b, ldb, k0, j0, kc, nc)
 }
 
-// PackBTransposedF32 packs a kc×nc block of the logical operand B = Bt^T,
+// PackBTransposed packs a kc×nc block of the logical operand B = Bt^T,
 // where bt is stored N×K row-major (the NT-mode input): dst[k*nc+j] =
 // bt[(j0+j)*ldbt + k0+k]. This is the transpose gather the NT packing
 // micro-kernel performs with vector loads plus scatter stores (Fig 5);
 // baselines run it as a standalone pass.
 //
 //shalom:hotpath noalloc,nolock,noblock,notime
-func PackBTransposedF32(dst []float32, bt []float32, ldbt, k0, j0, kc, nc int) {
+func PackBTransposed[T kernels.Float](dst []T, bt []T, ldbt, k0, j0, kc, nc int) {
 	for j := 0; j < nc; j++ {
 		src := bt[(j0+j)*ldbt+k0:]
 		for k := 0; k < kc; k++ {
@@ -114,77 +115,44 @@ func PackBTransposedF32(dst []float32, bt []float32, ldbt, k0, j0, kc, nc int) {
 	}
 }
 
-// PackBTransposedF64 is the FP64 counterpart of PackBTransposedF32.
+// PackBTransposedF32 is PackBTransposed for FP32.
+//
+//shalom:hotpath noalloc,nolock,noblock,notime
+func PackBTransposedF32(dst []float32, bt []float32, ldbt, k0, j0, kc, nc int) {
+	PackBTransposed(dst, bt, ldbt, k0, j0, kc, nc)
+}
+
+// PackBTransposedF64 is PackBTransposed for FP64.
 //
 //shalom:hotpath noalloc,nolock,noblock,notime
 func PackBTransposedF64(dst []float64, bt []float64, ldbt, k0, j0, kc, nc int) {
-	for j := 0; j < nc; j++ {
-		src := bt[(j0+j)*ldbt+k0:]
-		for k := 0; k < kc; k++ {
-			dst[k*nc+j] = src[k]
-		}
-	}
+	PackBTransposed(dst, bt, ldbt, k0, j0, kc, nc)
 }
 
-// PackAF32 packs the mc×kc block of A starting at (i0, k0) into dst as a
+// PackA packs the mc×kc block of A starting at (i0, k0) into dst as a
 // dense row-major mc×kc buffer (lda is A's stride). The packed layout keeps
 // each row's K elements contiguous, which is what the 7×12 main kernel's
 // A-vector loads require (Fig 3).
 //
 //shalom:hotpath noalloc,nolock,noblock,notime
-func PackAF32(dst []float32, a []float32, lda, i0, k0, mc, kc int) {
+func PackA[T kernels.Float](dst []T, a []T, lda, i0, k0, mc, kc int) {
 	for i := 0; i < mc; i++ {
 		src := a[(i0+i)*lda+k0 : (i0+i)*lda+k0+kc]
 		copy(dst[i*kc:i*kc+kc], src)
 	}
 }
 
-// PackAF64 is the FP64 counterpart of PackAF32.
-//
-//shalom:hotpath noalloc,nolock,noblock,notime
-func PackAF64(dst []float64, a []float64, lda, i0, k0, mc, kc int) {
-	for i := 0; i < mc; i++ {
-		src := a[(i0+i)*lda+k0 : (i0+i)*lda+k0+kc]
-		copy(dst[i*kc:i*kc+kc], src)
-	}
-}
-
-// PackATransposedF32 packs an mc×kc block of the logical operand A = At^T
-// (at stored K×M row-major, the TN-mode input) into dense row-major mc×kc:
+// PackATransposed packs an mc×kc block of the logical operand A = At^T (at
+// stored K×M row-major, the TN-mode input) into dense row-major mc×kc:
 // dst[i*kc+k] = at[(k0+k)*ldat + i0+i]. §4.3: TN packs A with the NT-mode
 // strategy.
 //
 //shalom:hotpath noalloc,nolock,noblock,notime
-func PackATransposedF32(dst []float32, at []float32, ldat, i0, k0, mc, kc int) {
+func PackATransposed[T kernels.Float](dst []T, at []T, ldat, i0, k0, mc, kc int) {
 	for k := 0; k < kc; k++ {
 		src := at[(k0+k)*ldat+i0:]
 		for i := 0; i < mc; i++ {
 			dst[i*kc+k] = src[i]
-		}
-	}
-}
-
-// PackATransposedF64 is the FP64 counterpart of PackATransposedF32.
-//
-//shalom:hotpath noalloc,nolock,noblock,notime
-func PackATransposedF64(dst []float64, at []float64, ldat, i0, k0, mc, kc int) {
-	for k := 0; k < kc; k++ {
-		src := at[(k0+k)*ldat+i0:]
-		for i := 0; i < mc; i++ {
-			dst[i*kc+k] = src[i]
-		}
-	}
-}
-
-// PackAColMajorF32 packs an mb×kc block of A into the column-major (M-
-// direction) sliver layout the 8×4 edge kernels of Fig 6 consume:
-// dst[k*mb + i] = a[(i0+i)*lda + k0+k].
-//
-//shalom:hotpath noalloc,nolock,noblock,notime
-func PackAColMajorF32(dst []float32, a []float32, lda, i0, k0, mb, kc int) {
-	for k := 0; k < kc; k++ {
-		for i := 0; i < mb; i++ {
-			dst[k*mb+i] = a[(i0+i)*lda+k0+k]
 		}
 	}
 }

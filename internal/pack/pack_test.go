@@ -15,9 +15,6 @@ func TestDecisionNN(t *testing.T) {
 	if ShouldPackBNN(l1+1, l1) != PackOverlap {
 		t.Fatal("B over L1 capacity must be packed with overlap")
 	}
-	if ShouldPackANN() != NoPack {
-		t.Fatal("A must never be packed under NN (§4.2)")
-	}
 }
 
 func TestDecisionNT(t *testing.T) {
@@ -82,7 +79,7 @@ func TestPackAF32SubBlock(t *testing.T) {
 	rng := mat.NewRNG(2)
 	a := mat.RandomF32(9, 11, rng)
 	dst := make([]float32, 4*5)
-	PackAF32(dst, a.Data, a.Stride, 3, 2, 4, 5)
+	PackA(dst, a.Data, a.Stride, 3, 2, 4, 5)
 	for i := 0; i < 4; i++ {
 		for k := 0; k < 5; k++ {
 			if dst[i*5+k] != a.At(3+i, 2+k) {
@@ -96,25 +93,11 @@ func TestPackATransposed(t *testing.T) {
 	rng := mat.NewRNG(3)
 	at := mat.RandomF32(7, 9, rng) // stored K×M (K=7, M=9)
 	dst := make([]float32, 4*3)    // mc=4, kc=3
-	PackATransposedF32(dst, at.Data, at.Stride, 2, 1, 4, 3)
+	PackATransposed(dst, at.Data, at.Stride, 2, 1, 4, 3)
 	for i := 0; i < 4; i++ {
 		for k := 0; k < 3; k++ {
 			if dst[i*3+k] != at.At(1+k, 2+i) {
 				t.Fatalf("A^T pack (%d,%d) wrong", i, k)
-			}
-		}
-	}
-}
-
-func TestPackAColMajor(t *testing.T) {
-	rng := mat.NewRNG(4)
-	a := mat.RandomF32(10, 6, rng)
-	dst := make([]float32, 8*4)
-	PackAColMajorF32(dst, a.Data, a.Stride, 1, 2, 8, 4)
-	for k := 0; k < 4; k++ {
-		for i := 0; i < 8; i++ {
-			if dst[k*8+i] != a.At(1+i, 2+k) {
-				t.Fatalf("col-major pack (%d,%d) wrong", i, k)
 			}
 		}
 	}
@@ -136,14 +119,14 @@ func TestPackF64Variants(t *testing.T) {
 	}
 	a := mat.RandomF64(6, 8, rng)
 	dstA := make([]float64, 3*4)
-	PackAF64(dstA, a.Data, a.Stride, 2, 3, 3, 4)
+	PackA(dstA, a.Data, a.Stride, 2, 3, 3, 4)
 	if dstA[0] != a.At(2, 3) || dstA[11] != a.At(4, 6) {
-		t.Fatal("PackAF64 wrong")
+		t.Fatal("PackA FP64 wrong")
 	}
 	at := mat.RandomF64(5, 7, rng)
 	dstAT := make([]float64, 2*3)
-	PackATransposedF64(dstAT, at.Data, at.Stride, 1, 0, 2, 3)
+	PackATransposed(dstAT, at.Data, at.Stride, 1, 0, 2, 3)
 	if dstAT[0*3+0] != at.At(0, 1) || dstAT[1*3+2] != at.At(2, 2) {
-		t.Fatal("PackATransposedF64 wrong")
+		t.Fatal("PackATransposed FP64 wrong")
 	}
 }

@@ -113,14 +113,14 @@ func Run(lib Library, plat *platform.Platform, w Workload) Result {
 			share = active
 		}
 	}
-	bwShare := plat.DRAMBandwidthGB / float64(maxI(4, active)) * float64(share)
+	bwShare := plat.DRAMBandwidthGB / float64(max(4, active)) * float64(share)
 	// The per-thread block still walks B at the original matrix's row
 	// stride.
 	st := singleThread(p, plat, worst.M, worst.N, w.K, w.ElemBytes, w.TransA, w.TransB, w.Warm, bwShare, w.N)
 	fj := float64(plat.ForkJoinBaseCy + plat.ForkJoinPerThreadCy*threads)
 	// Critical-path friction: contention and stragglers grow with the
 	// number of active threads (see platform.StragglerFrac).
-	straggle := 1 + plat.StragglerFrac*math.Log2(float64(maxI(2, active)))
+	straggle := 1 + plat.StragglerFrac*math.Log2(float64(max(2, active)))
 	perThreadSec := (st.cycles*straggle + fj) / freqHz
 
 	// Chip-level DRAM bandwidth floor: every block's traffic shares the
@@ -363,7 +363,7 @@ func singleThread(p persona, plat *platform.Platform, m, n, k, elem int, transA,
 	}
 
 	// --- fixed overheads ---
-	tiles := float64(ceilI(m, mr) * ceilI(n, nr) * maxI(1, fullKB+signI(remK)))
+	tiles := float64(ceilI(m, mr) * ceilI(n, nr) * max(1, fullKB+signI(remK)))
 	r.overhead = p.callOverhead + 12*tiles
 
 	r.cycles = r.kernelFull + r.kernelEdge + r.packCycles + r.memCycles + r.overhead
@@ -393,7 +393,7 @@ func simMain(p persona, plat *platform.Platform, cfg uarch.Config, elem, mr, nr,
 	simMu.Unlock()
 	prog := kernels.BuildMain(kernels.MainSpec{
 		Elem: elem, MR: mr, NR: nr, KC: kc,
-		LDA: kc, LDB: maxI(nr, 64), LDC: maxI(nr, 64),
+		LDA: kc, LDB: max(nr, 64), LDC: max(nr, 64),
 		Accumulate: true, PackB: packB, Schedule: p.schedule,
 	})
 	c := cfg
@@ -424,7 +424,7 @@ func simEdge(p persona, plat *platform.Platform, cfg uarch.Config, elem, tm, tn,
 	simMu.Unlock()
 	prog := kernels.BuildMain(kernels.MainSpec{
 		Elem: elem, MR: tm, NR: tn, KC: kc,
-		LDA: kc, LDB: maxI(tn, 64), LDC: maxI(tn, 64),
+		LDA: kc, LDB: max(tn, 64), LDC: max(tn, 64),
 		Accumulate: true, Schedule: sched,
 	})
 	c := cfg
@@ -456,7 +456,7 @@ func simNTPack(p persona, plat *platform.Platform, cfg uarch.Config, elem, mr, n
 	simMu.Unlock()
 	prog := kernels.BuildNTPack(kernels.NTPackSpec{
 		Elem: elem, MR: mr, NB: nb, KC: kc,
-		LDA: kc, LDBT: maxI(kc, 64), LDC: maxI(nr, 64),
+		LDA: kc, LDBT: max(kc, 64), LDC: max(nr, 64),
 		NRTotal: nr, JOff: 0,
 	})
 	v := float64(uarch.Simulate(prog, cfg).Cycles)
@@ -482,13 +482,6 @@ func roundUp(a, b int) int {
 		return b
 	}
 	return ceilI(a, b) * b
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func signI(a int) int {

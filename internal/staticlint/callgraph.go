@@ -69,7 +69,21 @@ func ResolveCall(pkg *Package, call *ast.CallExpr) Callee {
 	if tv, ok := pkg.Info.Types[fun]; ok && tv.IsType() {
 		return Callee{Kind: CalleeConversion}
 	}
+	return resolveFun(pkg, fun)
+}
+
+// resolveFun resolves the function expression of a call.
+func resolveFun(pkg *Package, fun ast.Expr) Callee {
 	switch f := fun.(type) {
+	case *ast.IndexExpr:
+		// An explicit instantiation f[T](…) calls f; a func value indexed
+		// out of a slice or map resolves to no function and stays dynamic.
+		if c := resolveFun(pkg, ast.Unparen(f.X)); c.Kind == CalleeStatic {
+			return c
+		}
+		return Callee{Kind: CalleeDynamic}
+	case *ast.IndexListExpr:
+		return resolveFun(pkg, ast.Unparen(f.X)) // f[T1, T2](…)
 	case *ast.Ident:
 		switch obj := pkg.Info.Uses[f].(type) {
 		case *types.Func:

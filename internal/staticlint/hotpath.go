@@ -159,17 +159,23 @@ func isChan(t types.Type) bool {
 // boxes reports whether assigning from to to boxes a concrete value into an
 // interface (an allocation for non-pointer-shaped values).
 func (c *hotpathChecker) boxes(to types.Type, from ast.Expr) bool {
-	if to == nil || !types.IsInterface(to) {
+	if to == nil || !isInterface(to) {
 		return false
 	}
 	tv, ok := c.pkg.Info.Types[from]
 	if !ok || tv.Type == nil {
 		return false
 	}
-	if tv.IsNil() || types.IsInterface(tv.Type) {
-		return false
-	}
-	return true
+	return !tv.IsNil() && !isInterface(tv.Type)
+}
+
+// isInterface reports whether t is an interface type. A type parameter is
+// not one, although its underlying type is its constraint: a parameter of
+// type-parameter type takes its type argument unboxed, and a value of
+// type-parameter type is boxed when it is assigned to an interface.
+func isInterface(t types.Type) bool {
+	_, param := t.(*types.TypeParam)
+	return !param && types.IsInterface(t)
 }
 
 func (c *hotpathChecker) check(decl *ast.FuncDecl) {

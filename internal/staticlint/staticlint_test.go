@@ -72,6 +72,20 @@ func TestHotpathFixture(t *testing.T) {
 	if !transitive {
 		t.Errorf("line 44 finding does not attribute the annotated root:\n%s", renderDiags(diags))
 	}
+
+	// An explicit instantiation grow[float64](…) is a static call: the
+	// allocation inside the generic callee is reported for Generic.
+	var generic bool
+	for _, d := range diags {
+		if d.Pos.Line == 59 && strings.Contains(d.Message, "grow") && strings.Contains(d.Message, "Generic") {
+			generic = true
+		}
+	}
+	if !generic {
+		t.Errorf("line 59 finding does not attribute the generic callee's root:\n%s", renderDiags(diags))
+	}
+	expectAt(t, diags, "hotpath", f, 66) // func value indexed from a slice
+	expectAt(t, diags, "hotpath", f, 71) // type-parameter value boxed into any
 }
 
 func TestHotpathCleanFixture(t *testing.T) {

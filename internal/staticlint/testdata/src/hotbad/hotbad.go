@@ -49,3 +49,24 @@ func Allowed(n int) []int {
 	//shalom:allow hotpath -- fixture: amortized growth, measured cold path
 	return make([]int, n) // suppressed by the allow above
 }
+
+//shalom:hotpath noalloc
+func Generic(n int) []float64 {
+	return grow[float64](n) // clean itself; grow allocates
+}
+
+func grow[T ~float32 | ~float64](n int) []T {
+	return make([]T, n) // line 59: flagged via Generic's annotation
+}
+
+var fns = []func(int) []int{helper}
+
+//shalom:hotpath noalloc
+func FromSlice(n int) []int {
+	return fns[0](n) // line 66: a func value from a slice stays dynamic
+}
+
+//shalom:hotpath noalloc
+func BoxGeneric[T ~float32 | ~float64](v T) any {
+	return v // line 71: a type-parameter value boxed into an interface
+}

@@ -155,10 +155,3 @@ func Replay(plat *platform.Platform, strat cachemodel.Strategy, sh cachemodel.Sh
 	}
 	return s
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
