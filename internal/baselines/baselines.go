@@ -26,7 +26,6 @@
 package baselines
 
 import (
-	"fmt"
 	"math"
 
 	"libshalom/internal/analytic"
@@ -138,7 +137,7 @@ func DGEMM(lib Lib, plat *platform.Platform, threads int, mode core.Mode, m, n, 
 }
 
 func blGemm[T kernels.Float](lib Lib, plat *platform.Platform, threads int, mode core.Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) error {
-	if err := checkDims(mode, m, n, k, len(a), lda, len(b), ldb, len(c), ldc); err != nil {
+	if err := core.CheckArgs(mode, m, n, k, a, lda, b, ldb, c, ldc); err != nil {
 		return err
 	}
 	if m == 0 || n == 0 {
@@ -315,38 +314,4 @@ func GridMPartition(threads int) analytic.Partition {
 
 func cubeRoot(m, n, k int) int {
 	return int(math.Cbrt(float64(m) * float64(n) * float64(k)))
-}
-
-func checkDims(mode core.Mode, m, n, k, lenA, lda, lenB, ldb, lenC, ldc int) error {
-	if m < 0 || n < 0 || k < 0 {
-		return fmt.Errorf("baselines: negative dimension m=%d n=%d k=%d", m, n, k)
-	}
-	arows, acols := m, k
-	if mode.TransA() {
-		arows, acols = k, m
-	}
-	brows, bcols := k, n
-	if mode.TransB() {
-		brows, bcols = n, k
-	}
-	if lda < max(1, acols) || ldb < max(1, bcols) || ldc < max(1, n) {
-		return fmt.Errorf("baselines: leading dimension too small (lda=%d ldb=%d ldc=%d)", lda, ldb, ldc)
-	}
-	if need := need(arows, acols, lda); lenA < need {
-		return fmt.Errorf("baselines: A has %d elements, needs %d", lenA, need)
-	}
-	if need := need(brows, bcols, ldb); lenB < need {
-		return fmt.Errorf("baselines: B has %d elements, needs %d", lenB, need)
-	}
-	if need := need(m, n, ldc); lenC < need {
-		return fmt.Errorf("baselines: C has %d elements, needs %d", lenC, need)
-	}
-	return nil
-}
-
-func need(rows, cols, ld int) int {
-	if rows == 0 || cols == 0 {
-		return 0
-	}
-	return (rows-1)*ld + cols
 }

@@ -85,7 +85,7 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, mode Mode, batch []Batc
 		ctx = context.Background() //shalom:allow ctxflow — nil-ctx callers opted out of cancellation
 	}
 	for i, e := range batch {
-		if err := checkArgs(mode, e.M, e.N, e.K, e.A, e.LDA, e.B, e.LDB, e.C, e.LDC); err != nil {
+		if err := CheckArgs(mode, e.M, e.N, e.K, e.A, e.LDA, e.B, e.LDB, e.C, e.LDC); err != nil {
 			return fmt.Errorf("core: batch entry %d: %w", i, err)
 		}
 	}

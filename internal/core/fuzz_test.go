@@ -6,9 +6,9 @@ import (
 
 // FuzzCheckArgs proves the driver's argument validation never panics and
 // accepts exactly the calls the driver can execute in-bounds: whenever
-// checkArgs accepts, the maximal element indices the loop nest can touch
+// CheckArgs accepts, the maximal element indices the loop nest can touch
 // are inside the supplied slices, and whenever the independent validity
-// predicate holds, checkArgs must not reject (no spurious errors).
+// predicate holds, CheckArgs must not reject (no spurious errors).
 func FuzzCheckArgs(f *testing.F) {
 	f.Add(uint8(0), 7, 12, 8, 8, 12, 12, 56, 96, 84)
 	f.Add(uint8(1), 0, 0, 0, 1, 1, 1, 0, 0, 0)
@@ -29,7 +29,7 @@ func FuzzCheckArgs(f *testing.F) {
 		b := make([]float32, clampLen(lenB))
 		c := make([]float32, clampLen(lenC))
 
-		err := checkArgs(mode, m, n, k, a, lda, b, ldb, c, ldc) // must never panic
+		err := CheckArgs(mode, m, n, k, a, lda, b, ldb, c, ldc) // must never panic
 
 		arows, acols := m, k
 		if mode.TransA() {
@@ -45,11 +45,11 @@ func FuzzCheckArgs(f *testing.F) {
 			len(b) >= sliceNeed(brows, bcols, ldb) &&
 			len(c) >= sliceNeed(m, n, ldc)
 		if valid && err != nil {
-			t.Fatalf("checkArgs rejected a valid call: mode=%v m=%d n=%d k=%d lda=%d ldb=%d ldc=%d lens=%d/%d/%d: %v",
+			t.Fatalf("CheckArgs rejected a valid call: mode=%v m=%d n=%d k=%d lda=%d ldb=%d ldc=%d lens=%d/%d/%d: %v",
 				mode, m, n, k, lda, ldb, ldc, len(a), len(b), len(c), err)
 		}
 		if !valid && err == nil {
-			t.Fatalf("checkArgs accepted an invalid call: mode=%v m=%d n=%d k=%d lda=%d ldb=%d ldc=%d lens=%d/%d/%d",
+			t.Fatalf("CheckArgs accepted an invalid call: mode=%v m=%d n=%d k=%d lda=%d ldb=%d ldc=%d lens=%d/%d/%d",
 				mode, m, n, k, lda, ldb, ldc, len(a), len(b), len(c))
 		}
 		if err != nil {

@@ -91,7 +91,11 @@ func DGEMM(cfg Config, mode Mode, m, n, k int, alpha float64, a []float64, lda i
 	return gemm(cfg, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
-func checkArgs[T Float](mode Mode, m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int) error {
+// CheckArgs rejects a GEMM call whose dimensions are negative, whose leading
+// dimensions are too small for its mode, or whose slices are too short for
+// the elements the mode addresses. The core drivers and the baselines share
+// it, so both accept exactly the same calls.
+func CheckArgs[T Float](mode Mode, m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int) error {
 	if m < 0 || n < 0 || k < 0 {
 		return fmt.Errorf("core: negative dimension m=%d n=%d k=%d", m, n, k)
 	}
@@ -129,7 +133,7 @@ func sliceNeed(rows, cols, ld int) int {
 // then the call as one problem down the dispatch ladder, split over the
 // pool by the planned partition on the fast route.
 func gemm[T Float](cfg Config, mode Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) error {
-	if err := checkArgs(mode, m, n, k, a, lda, b, ldb, c, ldc); err != nil {
+	if err := CheckArgs(mode, m, n, k, a, lda, b, ldb, c, ldc); err != nil {
 		return err
 	}
 	tel := cfg.Tel

@@ -1,0 +1,192 @@
+package kernels
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"libshalom/internal/mat"
+)
+
+// oracleNN is the plain i-j-k loop the compute kernels must reproduce bit
+// for bit: every C element accumulates in T, in k order, then takes the
+// alpha*acc (beta == 0) or alpha*acc + beta*c epilogue.
+func oracleNN[T Float](mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
+	for i := 0; i < mr; i++ {
+		ar := a[i*lda:]
+		for j := 0; j < nr; j++ {
+			var acc T
+			for k := 0; k < kc; k++ {
+				acc += ar[k] * b[k*ldb+j]
+			}
+			if beta == 0 {
+				c[i*ldc+j] = alpha * acc
+			} else {
+				c[i*ldc+j] = alpha*acc + beta*c[i*ldc+j]
+			}
+		}
+	}
+}
+
+// oracleNT is oracleNN with B stored transposed: B(k, j) = bT[j*ldbT+k].
+func oracleNT[T Float](mr, nr, kc int, alpha T, a []T, lda int, bT []T, ldbT int, beta T, c []T, ldc int) {
+	for i := 0; i < mr; i++ {
+		ar := a[i*lda:]
+		for j := 0; j < nr; j++ {
+			br := bT[j*ldbT:]
+			var acc T
+			for k := 0; k < kc; k++ {
+				acc += ar[k] * br[k]
+			}
+			if beta == 0 {
+				c[i*ldc+j] = alpha * acc
+			} else {
+				c[i*ldc+j] = alpha*acc + beta*c[i*ldc+j]
+			}
+		}
+	}
+}
+
+// bitsOf returns x's IEEE bit pattern, so equality distinguishes -0 from +0.
+func bitsOf[T Float](x T) uint64 {
+	switch v := any(x).(type) {
+	case float32:
+		return uint64(math.Float32bits(v))
+	case float64:
+		return math.Float64bits(v)
+	}
+	panic("unreachable")
+}
+
+// TestMicroMatchesOracle is the compute kernels' differential test. Over
+// every tile up to 8×16 (the §5.2 tiles, every tuner-family tile, the
+// baselines' 8×4/8×8/8×12 and perfbench's 8-wide isolation), k depths that
+// cover the one-step, two-step, odd and long loops, padded strides and the
+// α/β cases the drivers pass, Micro, MicroNT, MicroPackB and MicroNTPack in
+// both precisions must give the oracle's bits, leave C's padding and Bc
+// outside the packed sliver untouched, and ignore C (NaN here) when β = 0.
+func TestMicroMatchesOracle(t *testing.T) {
+	diffSweep[float32](t)
+	diffSweep[float64](t)
+}
+
+func diffSweep[T Float](t *testing.T) {
+	t.Helper()
+	rng := mat.NewRNG(25)
+	nan := T(math.NaN())
+	const sentinel = -7777
+	for mr := 1; mr <= 8; mr++ {
+		for nr := 1; nr <= 16; nr++ {
+			for _, kc := range []int{1, 2, 7, 257} {
+				lda, ldb, ldbT, ldc := kc+3, nr+5, kc+2, nr+4
+				// A and B carry NaN in their padding, so a kernel that reads
+				// past kc or nr poisons C; the slices end at the last element
+				// the tile may touch, so a read beyond it panics.
+				a := diffOperand[T](rng, mr, kc, lda, nan)
+				b := diffOperand[T](rng, kc, nr, ldb, nan)
+				bT := diffOperand[T](rng, nr, kc, ldbT, nan)
+				c0 := make([]T, mr*ldc)
+				for i := range c0 {
+					c0[i] = T(rng.Float64() - 0.5)
+					if i%ldc >= nr {
+						c0[i] = sentinel
+					}
+				}
+				jOff := 2
+				nrTotal := jOff + nr + 1
+				for _, alpha := range []T{1, -0.75, 0} {
+					for _, beta := range []T{0, 1, 0.5} {
+						cIn := append([]T(nil), c0...)
+						if beta == 0 {
+							for i := range cIn {
+								if i%ldc < nr {
+									cIn[i] = nan
+								}
+							}
+						}
+						wantNN := append([]T(nil), cIn...)
+						oracleNN(mr, nr, kc, alpha, a, lda, b, ldb, beta, wantNN, ldc)
+						wantNT := append([]T(nil), cIn...)
+						oracleNT(mr, nr, kc, alpha, a, lda, bT, ldbT, beta, wantNT, ldc)
+
+						id := fmt.Sprintf("[%T] %dx%d kc=%d α=%v β=%v", alpha, mr, nr, kc, alpha, beta)
+						got := append([]T(nil), cIn...)
+						Micro(mr, nr, kc, alpha, a, lda, b, ldb, beta, got, ldc)
+						checkTile(t, "Micro"+id, got, wantNN)
+
+						got = append(got[:0], cIn...)
+						MicroNT(mr, nr, kc, alpha, a, lda, bT, ldbT, beta, got, ldc)
+						checkTile(t, "MicroNT"+id, got, wantNT)
+
+						got = append(got[:0], cIn...)
+						bc := diffBc[T](kc, nrTotal, sentinel)
+						MicroPackB(mr, nr, kc, alpha, a, lda, b, ldb, beta, got, ldc, bc, nrTotal, jOff)
+						checkTile(t, "MicroPackB"+id, got, wantNN)
+						checkBc(t, "MicroPackB"+id, bc, kc, nr, nrTotal, jOff, sentinel, func(k, j int) T { return b[k*ldb+j] })
+
+						got = append(got[:0], cIn...)
+						bc = diffBc[T](kc, nrTotal, sentinel)
+						MicroNTPack(mr, nr, kc, alpha, a, lda, bT, ldbT, beta, got, ldc, bc, nrTotal, jOff)
+						checkTile(t, "MicroNTPack"+id, got, wantNT)
+						checkBc(t, "MicroNTPack"+id, bc, kc, nr, nrTotal, jOff, sentinel, func(k, j int) T { return bT[j*ldbT+k] })
+						if t.Failed() {
+							return
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// diffOperand returns a rows×cols operand with leading dimension ld: random
+// values inside, pad in the padding, and no element after the last one a
+// tile may read.
+func diffOperand[T Float](rng *mat.RNG, rows, cols, ld int, pad T) []T {
+	s := make([]T, (rows-1)*ld+cols)
+	for i := range s {
+		if i%ld < cols {
+			s[i] = T(rng.Float64() - 0.5)
+		} else {
+			s[i] = pad
+		}
+	}
+	return s
+}
+
+func diffBc[T Float](kc, nrTotal int, sentinel T) []T {
+	bc := make([]T, kc*nrTotal)
+	for i := range bc {
+		bc[i] = sentinel
+	}
+	return bc
+}
+
+// checkTile compares the whole C buffer, padding included, bit for bit.
+func checkTile[T Float](t *testing.T, name string, got, want []T) {
+	t.Helper()
+	for i := range want {
+		if bitsOf(got[i]) != bitsOf(want[i]) {
+			t.Errorf("%s: c[%d] = %v, want %v", name, i, got[i], want[i])
+			return
+		}
+	}
+}
+
+// checkBc asserts the packed sliver holds B(k, j) at bc[k*nrTotal+jOff+j]
+// and every other element of bc still holds the sentinel.
+func checkBc[T Float](t *testing.T, name string, bc []T, kc, nr, nrTotal, jOff int, sentinel T, want func(k, j int) T) {
+	t.Helper()
+	for k := 0; k < kc; k++ {
+		for col := 0; col < nrTotal; col++ {
+			w := sentinel
+			if j := col - jOff; j >= 0 && j < nr {
+				w = want(k, j)
+			}
+			if got := bc[k*nrTotal+col]; bitsOf(got) != bitsOf(w) {
+				t.Errorf("%s: bc(%d, %d) = %v, want %v", name, k, col, got, w)
+				return
+			}
+		}
+	}
+}

@@ -72,7 +72,7 @@ type problem struct {
 // newProblem builds an m×n×k NN f32 request and computes its reference on a
 // single-threaded direct Context — the bitwise baseline the serving path
 // must reproduce.
-func newProblem(t *testing.T, direct *libshalom.Context, seed uint64, m, n, k int, timeoutMS int) *problem {
+func newProblem(t testing.TB, direct *libshalom.Context, seed uint64, m, n, k int, timeoutMS int) *problem {
 	t.Helper()
 	rng := mat.NewRNG(seed)
 	a := mat.RandomF32(m, k, rng)
