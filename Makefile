@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt staticlint race lint check fuzz test-chaos test-soak e2e
+.PHONY: build test vet fmt staticlint race lint check fuzz test-chaos test-soak e2e perfbench-test
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,13 @@ e2e:
 lint:
 	$(GO) run ./cmd/shalom-bench lint
 
+# The benchmark (perfbench/) is its own module, so the module-wide vet,
+# build and test never compile it. This vets it against this checkout's
+# library and runs its tests, TestSelfTest among them: all four workloads
+# through the benchmark's own forward-error check.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Short bounded fuzzes of the ISA analyzer and the wire decoder (the tier-1
 # suite runs only their seed corpora; this explores a little further). The
 # decoder's seeds include a 6 KiB request, and minimizing each new input
@@ -76,4 +83,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/server/
 
 # The CI gate.
-check: vet fmt staticlint build test race test-chaos test-soak e2e lint
+check: vet fmt staticlint build test race test-chaos test-soak e2e lint perfbench-test

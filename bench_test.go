@@ -161,7 +161,10 @@ func BenchmarkFig15VGG(b *testing.B)                 { benchExperiment(b, "fig15
 // BenchmarkMicroKernels measures the wall-clock throughput of the Go
 // compute micro-kernels themselves on one kc = 256 tile each: the FP32 7×12
 // main tile, the 7×11 tile one column narrower (a column remainder in every
-// block row), and the FP64 7×6 main tile.
+// block row), and the FP64 7×6 main tile. The packed path's kernels run the
+// 7×12 tile too: the NN packing kernel on a B sliver cut from a 2048-wide
+// matrix, the NT packing kernel on a stored-transposed B with K = 512, and
+// the sweep over the packed sliver that every later tile of a panel runs.
 func BenchmarkMicroKernels(b *testing.B) {
 	rng := mat.NewRNG(4)
 	kc := 256
@@ -185,6 +188,30 @@ func BenchmarkMicroKernels(b *testing.B) {
 		b.SetBytes(int64(2 * 7 * 11 * kc))
 		for i := 0; i < b.N; i++ {
 			kernels.SGEMMMicro(7, 11, kc, 1, a32, kc, b32, 12, 0, c32, 12)
+		}
+	})
+	const ldb, ldbT = 2048, 512
+	src := make([]float32, (kc-1)*ldb+12)
+	for i := range src {
+		src[i] = rng.Float32()
+	}
+	bc := make([]float32, 12*kc)
+	b.Run("sgemm7x12-packNN", func(b *testing.B) {
+		b.SetBytes(flops)
+		for i := 0; i < b.N; i++ {
+			kernels.MicroPackB(7, 12, kc, 1, a32, kc, src, ldb, 0, c32, 12, bc)
+		}
+	})
+	b.Run("sgemm7x12-packNT", func(b *testing.B) {
+		b.SetBytes(flops)
+		for i := 0; i < b.N; i++ {
+			kernels.MicroNTPack(7, 12, kc, 1, a32, kc, src, ldbT, 0, c32, 12, bc)
+		}
+	})
+	b.Run("sgemm7x12-packed", func(b *testing.B) {
+		b.SetBytes(flops)
+		for i := 0; i < b.N; i++ {
+			kernels.MicroPacked(7, 12, kc, 1, a32, kc, bc, 0, c32, 12)
 		}
 	})
 	a64 := make([]float64, 7*kc)

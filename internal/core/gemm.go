@@ -165,13 +165,15 @@ func gemmST[T Float](tel *telemetry.Recorder, tid int32, corruptPack bool, plat 
 
 	bStrategy := mode.bStrategy(n*k*elemBytes, plat.L1.SizeBytes)
 
+	// The pack buffers hold one kc-block's sliver and A block, so a call
+	// smaller than the blocking sizes them by its own k and m.
 	var bc []T
 	if bStrategy != pack.NoPack {
-		bc = make([]T, kc*nr)
+		bc = make([]T, min(kc, k)*nr)
 	}
 	var aBuf []T
 	if mode.TransA() {
-		aBuf = make([]T, mc*kc)
+		aBuf = make([]T, min(mc, m)*min(kc, k))
 	}
 
 	for jj := 0; jj < n; jj += nc {
@@ -201,48 +203,35 @@ func gemmST[T Float](tel *telemetry.Recorder, tid int32, corruptPack bool, plat 
 					nrb := min(nr, ncb-j)
 					jAbs := jj + j
 					cTile := c[ii*ldc+jAbs:]
-					switch {
-					case mode.TransB():
-						// NT/TT: first micro-tile runs the inner-product
-						// packing kernel (Fig 5/Alg 3), the rest consume Bc
-						// with the 7×12 outer-product kernel.
-						bT := b[jAbs*ldb+kk:]
-						mrb := min(mr, mcb)
-						kernels.MicroNTPack(mrb, nrb, kcb, alpha, aBlk, ldaEff, bT, ldb, betaEff, cTile, ldc, bc, nrb, 0)
-						if corruptPack {
-							poison(tel, faults.CorruptPack, bc)
-						}
-						for i := mrb; i < mcb; i += mr {
-							mrb2 := min(mr, mcb-i)
-							kernels.Micro(mrb2, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bc, nrb, betaEff, cTile[i*ldc:], ldc)
-						}
-					case bStrategy == pack.PackOverlap:
-						// NN/TN with large B: pack the sliver inside the
-						// first micro-tile (Alg 1 lines 6–8), overlapping
-						// the copies with its FMAs; remaining tiles reuse
-						// the L1-resident Bc (lines 9–11). The §5.3.2
-						// lookahead depth t changes when elements are
-						// packed, not what is computed; this portable
-						// driver always packs the current sliver and the
-						// timing model prices the t=1 variant.
-						bBlk := b[kk*ldb+jAbs:]
-						mrb := min(mr, mcb)
-						kernels.MicroPackB(mrb, nrb, kcb, alpha, aBlk, ldaEff, bBlk, ldb, betaEff, cTile, ldc, bc, nrb, 0)
-						if corruptPack {
-							poison(tel, faults.CorruptPack, bc)
-						}
-						for i := mrb; i < mcb; i += mr {
-							mrb2 := min(mr, mcb-i)
-							kernels.Micro(mrb2, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bc, nrb, betaEff, cTile[i*ldc:], ldc)
-						}
-					default:
+					if bStrategy == pack.NoPack {
 						// Small B (fits L1): no packing at all (Alg 1
 						// lines 12–15) — every tile streams B in place.
 						bBlk := b[kk*ldb+jAbs:]
 						for i := 0; i < mcb; i += mr {
-							mrb2 := min(mr, mcb-i)
-							kernels.Micro(mrb2, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bBlk, ldb, betaEff, cTile[i*ldc:], ldc)
+							mrb := min(mr, mcb-i)
+							kernels.Micro(mrb, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bBlk, ldb, betaEff, cTile[i*ldc:], ldc)
 						}
+						continue
+					}
+					// The first micro-tile packs the sliver (Alg 1 lines
+					// 6–8: Fig 5/Alg 3 for NT/TT, Fig 4 for NN/TN with a
+					// large B) and computes from it; every later tile reads
+					// the L1-resident Bc (lines 9–11). The §5.3.2 lookahead
+					// depth t changes when elements are packed, not what
+					// is computed; this portable driver always packs the
+					// current sliver and the timing model prices the t=1
+					// variant.
+					mrb := min(mr, mcb)
+					if mode.TransB() {
+						kernels.MicroNTPack(mrb, nrb, kcb, alpha, aBlk, ldaEff, b[jAbs*ldb+kk:], ldb, betaEff, cTile, ldc, bc)
+					} else {
+						kernels.MicroPackB(mrb, nrb, kcb, alpha, aBlk, ldaEff, b[kk*ldb+jAbs:], ldb, betaEff, cTile, ldc, bc)
+					}
+					if corruptPack {
+						poison(tel, faults.CorruptPack, bc)
+					}
+					for i := mrb; i < mcb; i += mr {
+						kernels.MicroPacked(min(mr, mcb-i), nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bc, betaEff, cTile[i*ldc:], ldc)
 					}
 				}
 				tel.Span(telemetry.PhaseKernelBatch, tid, kernStart, uint8(mode), prec, mcb, ncb, kcb)

@@ -137,20 +137,30 @@ func TestChaosPanicDegradesUnderGuard(t *testing.T) {
 
 // A corrupted packed-B panel (NaN written into Bc after the packing kernel
 // fills it) must be caught by the numeric guard: demote + correct recompute.
+// Both packing branches are poisoned: NT always packs B, and NN packs a B
+// that exceeds the L1 (128×256 f32 is 128 KiB, Kunpeng 920's L1 64 KiB). In
+// both, m > mr guarantees the poisoned panel is consumed by later
+// micro-tiles.
 func TestChaosCorruptPackDegrades(t *testing.T) {
-	resetAll()
 	defer resetAll()
-	faults.Arm(faults.CorruptPack, 1)
-	// NT mode always packs B, and m > mr guarantees the poisoned panel is
-	// consumed by later micro-tiles.
-	p := newProblem(5, core.NT, 32, 24, 16)
-	cfg := core.Config{Plat: platform.KP920(), Threads: 1, NumericGuard: true}
-	if err := p.run(cfg); err != nil {
-		t.Fatalf("guarded call returned error: %v", err)
-	}
-	p.assertCorrect(t, "degraded result after pack corruption")
-	if d, ok := guard.Demotion(platform.KP920().Name, guard.PathF32); !ok || d.Reason != guard.ReasonNumeric {
-		t.Fatalf("demotion = %+v, %v; want ReasonNumeric", d, ok)
+	for _, tc := range []struct {
+		mode    core.Mode
+		m, n, k int
+	}{
+		{core.NT, 32, 24, 16},
+		{core.NN, 32, 256, 128},
+	} {
+		resetAll()
+		faults.Arm(faults.CorruptPack, 1)
+		p := newProblem(5, tc.mode, tc.m, tc.n, tc.k)
+		cfg := core.Config{Plat: platform.KP920(), Threads: 1, NumericGuard: true}
+		if err := p.run(cfg); err != nil {
+			t.Fatalf("%v: guarded call returned error: %v", tc.mode, err)
+		}
+		p.assertCorrect(t, tc.mode.String()+" degraded result after pack corruption")
+		if d, ok := guard.Demotion(platform.KP920().Name, guard.PathF32); !ok || d.Reason != guard.ReasonNumeric {
+			t.Fatalf("%v: demotion = %+v, %v; want ReasonNumeric", tc.mode, d, ok)
+		}
 	}
 }
 

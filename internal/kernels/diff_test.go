@@ -62,9 +62,11 @@ func bitsOf[T Float](x T) uint64 {
 // every tile up to 8×16 (the §5.2 tiles, every tuner-family tile, the
 // baselines' 8×4/8×8/8×12 and perfbench's 8-wide isolation), k depths that
 // cover the one-step, two-step, odd and long loops, padded strides and the
-// α/β cases the drivers pass, Micro, MicroNT, MicroPackB and MicroNTPack in
-// both precisions must give the oracle's bits, leave C's padding and Bc
-// outside the packed sliver untouched, and ignore C (NaN here) when β = 0.
+// α/β cases the drivers pass, Micro, MicroNT, MicroPackB, MicroNTPack and
+// MicroPacked in both precisions must give the oracle's bits, leave C's
+// padding untouched and ignore C (NaN here) when β = 0. The packing kernels
+// must leave the sliver in Bc as k-contiguous columns and Bc past it
+// untouched, and MicroPacked must give the oracle's bits from that sliver.
 func TestMicroMatchesOracle(t *testing.T) {
 	diffSweep[float32](t)
 	diffSweep[float64](t)
@@ -92,8 +94,6 @@ func diffSweep[T Float](t *testing.T) {
 						c0[i] = sentinel
 					}
 				}
-				jOff := 2
-				nrTotal := jOff + nr + 1
 				for _, alpha := range []T{1, -0.75, 0} {
 					for _, beta := range []T{0, 1, 0.5} {
 						cIn := append([]T(nil), c0...)
@@ -119,16 +119,21 @@ func diffSweep[T Float](t *testing.T) {
 						checkTile(t, "MicroNT"+id, got, wantNT)
 
 						got = append(got[:0], cIn...)
-						bc := diffBc[T](kc, nrTotal, sentinel)
-						MicroPackB(mr, nr, kc, alpha, a, lda, b, ldb, beta, got, ldc, bc, nrTotal, jOff)
+						bc := diffBc[T](kc, nr, sentinel)
+						MicroPackB(mr, nr, kc, alpha, a, lda, b, ldb, beta, got, ldc, bc)
 						checkTile(t, "MicroPackB"+id, got, wantNN)
-						checkBc(t, "MicroPackB"+id, bc, kc, nr, nrTotal, jOff, sentinel, func(k, j int) T { return b[k*ldb+j] })
+						checkBc(t, "MicroPackB"+id, bc, kc, nr, sentinel, func(k, j int) T { return b[k*ldb+j] })
+
+						// The rest of a panel reads the sliver MicroPackB left.
+						got = append(got[:0], cIn...)
+						MicroPacked(mr, nr, kc, alpha, a, lda, bc, beta, got, ldc)
+						checkTile(t, "MicroPacked"+id, got, wantNN)
 
 						got = append(got[:0], cIn...)
-						bc = diffBc[T](kc, nrTotal, sentinel)
-						MicroNTPack(mr, nr, kc, alpha, a, lda, bT, ldbT, beta, got, ldc, bc, nrTotal, jOff)
+						bc = diffBc[T](kc, nr, sentinel)
+						MicroNTPack(mr, nr, kc, alpha, a, lda, bT, ldbT, beta, got, ldc, bc)
 						checkTile(t, "MicroNTPack"+id, got, wantNT)
-						checkBc(t, "MicroNTPack"+id, bc, kc, nr, nrTotal, jOff, sentinel, func(k, j int) T { return bT[j*ldbT+k] })
+						checkBc(t, "MicroNTPack"+id, bc, kc, nr, sentinel, func(k, j int) T { return bT[j*ldbT+k] })
 						if t.Failed() {
 							return
 						}
@@ -154,8 +159,10 @@ func diffOperand[T Float](rng *mat.RNG, rows, cols, ld int, pad T) []T {
 	return s
 }
 
-func diffBc[T Float](kc, nrTotal int, sentinel T) []T {
-	bc := make([]T, kc*nrTotal)
+// diffBc returns a Bc buffer for a kc×nr sliver, one column longer than
+// the sliver, filled with sentinel.
+func diffBc[T Float](kc, nr int, sentinel T) []T {
+	bc := make([]T, (nr+1)*kc)
 	for i := range bc {
 		bc[i] = sentinel
 	}
@@ -173,20 +180,19 @@ func checkTile[T Float](t *testing.T, name string, got, want []T) {
 	}
 }
 
-// checkBc asserts the packed sliver holds B(k, j) at bc[k*nrTotal+jOff+j]
-// and every other element of bc still holds the sentinel.
-func checkBc[T Float](t *testing.T, name string, bc []T, kc, nr, nrTotal, jOff int, sentinel T, want func(k, j int) T) {
+// checkBc asserts the packed sliver holds B(k, j) at bc[j*kc+k], nr
+// k-contiguous columns, and every element of bc past nr*kc still holds the
+// sentinel.
+func checkBc[T Float](t *testing.T, name string, bc []T, kc, nr int, sentinel T, want func(k, j int) T) {
 	t.Helper()
-	for k := 0; k < kc; k++ {
-		for col := 0; col < nrTotal; col++ {
-			w := sentinel
-			if j := col - jOff; j >= 0 && j < nr {
-				w = want(k, j)
-			}
-			if got := bc[k*nrTotal+col]; bitsOf(got) != bitsOf(w) {
-				t.Errorf("%s: bc(%d, %d) = %v, want %v", name, k, col, got, w)
-				return
-			}
+	for i, got := range bc {
+		w := sentinel
+		if j, k := i/kc, i%kc; j < nr {
+			w = want(k, j)
+		}
+		if bitsOf(got) != bitsOf(w) {
+			t.Errorf("%s: bc[%d] = %v, want %v", name, i, got, w)
+			return
 		}
 	}
 }

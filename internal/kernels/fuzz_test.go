@@ -158,7 +158,7 @@ func TestFuzzNTPackSpecs(t *testing.T) {
 		c := fillRand32((mr-1)*spec.LDC+jOff+nb, rng)
 		cISA := append([]float32(nil), c...)
 		bc := make([]float32, (kc-1)*nrTotal+jOff+nb)
-		bcGo := append([]float32(nil), bc...)
+		bcGo := make([]float32, nb*kc)
 		if err := vexec.RunF32(p, a, bT, cISA, bc); err != nil {
 			return false
 		}
@@ -166,7 +166,7 @@ func TestFuzzNTPackSpecs(t *testing.T) {
 		if spec.Accum {
 			beta = 1
 		}
-		MicroNTPack(mr, nb, kc, 1, a, spec.LDA, bT, spec.LDBT, beta, c[jOff:], spec.LDC, bcGo, nrTotal, jOff)
+		MicroNTPack(mr, nb, kc, 1, a, spec.LDA, bT, spec.LDBT, beta, c[jOff:], spec.LDC, bcGo)
 		for i := 0; i < mr; i++ {
 			for j := 0; j < nb; j++ {
 				d := cISA[i*spec.LDC+jOff+j] - c[jOff+i*spec.LDC+j]
@@ -177,7 +177,9 @@ func TestFuzzNTPackSpecs(t *testing.T) {
 		}
 		for k := 0; k < kc; k++ {
 			for j := 0; j < nb; j++ {
-				if bc[k*nrTotal+jOff+j] != bT[j*spec.LDBT+k] {
+				// The ISA scatters the sliver row-major into the NEON
+				// kernel's Bc; the Go kernel keeps it in k-contiguous columns.
+				if bc[k*nrTotal+jOff+j] != bT[j*spec.LDBT+k] || bcGo[j*kc+k] != bT[j*spec.LDBT+k] {
 					return false
 				}
 			}

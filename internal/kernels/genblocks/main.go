@@ -69,19 +69,20 @@ var layouts = []layout{
 	c[i*ldc+j] = alpha * Σ_k a[i*lda+k]·b[k*ldb+j] + beta*c[i*ldc+j]
 
 for 0 ≤ i < mr, 0 ≤ j < nr, 0 ≤ k < kc. Both operands are addressed
-row-major through explicit leading dimensions, which covers every operand
-layout the drivers use: an unpacked A sliver (lda = the matrix stride), a
-packed A sliver (lda = kc), an unpacked B block (ldb = the matrix stride)
-and the packed linear buffer Bc (ldb = nr). beta == 0 overwrites C without
-reading it. The tile runs as register blocks and their row and column
-remainders; each block accumulates in T, k-innermost, matching the
-lane-wise semantics of the virtual-NEON kernels, so every C element gets
-the bits of the plain i-j-k loop.`},
+row-major through explicit leading dimensions, which covers an unpacked A
+sliver (lda = the matrix stride), a packed A sliver (lda = kc), an unpacked
+B block (ldb = the matrix stride) and the baselines' row-major packed B
+panel (ldb = its width). beta == 0 overwrites C without reading it. The
+tile runs as register blocks and their row and column remainders; each
+block accumulates in T, k-innermost, matching the lane-wise semantics of
+the virtual-NEON kernels, so every C element gets the bits of the plain
+i-j-k loop.`},
 	{Sweep: "MicroNT", Tag: "NT", B: "bT", LDB: "ldbT", NT: true, Doc: `MicroNT computes an mr×nr tile under the NT data layout: bT is the
 transposed operand as stored (N×K row-major), so element B(k, j) of the
-logical K×N operand is bT[j*ldbT + k]. Used by the NT-mode inner-product
-packing kernel and by NT edge tiles that bypass the packed buffer. It runs
-the same blocks as Micro, each an inner product per C element in k order.`},
+logical K×N operand is bT[j*ldbT + k]. The packed B sliver has this layout
+with ldbT = kc, so MicroNT runs every tile that reads it (MicroPacked). It
+runs the same blocks as Micro, each an inner product per C element in k
+order.`},
 }
 
 // block is one fixed-size R×C block of one layout. The full
@@ -127,16 +128,17 @@ var funcs = template.FuncMap{
 		}
 		return s
 	},
-	// rows renders the slice bounds of row i, n elements wide, of a slice
-	// with leading dimension ld.
-	"rows": func(i int, ld string, n any) string {
+	// row renders row i, n elements wide, of slice s with leading dimension
+	// ld. The row is cut from its start, then to its length, so its length
+	// is exactly n and the compiler proves every index below n.
+	"row": func(s string, i int, ld string, n any) string {
 		switch i {
 		case 0:
-			return fmt.Sprintf(":%v", n)
+			return fmt.Sprintf("%s[:%v]", s, n)
 		case 1:
-			return fmt.Sprintf("%s:%s+%v", ld, ld, n)
+			return fmt.Sprintf("%s[%s:][:%v]", s, ld, n)
 		}
-		return fmt.Sprintf("%d*%s:%d*%s+%v", i, ld, i, ld, n)
+		return fmt.Sprintf("%s[%d*%s:][:%v]", s, i, ld, n)
 	},
 	// doc renders s as a line comment.
 	"doc": func(s string) string {
@@ -187,12 +189,16 @@ func {{.Sweep}}[T Float](mr, nr, kc int, alpha T, a []T, lda int, {{.B}} []T, {{
 func {{.Name}}[T Float](kc int, alpha T, a []T, lda int, {{.B}} []T, {{.LDB}} int, beta T, c []T, ldc int) {
 	{{- $b := .}}
 	{{- range $i := seq .R}}
-	a{{$i}} := a[{{rows $i "lda" "kc"}}]
+	a{{$i}} := {{row "a" $i "lda" "kc"}}
 	{{- end}}
 	{{- if .NT}}{{range $j := seq .C}}
-	b{{$j}} := bT[{{rows $j "ldbT" "kc"}}]
+	b{{$j}} := {{row "bT" $j "ldbT" "kc"}}
 	{{- end}}{{end}}
 	var {{range $i := seq .R}}{{range $j := seq $b.C}}{{if or $i $j}}, {{end}}c{{$i}}{{$j}}{{end}}{{end}} T
+	{{- if not .NT}}
+	{{- /* NN walks B by a running offset: one slice check per k step, no multiply. */}}
+	off := 0
+	{{- end}}
 	for k := range a0 {
 		{{- range $i := seq .R}}
 		x{{$i}} := a{{$i}}[k]
@@ -200,7 +206,8 @@ func {{.Name}}[T Float](kc int, alpha T, a []T, lda int, {{.B}} []T, {{.LDB}} in
 		{{- if .NT}}{{range $j := seq .C}}
 		y{{$j}} := b{{$j}}[k]
 		{{- end}}{{else}}
-		br := b[k*ldb : k*ldb+{{.C}}]
+		br := b[off : off+{{.C}}]
+		off += ldb
 		{{- range $j := seq .C}}
 		y{{$j}} := br[{{$j}}]
 		{{- end}}{{end}}
@@ -209,7 +216,7 @@ func {{.Name}}[T Float](kc int, alpha T, a []T, lda int, {{.B}} []T, {{.LDB}} in
 		{{- end}}{{end}}
 	}
 	{{- range $i := seq .R}}
-	cr{{$i}} := c[{{rows $i "ldc" $b.C}}]
+	cr{{$i}} := {{row "c" $i "ldc" $b.C}}
 	{{- end}}
 	if beta == 0 {
 		{{- range $i := seq .R}}{{range $j := seq $b.C}}

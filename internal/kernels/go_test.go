@@ -114,14 +114,14 @@ func TestDGEMMMicroMatchesRef(t *testing.T) {
 
 func TestPackBKernelsPackAndCompute(t *testing.T) {
 	rng := mat.NewRNG(9)
-	mr, nr, kc, nrTotal, jOff := 7, 12, 8, 24, 12
+	mr, nr, kc := 7, 12, 8
 	a := fillRand32(mr*kc, rng)
 	b := fillRand32(kc*40, rng)
 	ldb := 40
 	c := fillRand32(mr*nr, rng)
 	cc := append([]float32(nil), c...)
-	bc := make([]float32, kc*nrTotal)
-	MicroPackB(mr, nr, kc, 1, a, kc, b, ldb, 1, cc, nr, bc, nrTotal, jOff)
+	bc := make([]float32, kc*nr)
+	MicroPackB(mr, nr, kc, 1, a, kc, b, ldb, 1, cc, nr, bc)
 	// Compute must match the plain kernel.
 	SGEMMMicro(mr, nr, kc, 1, a, kc, b, ldb, 1, c, nr)
 	for i := range c {
@@ -129,10 +129,10 @@ func TestPackBKernelsPackAndCompute(t *testing.T) {
 			t.Fatal("PackB kernel computed different C")
 		}
 	}
-	// Packed layout: bc[k*nrTotal + jOff + j] == b[k*ldb + j].
+	// Packed layout: nr k-contiguous columns, bc[j*kc + k] == b[k*ldb + j].
 	for k := 0; k < kc; k++ {
 		for j := 0; j < nr; j++ {
-			if bc[k*nrTotal+jOff+j] != b[k*ldb+j] {
+			if bc[j*kc+k] != b[k*ldb+j] {
 				t.Fatalf("Bc(%d,%d) misplaced", k, j)
 			}
 		}
@@ -160,28 +160,31 @@ func TestNTKernelsMatchTransposedRef(t *testing.T) {
 	}
 }
 
+// TestNTPackScatterLayout fills a 12-wide Bc with four 3-column calls, the
+// NEON kernel's §5.3.2 schedule (“call the packing micro-kernel four times
+// (12/3)”). The Go kernel keeps Bc in k-contiguous columns, so column group
+// jOff starts at bc[jOff*kc].
 func TestNTPackScatterLayout(t *testing.T) {
 	rng := mat.NewRNG(13)
 	mr, nb, kc, nrTotal := 7, 3, 8, 12
 	a := fillRand32(mr*kc, rng)
 	c := make([]float32, mr*nrTotal)
 	bc := make([]float32, kc*nrTotal)
-	// Fill the full 12-wide Bc with four 3-column calls, as §5.3.2 says.
 	fullBT := fillRand32(nrTotal*kc, rng)
 	for jOff := 0; jOff < nrTotal; jOff += nb {
-		MicroNTPack(mr, nb, kc, 1, a, kc, fullBT[jOff*kc:], kc, 0, c[jOff:], nrTotal, bc, nrTotal, jOff)
+		MicroNTPack(mr, nb, kc, 1, a, kc, fullBT[jOff*kc:], kc, 0, c[jOff:], nrTotal, bc[jOff*kc:])
 	}
-	// Bc must now be the row-major K×N image of the transposed operand.
+	// Bc must now hold B(k, j) at bc[j*kc+k].
 	for k := 0; k < kc; k++ {
 		for j := 0; j < nrTotal; j++ {
-			if bc[k*nrTotal+j] != fullBT[j*kc+k] {
-				t.Fatalf("Bc(%d,%d) = %v, want B^T element %v", k, j, bc[k*nrTotal+j], fullBT[j*kc+k])
+			if bc[j*kc+k] != fullBT[j*kc+k] {
+				t.Fatalf("Bc(%d,%d) = %v, want B^T element %v", k, j, bc[j*kc+k], fullBT[j*kc+k])
 			}
 		}
 	}
-	// And the packed buffer must now drive the main kernel to the same C.
+	// And the packed buffer must drive the whole panel to the same C.
 	c2 := make([]float32, mr*nrTotal)
-	SGEMMMicro(mr, nrTotal, kc, 1, a, kc, bc, nrTotal, 0, c2, nrTotal)
+	MicroPacked(mr, nrTotal, kc, 1, a, kc, bc, 0, c2, nrTotal)
 	for i := range c2 {
 		d := c2[i] - c[i]
 		if d > 1e-4 || d < -1e-4 {
@@ -198,10 +201,10 @@ func TestDGEMMMicroNTPackParity(t *testing.T) {
 	c := make([]float64, mr*nrTotal)
 	bc := make([]float64, kc*nrTotal)
 	for jOff := 0; jOff < nrTotal; jOff += nb {
-		MicroNTPack(mr, nb, kc, 1, a, kc, bT[jOff*kc:], kc, 0, c[jOff:], nrTotal, bc, nrTotal, jOff)
+		MicroNTPack(mr, nb, kc, 1, a, kc, bT[jOff*kc:], kc, 0, c[jOff:], nrTotal, bc[jOff*kc:])
 	}
 	c2 := make([]float64, mr*nrTotal)
-	DGEMMMicro(mr, nrTotal, kc, 1, a, kc, bc, nrTotal, 0, c2, nrTotal)
+	MicroPacked(mr, nrTotal, kc, 1, a, kc, bc, 0, c2, nrTotal)
 	for i := range c2 {
 		d := c2[i] - c[i]
 		if d > 1e-12 || d < -1e-12 {

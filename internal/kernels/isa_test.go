@@ -167,8 +167,8 @@ func TestNTPackISAAgainstGo(t *testing.T) {
 			bT := fillRand32((spec.NB-1)*spec.LDBT+spec.KC, rng)
 			c := fillRand32((spec.MR-1)*spec.LDC+spec.JOff+spec.NB, rng)
 			cISA := append([]float32(nil), c...)
-			bc := make([]float32, (spec.KC-1)*spec.NRTotal+spec.JOff+spec.NB)
-			bcISA := append([]float32(nil), bc...)
+			bc := make([]float32, spec.NB*spec.KC)
+			bcISA := make([]float32, (spec.KC-1)*spec.NRTotal+spec.JOff+spec.NB)
 			if err := vexec.RunF32(p, a, bT, cISA, bcISA); err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +177,7 @@ func TestNTPackISAAgainstGo(t *testing.T) {
 				beta = 1
 			}
 			// Go counterpart: C written at column offset JOff.
-			MicroNTPack(spec.MR, spec.NB, spec.KC, 1, a, spec.LDA, bT, spec.LDBT, beta, c[spec.JOff:], spec.LDC, bc, spec.NRTotal, spec.JOff)
+			MicroNTPack(spec.MR, spec.NB, spec.KC, 1, a, spec.LDA, bT, spec.LDBT, beta, c[spec.JOff:], spec.LDC, bc)
 			for i := 0; i < spec.MR; i++ {
 				for j := 0; j < spec.NB; j++ {
 					got := cISA[i*spec.LDC+spec.JOff+j]
@@ -201,11 +201,11 @@ func TestNTPackISAAgainstGo(t *testing.T) {
 			cISA := fillRand64((spec.MR-1)*spec.LDC+spec.JOff+spec.NB, rng)
 			cGo := append([]float64(nil), cISA...)
 			bcISA := make([]float64, (spec.KC-1)*spec.NRTotal+spec.JOff+spec.NB)
-			bcGo := append([]float64(nil), bcISA...)
+			bcGo := make([]float64, spec.NB*spec.KC)
 			if err := vexec.RunF64(p, a, bT, cISA, bcISA); err != nil {
 				t.Fatal(err)
 			}
-			MicroNTPack(spec.MR, spec.NB, spec.KC, 1, a, spec.LDA, bT, spec.LDBT, 0, cGo[spec.JOff:], spec.LDC, bcGo, spec.NRTotal, spec.JOff)
+			MicroNTPack(spec.MR, spec.NB, spec.KC, 1, a, spec.LDA, bT, spec.LDBT, 0, cGo[spec.JOff:], spec.LDC, bcGo)
 			for i := 0; i < spec.MR; i++ {
 				for j := 0; j < spec.NB; j++ {
 					d := cISA[i*spec.LDC+spec.JOff+j] - cGo[spec.JOff+i*spec.LDC+j]

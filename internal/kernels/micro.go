@@ -14,9 +14,16 @@
 // The Go kernels take the drivers' NEON tile (mr×nr from Eq. 1–2) and run it
 // as register blocks sized by Eq. 1 for the machine that runs them: Micro
 // and MicroNT split each tile into 4×2 blocks of scalar accumulators plus
-// their row and column remainders. The blocks and both sweeps are generated
-// from one template by the genblocks program into blocks_gen.go; after
-// editing the template, regenerate with
+// their row and column remainders. The Go packing kernels, MicroPackB and
+// MicroNTPack, leave the kc×nr B sliver in Bc as nr k-contiguous columns,
+// Bc(k, j) = bc[j*kc+k]: each 4×2 block reads two B columns, and MicroNT
+// indexes every stream it reads by k alone, so the compiler proves its k
+// loop in bounds. Every tile of a packed panel, the first included, runs
+// MicroNT on that sliver (MicroPacked). The layout is written and read only
+// in this package; the ISA programs keep the NEON kernels' row-major Bc.
+// The blocks and both sweeps are generated from one template by the
+// genblocks program into blocks_gen.go; after editing the template,
+// regenerate with
 //
 //	go generate ./internal/kernels
 //
@@ -60,36 +67,51 @@ func DGEMMMicro(mr, nr, kc int, alpha float64, a []float64, lda int, b []float64
 	Micro(mr, nr, kc, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
-// MicroPackB behaves like Micro for an mr×nr tile reading B from its
-// strided source, and simultaneously packs the kc×nr B sliver into the
-// linear buffer bc (row-major, leading dimension nrTotal, starting at column
-// jOff). This is the Go counterpart of the NN-mode packing micro-kernel
-// (Alg 1 lines 6–8): the first sliver of every mc-panel packs B while it
-// updates C, and subsequent slivers reuse bc.
+// MicroPackB is the Go counterpart of the NN-mode packing micro-kernel
+// (Alg 1 lines 6–8, Fig 4): it packs the kc×nr B sliver, read from its
+// strided source, into bc as nr k-contiguous columns, B(k, j) = bc[j*kc+k],
+// and computes the mr×nr C tile from the sliver it has packed, as every
+// later tile of the panel does (MicroPacked). The NEON kernel folds the
+// packing loads and stores into its FMA stream; a host block reads only two
+// B columns per pass, so a first row block that packed as it computed would
+// walk the strided sliver nr/2 times, and on irregular shapes (M 32–64, N
+// 2048–4096, 2-vCPU Xeon) it did not beat this copy, which reads each B row
+// once. bc must hold at least nr*kc elements; the rest is left untouched.
 //
 //shalom:hotpath noalloc,nolock,noblock,notime
-func MicroPackB[T Float](mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int) {
+func MicroPackB[T Float](mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bc []T) {
 	for k := 0; k < kc; k++ {
-		copy(bc[k*nrTotal+jOff:k*nrTotal+jOff+nr], b[k*ldb:k*ldb+nr])
+		for j, v := range b[k*ldb:][:nr] {
+			bc[j*kc+k] = v
+		}
 	}
-	Micro(mr, nr, kc, alpha, a, lda, b, ldb, beta, c, ldc)
+	MicroPacked(mr, nr, kc, alpha, a, lda, bc, beta, c, ldc)
 }
 
 // MicroNTPack is the Go counterpart of the NT packing micro-kernel (Fig 5 /
-// Alg 3): it updates an mr×nr C tile from A and the stored-transposed bT
-// using the inner-product formulation, and scatters the same kc×nr sliver
-// of B into the linear buffer bc (row-major kc×nrTotal at column jOff) so
-// later tiles can run the outer-product main kernel.
+// Alg 3): it packs the kc×nr sliver of the stored-transposed bT into bc as
+// nr k-contiguous columns, B(k, j) = bc[j*kc+k], and computes the mr×nr C
+// tile from that sliver, as every later tile of the panel does
+// (MicroPacked). The rows of bT are already k-contiguous, so each column is
+// one copy of a row. bc must hold at least nr*kc elements; the rest is left
+// untouched.
 //
 //shalom:hotpath noalloc,nolock,noblock,notime
-func MicroNTPack[T Float](mr, nr, kc int, alpha T, a []T, lda int, bT []T, ldbT int, beta T, c []T, ldc int, bc []T, nrTotal, jOff int) {
+func MicroNTPack[T Float](mr, nr, kc int, alpha T, a []T, lda int, bT []T, ldbT int, beta T, c []T, ldc int, bc []T) {
 	for j := 0; j < nr; j++ {
-		br := bT[j*ldbT:]
-		for k := 0; k < kc; k++ {
-			bc[k*nrTotal+jOff+j] = br[k]
-		}
+		copy(bc[j*kc:][:kc], bT[j*ldbT:][:kc])
 	}
-	MicroNT(mr, nr, kc, alpha, a, lda, bT, ldbT, beta, c, ldc)
+	MicroPacked(mr, nr, kc, alpha, a, lda, bc, beta, c, ldc)
+}
+
+// MicroPacked computes an mr×nr tile of a panel from the B sliver that
+// MicroPackB or MicroNTPack packed into bc. The sliver's columns are
+// k-contiguous, the layout MicroNT reads with ldbT = kc, so every stream
+// the blocks read is indexed by k alone.
+//
+//shalom:hotpath noalloc,nolock,noblock,notime
+func MicroPacked[T Float](mr, nr, kc int, alpha T, a []T, lda int, bc []T, beta T, c []T, ldc int) {
+	MicroNT(mr, nr, kc, alpha, a, lda, bc, kc, beta, c, ldc)
 }
 
 // ScaleRows scales the mr×nr tile of C by beta in place (used when a

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -226,21 +227,26 @@ func TestTelemetryOnAttribSketchAllocs(t *testing.T) {
 
 // TestAllocationPins pins the allocations per call of the driver paths the
 // zero-allocation work targets: a packed single-threaded call, a forked
-// irregular call, and batches on both sides of the fork floor. A pin may
-// only go down. testing.AllocsPerRun runs at GOMAXPROCS 1, so every pin
-// sets its width explicitly.
+// irregular call, and batches on both sides of the fork floor. It also pins
+// the bytes per call of the small calls that pack, in each mode that packs:
+// their pack buffers are sized by the call, not by the platform's blocking.
+// A pin may only go down. testing.AllocsPerRun runs at GOMAXPROCS 1, so
+// every pin sets its width explicitly.
 func TestAllocationPins(t *testing.T) {
 	rng := mat.NewRNG(12)
 	call := func(mode Mode, m, n, k int) func(*Context) error {
 		A := mat.RandomF32(m, k, rng)
 		B := mat.RandomF32(k, n, rng)
 		C := mat.NewF32(m, n)
-		ldb := n
+		lda, ldb := k, n
+		if mode.TransA() {
+			lda = m
+		}
 		if mode.TransB() {
 			ldb = k
 		}
 		return func(ctx *Context) error {
-			return ctx.SGEMM(mode, m, n, k, 1, A.Data, k, B.Data, ldb, 0, C.Data, n)
+			return ctx.SGEMM(mode, m, n, k, 1, A.Data, lda, B.Data, ldb, 0, C.Data, n)
 		}
 	}
 	batch := func(entries, s int) func(*Context) error {
@@ -282,6 +288,48 @@ func TestAllocationPins(t *testing.T) {
 			t.Errorf("%s at WithThreads(%d) allocates %v objects per call, pinned at %v", pin.name, pin.threads, got, pin.max)
 		}
 	}
+	// The f32 Bc sliver is min(kc, k)·nr·4 B (384 at 8³, 1,536 at 32³) and
+	// the TN/TT A block min(mc, m)·min(kc, k)·4 B; NN and TN leave a B that
+	// fits the L1 in place.
+	ctx := New(WithThreads(1))
+	defer ctx.Close()
+	for _, pin := range []struct {
+		name string
+		max  uint64
+		run  func(*Context) error
+	}{
+		{"NT 8^3", 384, call(NT, 8, 8, 8)},
+		{"TN 8^3", 256, call(TN, 8, 8, 8)},
+		{"TT 8^3", 640, call(TT, 8, 8, 8)},
+		{"NT 32^3", 1536, call(NT, 32, 32, 32)},
+		{"TN 32^3", 4096, call(TN, 32, 32, 32)},
+		{"TT 32^3", 5632, call(TT, 32, 32, 32)},
+	} {
+		var err error
+		got := bytesPerRun(100, func() { err = pin.run(ctx) })
+		if err != nil {
+			t.Fatalf("%s: %v", pin.name, err)
+		}
+		t.Logf("%s: %d bytes per call", pin.name, got)
+		if got > pin.max {
+			t.Errorf("%s at WithThreads(1) allocates %d bytes per call, pinned at %d", pin.name, got, pin.max)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
+// f allocates, averaged over runs calls after a warm-up call, at GOMAXPROCS
+// 1.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // TestDegenerateGEMMNeverStartsPool is the thread-policy regression: a
