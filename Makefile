@@ -26,11 +26,12 @@ test:
 	$(GO) test ./...
 
 # The concurrency-sensitive packages run again under the race detector:
-# the thread pool, the blocked GEMM driver that feeds it, the breaker
-# registry it dispatches through, the serving front end that coalesces
-# concurrent requests onto the batch path, and the router.
+# the public API, whose shared Context starts the driver's pool from
+# concurrent calls, the thread pool, the blocked GEMM driver that feeds it,
+# the breaker registry it dispatches through, the serving front end that
+# coalesces concurrent requests onto the batch path, and the router.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/guard/... ./internal/server/... ./internal/router/...
+	$(GO) test -race . ./internal/parallel/... ./internal/core/... ./internal/guard/... ./internal/server/... ./internal/router/...
 
 # Fault-injection chaos suite: every injected fault (kernel panic, corrupt
 # packing buffer, slow worker, spurious NaN) must surface as a typed error

@@ -38,10 +38,10 @@ func (c *Context) DGEMMBatch(mode Mode, batch []DBatchEntry) error {
 // errors.Is(err, context.Canceled) holds, Completed counts entries whose
 // results are exactly those of an uncancelled run.
 func (c *Context) SGEMMBatchCtx(ctx context.Context, mode Mode, batch []SBatchEntry) error {
-	return core.SGEMMBatchCtx(ctx, c.config(core.PoolWidth(c.requested(), batch)), mode, batch)
+	return core.SGEMMBatchCtx(ctx, c.drv, mode, batch)
 }
 
 // DGEMMBatchCtx is the FP64 counterpart of SGEMMBatchCtx.
 func (c *Context) DGEMMBatchCtx(ctx context.Context, mode Mode, batch []DBatchEntry) error {
-	return core.DGEMMBatchCtx(ctx, c.config(core.PoolWidth(c.requested(), batch)), mode, batch)
+	return core.DGEMMBatchCtx(ctx, c.drv, mode, batch)
 }

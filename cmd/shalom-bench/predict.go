@@ -43,7 +43,7 @@ func runPredict(args []string, stdout, stderr io.Writer) int {
 	elem := elemBytes(*fp64)
 
 	fmt.Fprintf(stdout, "== execution plan (LibShalom driver, %s) ==\n", plat.Name)
-	fmt.Fprint(stdout, core.PlanFor(core.Config{Plat: plat, Threads: *threads}, mode, *m, *n, *k, elem).String())
+	fmt.Fprint(stdout, core.PlanFor(core.NewDriver(core.Config{Plat: plat, Threads: *threads}), mode, *m, *n, *k, elem).String())
 
 	w := perfsim.Workload{M: *m, N: *n, K: *k, ElemBytes: elem, TransB: mode.TransB(), Threads: *threads, Warm: *warm}
 	fmt.Fprintf(stdout, "\n== modeled performance (%dx%dx%d %s, %d thread(s), elem %dB) ==\n", *m, *n, *k, mode, *threads, elem)

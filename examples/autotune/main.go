@@ -113,11 +113,12 @@ func closedLoop() {
 	for i := range b {
 		b[i] = float32(i%5) * 0.5
 	}
-	cfg := core.Config{Plat: plat, Threads: 1, NumericGuard: true, Tel: tel}
+	drv := core.NewDriver(core.Config{Plat: plat, Threads: 1, NumericGuard: true, Tel: tel})
+	defer drv.Close()
 	calls := guard.Current().CanaryTarget + 2
 	for i := 0; i < calls; i++ {
 		c := make([]float32, m*n)
-		if err := core.SGEMM(cfg, core.NN, m, n, k, 1, a, k, b, n, 0, c, n); err != nil {
+		if err := core.SGEMM(drv, core.NN, m, n, k, 1, a, k, b, n, 0, c, n); err != nil {
 			fmt.Fprintln(os.Stderr, "SGEMM:", err)
 			os.Exit(1)
 		}

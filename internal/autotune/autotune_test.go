@@ -105,10 +105,11 @@ func driveClass(t *testing.T, tel *telemetry.Recorder, n int) {
 	for i := range b {
 		b[i] = float32(rng.Float64()*2 - 1)
 	}
-	cfg := core.Config{Plat: platform.KP920(), Threads: 1, NumericGuard: true, Tel: tel}
+	drv := core.NewDriver(core.Config{Plat: platform.KP920(), Threads: 1, NumericGuard: true, Tel: tel})
+	defer drv.Close()
 	for i := 0; i < n; i++ {
 		c := make([]float32, m*nn)
-		if err := core.SGEMM(cfg, core.NN, m, nn, k, 1, a, k, b, nn, 0, c, nn); err != nil {
+		if err := core.SGEMM(drv, core.NN, m, nn, k, 1, a, k, b, nn, 0, c, nn); err != nil {
 			t.Fatalf("guarded call %d errored: %v", i, err)
 		}
 	}

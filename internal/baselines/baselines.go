@@ -161,9 +161,9 @@ func blGemm[T kernels.Float](lib Lib, plat *platform.Platform, threads int, mode
 		if len(blocks) > 1 {
 			pool := parallel.NewPool(threads)
 			defer pool.Close()
-			tasks := make([]func(), len(blocks))
+			tasks := make([]func(int), len(blocks))
 			for i, blk := range blocks {
-				tasks[i] = func() {
+				tasks[i] = func(int) {
 					aOff := blk.I0 * lda
 					if mode.TransA() {
 						aOff = blk.I0
@@ -175,7 +175,7 @@ func blGemm[T kernels.Float](lib Lib, plat *platform.Platform, threads int, mode
 					gotoGemm(spec, plat, mode, blk.M, blk.N, k, alpha, a[aOff:], lda, b[bOff:], ldb, beta, c[blk.I0*ldc+blk.J0:], ldc)
 				}
 			}
-			return pool.Run(tasks)
+			return pool.RunWorkerCfg(parallel.RunConfig{}, tasks)
 		}
 	}
 	gotoGemm(spec, plat, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)

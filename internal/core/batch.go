@@ -16,7 +16,7 @@ import (
 // methodology (§7.4) parallelizes across independent problems rather than
 // inside one small problem; Batch implements exactly that: every entry runs
 // the single-threaded LibShalom driver, and the batch is spread over the
-// worker pool as wide as its summed work pays for (PoolWidth).
+// worker pool as wide as its summed work pays for (poolWidth).
 type BatchEntry[T Float] struct {
 	M, N, K int
 	Alpha   T
@@ -56,55 +56,58 @@ func (e *BatchCancelError) Unwrap() error { return e.Cause }
 // transposition mode. Entries are validated up front; execution is
 // all-or-nothing with respect to validation (no entry runs if any is
 // malformed), and per-entry results are independent.
-func SGEMMBatch(cfg Config, mode Mode, batch []BatchEntry[float32]) error {
+func SGEMMBatch(d *Driver, mode Mode, batch []BatchEntry[float32]) error {
 	//shalom:allow ctxflow — the no-context convenience API is itself the root
-	return gemmBatch(context.Background(), cfg, mode, batch)
+	return gemmBatch(context.Background(), d, mode, batch)
 }
 
 // DGEMMBatch is the FP64 counterpart of SGEMMBatch.
-func DGEMMBatch(cfg Config, mode Mode, batch []BatchEntry[float64]) error {
+func DGEMMBatch(d *Driver, mode Mode, batch []BatchEntry[float64]) error {
 	//shalom:allow ctxflow — the no-context convenience API is itself the root
-	return gemmBatch(context.Background(), cfg, mode, batch)
+	return gemmBatch(context.Background(), d, mode, batch)
 }
 
 // SGEMMBatchCtx is SGEMMBatch with cooperative cancellation: the runtime
 // polls ctx between entries (never inside one), and a cancelled context
 // aborts the remaining entries with a *BatchCancelError carrying
 // partial-completion accounting.
-func SGEMMBatchCtx(ctx context.Context, cfg Config, mode Mode, batch []BatchEntry[float32]) error {
-	return gemmBatch(ctx, cfg, mode, batch)
+func SGEMMBatchCtx(ctx context.Context, d *Driver, mode Mode, batch []BatchEntry[float32]) error {
+	return gemmBatch(ctx, d, mode, batch)
 }
 
 // DGEMMBatchCtx is the FP64 counterpart of SGEMMBatchCtx.
-func DGEMMBatchCtx(ctx context.Context, cfg Config, mode Mode, batch []BatchEntry[float64]) error {
-	return gemmBatch(ctx, cfg, mode, batch)
+func DGEMMBatchCtx(ctx context.Context, d *Driver, mode Mode, batch []BatchEntry[float64]) error {
+	return gemmBatch(ctx, d, mode, batch)
 }
 
-func gemmBatch[T Float](ctx context.Context, cfg Config, mode Mode, batch []BatchEntry[T]) error {
+func gemmBatch[T Float](ctx context.Context, d *Driver, mode Mode, batch []BatchEntry[T]) error {
 	if ctx == nil {
 		ctx = context.Background() //shalom:allow ctxflow — nil-ctx callers opted out of cancellation
 	}
-	for i, e := range batch {
+	for i := range batch {
+		e := &batch[i]
 		if err := CheckArgs(mode, e.M, e.N, e.K, e.A, e.LDA, e.B, e.LDB, e.C, e.LDC); err != nil {
 			return fmt.Errorf("core: batch entry %d: %w", i, err)
 		}
 	}
-	if cfg.CheckAlias {
+	if d.cfg.CheckAlias {
 		if err := CheckBatchAliasing(batch); err != nil {
 			return err
 		}
 	}
+	threads := poolWidth(d.requested(), batch)
+	d.recordWidth(threads)
 	if len(batch) == 0 {
 		return nil
 	}
-	if cfg.Deadline > 0 {
+	if d.cfg.Deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
+		ctx, cancel = context.WithTimeout(ctx, d.cfg.Deadline)
 		defer cancel()
 	}
 	// Entries run the dispatch ladder single-threaded: the batch spreads
 	// whole entries over the pool instead of splitting one.
-	cl := newCall[T](cfg, mode)
+	cl := newCall[T](d, mode)
 
 	// ran marks the entries that ran to the end. Entries run whole or not
 	// at all, so their results are identical to an uncancelled run's; slots
@@ -112,14 +115,14 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, mode Mode, batch []Batc
 	// cancellation telemetry can label the abandoned entries precisely and
 	// BatchCancelError can carry per-entry accounting.
 	ran := make([]bool, len(batch))
-	if threads := PoolWidth(cfg.Threads, batch); threads > 1 {
+	if threads > 1 {
 		return runPooled(ctx, cl, threads, batch, ran)
 	}
 	for i := range batch {
 		if ctx.Err() != nil {
 			return cl.cancelled(ctx, batch, ran)
 		}
-		if err := cl.run(&batch[i], i, -1, cfg.Tel.Now()); err != nil {
+		if err := cl.run(&batch[i], i, -1, d.cfg.Tel.Now()); err != nil {
 			return err
 		}
 		ran[i] = true
@@ -132,9 +135,7 @@ func gemmBatch[T Float](ctx context.Context, cfg Config, mode Mode, batch []Batc
 // escaping chunk tasks capture it, and a captured pointer would move the
 // caller's call to the heap on the serial path too.
 func runPooled[T Float](ctx context.Context, cl call[T], threads int, batch []BatchEntry[T], ran []bool) error {
-	tel := cl.cfg.Tel
-	pool, release := cl.cfg.pool(threads)
-	defer release()
+	tel := cl.d.cfg.Tel
 	chunk := max((len(batch)+threads*4-1)/(threads*4), 1)
 	var tasks []func(int)
 	var errSlots []error
@@ -156,7 +157,7 @@ func runPooled[T Float](ctx context.Context, cl call[T], threads int, batch []Ba
 		})
 	}
 	barrierStart := tel.Now()
-	poolErr := pool.RunWorkerCfg(parallel.RunConfig{Ctx: ctx, TaskBudget: cl.cfg.Deadline}, tasks)
+	poolErr := cl.d.forkPool().RunWorkerCfg(parallel.RunConfig{Ctx: ctx, TaskBudget: cl.d.cfg.Deadline}, tasks)
 	tel.Span(telemetry.PhaseBarrier, cl.tid, barrierStart, uint8(cl.mode), telemetry.PrecFor(kernels.ElemBytes[T]()), len(batch), 0, 0)
 	var stuck *guard.StuckWorkerError
 	if errors.As(poolErr, &stuck) {
@@ -194,7 +195,7 @@ func (cl *call[T]) cancelled(ctx context.Context, batch []BatchEntry[T], ran []b
 			continue
 		}
 		e := batch[i]
-		cl.cfg.Tel.CallEvent(telemetry.PrecFor(kernels.ElemBytes[T]()), uint8(cl.mode),
+		cl.d.cfg.Tel.CallEvent(telemetry.PrecFor(kernels.ElemBytes[T]()), uint8(cl.mode),
 			uint8(telemetry.ClassifyShape(e.M, e.N, e.K)),
 			telemetry.KernelFast, telemetry.OutcomeCancelled)
 	}

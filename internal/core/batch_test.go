@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"libshalom/internal/mat"
-	"libshalom/internal/parallel"
 )
 
 func makeBatch(t *testing.T, rng *mat.RNG, count int, mode Mode) ([]BatchEntry[float32], []*mat.F32) {
@@ -52,7 +51,7 @@ func TestBatchSerial(t *testing.T) {
 	rng := mat.NewRNG(1)
 	for _, mode := range Modes() {
 		batch, wants := makeBatch(t, rng, 17, mode)
-		if err := SGEMMBatch(Config{Threads: 1}, mode, batch); err != nil {
+		if err := SGEMMBatch(testDriver(t, Config{Threads: 1}), mode, batch); err != nil {
 			t.Fatal(err)
 		}
 		checkBatch(t, batch, wants)
@@ -61,11 +60,9 @@ func TestBatchSerial(t *testing.T) {
 
 func TestBatchParallelMatchesSerial(t *testing.T) {
 	rng := mat.NewRNG(2)
-	pool := parallel.NewPool(8)
-	defer pool.Close()
 	// 256 entries of up to 30³: enough summed work for the batch to fork.
 	batch, wants := makeBatch(t, rng, 256, NN)
-	if err := SGEMMBatch(Config{Threads: 8, Pool: pool}, NN, batch); err != nil {
+	if err := SGEMMBatch(testDriver(t, Config{Threads: 8}), NN, batch); err != nil {
 		t.Fatal(err)
 	}
 	checkBatch(t, batch, wants)
@@ -98,7 +95,7 @@ func TestBatchProperty(t *testing.T) {
 			batch[i] = BatchEntry[float32]{M: m, N: n, K: k, Alpha: 2,
 				A: a.Data, LDA: a.Stride, B: b.Data, LDB: b.Stride, Beta: -1, C: c.Data, LDC: c.Stride}
 		}
-		if err := SGEMMBatch(Config{Threads: threads}, mode, batch); err != nil {
+		if err := SGEMMBatch(testDriver(t, Config{Threads: threads}), mode, batch); err != nil {
 			return false
 		}
 		for i, e := range batch {
@@ -130,7 +127,7 @@ func TestBatchDGEMM(t *testing.T) {
 		batch[i] = BatchEntry[float64]{M: m, N: m, K: m, Alpha: 1,
 			A: a.Data, LDA: a.Stride, B: b.Data, LDB: b.Stride, Beta: 0, C: c.Data, LDC: c.Stride}
 	}
-	if err := DGEMMBatch(Config{Threads: 4}, NN, batch); err != nil {
+	if err := DGEMMBatch(testDriver(t, Config{Threads: 4}), NN, batch); err != nil {
 		t.Fatal(err)
 	}
 	for i, e := range batch {
@@ -146,7 +143,7 @@ func TestBatchValidationAtomic(t *testing.T) {
 	good, _ := makeBatch(t, rng, 3, NN)
 	before := append([]float32(nil), good[0].C...)
 	bad := append(good, BatchEntry[float32]{M: 2, N: 2, K: 2, Alpha: 1, A: []float32{1}, LDA: 2, B: make([]float32, 4), LDB: 2, C: make([]float32, 4), LDC: 2})
-	if err := SGEMMBatch(Config{Threads: 1}, NN, bad); err == nil {
+	if err := SGEMMBatch(testDriver(t, Config{Threads: 1}), NN, bad); err == nil {
 		t.Fatal("malformed entry accepted")
 	}
 	for i := range before {
@@ -157,7 +154,7 @@ func TestBatchValidationAtomic(t *testing.T) {
 }
 
 func TestBatchEmptyAndDegenerate(t *testing.T) {
-	if err := SGEMMBatch(Config{Threads: 4}, NN, nil); err != nil {
+	if err := SGEMMBatch(testDriver(t, Config{Threads: 4}), NN, nil); err != nil {
 		t.Fatal(err)
 	}
 	// alpha=0 and k=0 entries scale C.
@@ -165,7 +162,7 @@ func TestBatchEmptyAndDegenerate(t *testing.T) {
 	batch := []BatchEntry[float32]{
 		{M: 2, N: 2, K: 0, Alpha: 1, A: nil, LDA: 1, B: nil, LDB: 2, Beta: 0.5, C: c, LDC: 2},
 	}
-	if err := SGEMMBatch(Config{Threads: 1}, NN, batch); err != nil {
+	if err := SGEMMBatch(testDriver(t, Config{Threads: 1}), NN, batch); err != nil {
 		t.Fatal(err)
 	}
 	if c[0] != 1 {

@@ -59,7 +59,7 @@ func TestBatchCtxCancelMidwayBitwiseIdentical(t *testing.T) {
 
 	// Uncancelled run: the reference results.
 	full, fullC := sBatchFor(t, entries, 9, 42)
-	if err := SGEMMBatch(Config{Threads: 1}, NN, full); err != nil {
+	if err := SGEMMBatch(testDriver(t, Config{Threads: 1}), NN, full); err != nil {
 		t.Fatalf("uncancelled batch: %v", err)
 	}
 
@@ -70,7 +70,7 @@ func TestBatchCtxCancelMidwayBitwiseIdentical(t *testing.T) {
 		before[i] = c.Clone()
 	}
 	ctx := &pollLimitCtx{polls: stopAfter}
-	err := SGEMMBatchCtx(ctx, Config{Threads: 1}, NN, cancelled)
+	err := SGEMMBatchCtx(ctx, testDriver(t, Config{Threads: 1}), NN, cancelled)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled through the chain", err)
 	}
@@ -112,7 +112,7 @@ func TestBatchCtxPreCancelled(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		err := SGEMMBatchCtx(ctx, Config{Threads: threads}, NN, batch)
+		err := SGEMMBatchCtx(ctx, testDriver(t, Config{Threads: threads}), NN, batch)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("threads=%d: err = %v, want context.Canceled", threads, err)
 		}
@@ -151,7 +151,7 @@ func TestBatchCtxPooledAccountingMatchesWrites(t *testing.T) {
 		}
 		cancel()
 	}()
-	err := SGEMMBatchCtx(ctx, Config{Threads: 4, Tel: tel}, NN, batch)
+	err := SGEMMBatchCtx(ctx, testDriver(t, Config{Threads: 4, Tel: tel}), NN, batch)
 	if q := tel.Snapshot().Pool.TasksQueued; q == 0 {
 		t.Fatal("batch never ran on the pool")
 	}
@@ -195,16 +195,16 @@ func TestBatchAliasCheck(t *testing.T) {
 			A: a.Data, LDA: 4, B: a.Data, LDB: 4, Beta: 0, C: c, LDC: 4}
 	}
 	disjoint := []BatchEntry[float32]{mk(backing[0:16]), mk(backing[16:32])}
-	if err := SGEMMBatch(Config{Threads: 1, CheckAlias: true}, NN, disjoint); err != nil {
+	if err := SGEMMBatch(testDriver(t, Config{Threads: 1, CheckAlias: true}), NN, disjoint); err != nil {
 		t.Fatalf("adjacent-but-disjoint views rejected: %v", err)
 	}
 	overlap := []BatchEntry[float32]{mk(backing[0:16]), mk(backing[8:24])}
-	if err := SGEMMBatch(Config{Threads: 1, CheckAlias: true}, NN, overlap); !errors.Is(err, ErrAliasedBatch) {
+	if err := SGEMMBatch(testDriver(t, Config{Threads: 1, CheckAlias: true}), NN, overlap); !errors.Is(err, ErrAliasedBatch) {
 		t.Fatalf("overlapping C: err = %v, want ErrAliasedBatch", err)
 	}
 	// Without the option the (racy) call is the caller's responsibility;
 	// serial execution stays well-defined, so just assert it is accepted.
-	if err := SGEMMBatch(Config{Threads: 1}, NN, overlap); err != nil {
+	if err := SGEMMBatch(testDriver(t, Config{Threads: 1}), NN, overlap); err != nil {
 		t.Fatalf("unchecked overlap rejected: %v", err)
 	}
 }

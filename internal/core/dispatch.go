@@ -9,7 +9,6 @@ import (
 	"libshalom/internal/guard"
 	"libshalom/internal/kernels"
 	"libshalom/internal/parallel"
-	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
 )
 
@@ -30,16 +29,16 @@ import (
 // call is what every problem of one driver invocation shares. The
 // single-call driver builds one per call, the batch driver one per batch.
 type call[T Float] struct {
-	cfg  Config
-	plat *platform.Platform
-	mode Mode
+	d *Driver
 	// fam is the kernel family's fast route: its breaker path and the
 	// Eq. 1–2 tile with the platform's cache blocking.
-	fam fastRoute
-	// threads is a single call's planned fork-join width (see split).
-	// Batch entries leave it zero and run serially: the batch spreads
-	// whole entries over the pool instead.
+	fam  *fastRoute
+	mode Mode
+	// threads and part are a single call's planned fork-join width and §6
+	// partition (see split). Batch entries leave threads zero and run
+	// serially: the batch spreads whole entries over the pool instead.
 	threads int
+	part    analytic.Partition
 	// tid is the caller's trace lane.
 	tid int32
 }
@@ -53,23 +52,13 @@ type fastRoute struct {
 	kernel uint8
 }
 
-// newCall is the plan phase of both drivers: contract verification (memoised
-// per platform — the registration-time leg of the fallback chain, tripping
-// the breaker of any kernel family that fails), the tile and the blocking.
-func newCall[T Float](cfg Config, mode Mode) call[T] {
-	plat := cfg.platform()
-	guard.VerifyContracts(plat)
-	elemBytes := kernels.ElemBytes[T]()
-	return call[T]{
-		cfg: cfg, plat: plat, mode: mode,
-		fam: fastRoute{
-			tile:   analytic.SolveForElem(elemBytes),
-			blk:    analytic.BlockingFor(plat, elemBytes),
-			path:   guard.PathFor(elemBytes),
-			kernel: telemetry.KernelFast,
-		},
-		tid: cfg.Tel.CallTid(),
-	}
+// newCall opens the plan phase of both drivers: contract verification
+// (memoised per platform — the registration-time leg of the fallback
+// chain, tripping the breaker of any kernel family that fails) and the
+// precision's resolved fast route.
+func newCall[T Float](d *Driver, mode Mode) call[T] {
+	guard.VerifyContracts(d.cfg.Plat)
+	return call[T]{d: d, fam: d.fast(kernels.ElemBytes[T]()), mode: mode, tid: d.cfg.Tel.CallTid()}
 }
 
 // run takes one problem down the ladder and records its telemetry row.
@@ -77,7 +66,7 @@ func newCall[T Float](cfg Config, mode Mode) call[T] {
 // running it (-1 for the calling goroutine), and start when the problem's
 // timed region began.
 func (cl *call[T]) run(e *BatchEntry[T], entry, worker int, start int64) error {
-	tel := cl.cfg.Tel
+	tel := cl.d.cfg.Tel
 	class := uint8(telemetry.ClassifyShape(e.M, e.N, e.K))
 	if d := faults.SlowClassFire(class); d > 0 {
 		// Chaos: a kernel that regressed on this workload regime. Timing
@@ -107,6 +96,7 @@ func (cl *call[T]) route(e *BatchEntry[T], class uint8, entry int, tid int32) (k
 	// takes effect from the next entry on.
 	fp := cl.fam
 	canary := false
+	var tuned fastRoute
 	switch cl.dispatch(fp.path) {
 	case guard.DispatchRef:
 		cl.ref(e)
@@ -114,7 +104,7 @@ func (cl *call[T]) route(e *BatchEntry[T], class uint8, entry int, tid int32) (k
 	case guard.DispatchCanary:
 		canary = true
 	default:
-		fp, canary = cl.tuned(class)
+		fp, canary = cl.tuned(class, &tuned)
 	}
 	var degraded bool
 	switch {
@@ -131,7 +121,7 @@ func (cl *call[T]) route(e *BatchEntry[T], class uint8, entry int, tid int32) (k
 	case err != nil:
 		var stuck *guard.StuckWorkerError
 		if errors.As(err, &stuck) {
-			cl.cfg.Tel.HealEvent(telemetry.HealStuckWorker)
+			cl.d.cfg.Tel.HealEvent(telemetry.HealStuckWorker)
 			return fp.kernel, telemetry.OutcomeStuck, err
 		}
 		if _, ok := err.(*guard.KernelPanicError); ok {
@@ -148,10 +138,10 @@ func (cl *call[T]) route(e *BatchEntry[T], class uint8, entry int, tid int32) (k
 // dispatch asks a breaker where this problem goes, counting the
 // open→probing transition the decision may have made.
 func (cl *call[T]) dispatch(path string) guard.Disposition {
-	d, beganProbe := guard.Dispatch(cl.plat.Name, path, 0)
+	d, beganProbe := guard.Dispatch(cl.d.cfg.Plat.Name, path, 0)
 	if beganProbe {
-		cl.cfg.Tel.HealEvent(telemetry.HealBreakerProbe)
-		cl.cfg.Tel.BreakerTransition(telemetry.BreakerOpen, telemetry.BreakerProbing)
+		cl.d.cfg.Tel.HealEvent(telemetry.HealBreakerProbe)
+		cl.d.cfg.Tel.BreakerTransition(telemetry.BreakerOpen, telemetry.BreakerProbing)
 	}
 	return d
 }
@@ -162,8 +152,9 @@ func (cl *call[T]) dispatch(path string) guard.Disposition {
 // canary-shadowed (canary true, so the caller always gets the
 // reference-checked result), healthy serves the tuned tile, and open —
 // possible only in the instant before Trip evicts the override — keeps the
-// incumbent tile on the fast path, never the reference.
-func (cl *call[T]) tuned(class uint8) (fp fastRoute, canary bool) {
+// incumbent tile on the fast path, never the reference. A tuned route is
+// built in into, which the caller owns.
+func (cl *call[T]) tuned(class uint8, into *fastRoute) (fp *fastRoute, canary bool) {
 	ov, ok := guard.OverrideFor(kernels.ElemBytes[T](), class)
 	if !ok {
 		return cl.fam, false
@@ -172,11 +163,11 @@ func (cl *call[T]) tuned(class uint8) (fp fastRoute, canary bool) {
 	if d == guard.DispatchRef {
 		return cl.fam, false
 	}
-	fp = fastRoute{tile: analytic.Tile{MR: ov.MR, NR: ov.NR}, blk: cl.fam.blk, path: ov.Path, kernel: telemetry.KernelTuned}
+	*into = fastRoute{tile: analytic.Tile{MR: ov.MR, NR: ov.NR}, blk: cl.fam.blk, path: ov.Path, kernel: telemetry.KernelTuned}
 	if ov.KC > 0 {
-		fp.blk.KC = ov.KC
+		into.blk.KC = ov.KC
 	}
-	return fp, d == guard.DispatchCanary
+	return into, d == guard.DispatchCanary
 }
 
 // ref runs a problem on the portable reference path.
@@ -205,21 +196,19 @@ type blockResult struct {
 // runSplit is the single-call driver's §6 parallel split of the fast route:
 // the planned partition's C blocks, aligned to the plan's tile even when a
 // tuned tile serves them, run as one pool task each.
-func (cl *call[T]) runSplit(e *BatchEntry[T], fp fastRoute) (bool, error) {
-	blocks := parallel.Blocks(e.M, e.N, analytic.PartitionFor(e.M, e.N, cl.threads), cl.fam.tile.MR, cl.fam.tile.NR)
-	pool, release := cl.cfg.pool(cl.threads)
-	defer release()
-	s := &splitRun[T]{cl: *cl, e: *e, fp: fp, res: make([]blockResult, len(blocks))}
+func (cl *call[T]) runSplit(e *BatchEntry[T], fp *fastRoute) (bool, error) {
+	blocks := parallel.Blocks(e.M, e.N, cl.part, cl.fam.tile.MR, cl.fam.tile.NR)
+	s := &splitRun[T]{cl: *cl, e: *e, fp: *fp, res: make([]blockResult, len(blocks))}
 	tasks := make([]func(int), len(blocks))
 	for bi, bl := range blocks {
 		tasks[bi] = func(worker int) {
 			sub := s.e.block(s.cl.mode, bl)
-			s.res[bi].degraded, s.res[bi].err = s.cl.runBlock(&sub, s.fp, bl, -1, telemetry.WorkerTid(worker, s.cl.tid))
+			s.res[bi].degraded, s.res[bi].err = s.cl.runBlock(&sub, &s.fp, bl, -1, telemetry.WorkerTid(worker, s.cl.tid))
 		}
 	}
-	tel := cl.cfg.Tel
+	tel := cl.d.cfg.Tel
 	barrierStart := tel.Now()
-	poolErr := pool.RunWorkerCfg(parallel.RunConfig{TaskBudget: cl.cfg.Deadline}, tasks)
+	poolErr := cl.d.forkPool().RunWorkerCfg(parallel.RunConfig{TaskBudget: cl.d.cfg.Deadline}, tasks)
 	tel.Span(telemetry.PhaseBarrier, cl.tid, barrierStart, uint8(cl.mode), telemetry.PrecFor(kernels.ElemBytes[T]()), e.M, e.N, e.K)
 	if poolErr != nil {
 		// On a watchdog early return stragglers may still be writing their

@@ -85,16 +85,16 @@ func TestSingleAndBatchShareTheLadder(t *testing.T) {
 				faults.Reset()
 				path := rt.setup()
 				tel := telemetry.New(telemetry.Options{})
-				cfg := Config{Plat: plat, Threads: 1, Tel: tel}
+				d := testDriver(t, Config{Plat: plat, Threads: 1, Tel: tel})
 				c := append([]float32(nil), c0.Data...)
 				var err error
 				if batch {
-					err = SGEMMBatch(cfg, NN, []BatchEntry[float32]{{
+					err = SGEMMBatch(d, NN, []BatchEntry[float32]{{
 						M: m, N: n, K: k, Alpha: 1, A: a.Data, LDA: a.Stride,
 						B: b.Data, LDB: b.Stride, Beta: 0.5, C: c, LDC: c0.Stride,
 					}})
 				} else {
-					err = SGEMM(cfg, NN, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 0.5, c, c0.Stride)
+					err = SGEMM(d, NN, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 0.5, c, c0.Stride)
 				}
 				if err != nil {
 					t.Fatalf("batch=%v: %v", batch, err)

@@ -69,7 +69,7 @@ func FuzzCheckArgs(f *testing.F) {
 		// And the driver itself must run the accepted call without
 		// panicking (small problems only, to keep the fuzz fast).
 		if m <= 32 && n <= 32 && k <= 32 {
-			if err := SGEMM(Config{Threads: 1}, mode, m, n, k, 1.5, a, lda, b, ldb, 0.5, c, ldc); err != nil {
+			if err := SGEMM(testDriver(t, Config{Threads: 1}), mode, m, n, k, 1.5, a, lda, b, ldb, 0.5, c, ldc); err != nil {
 				t.Fatalf("driver rejected a validated call: %v", err)
 			}
 		}

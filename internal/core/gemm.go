@@ -2,78 +2,14 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"libshalom/internal/analytic"
 	"libshalom/internal/faults"
 	"libshalom/internal/kernels"
 	"libshalom/internal/pack"
-	"libshalom/internal/parallel"
 	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
 )
-
-// Config carries the per-call execution parameters of the driver.
-type Config struct {
-	// Plat selects the platform model whose cache capacities drive the
-	// packing decision (§4.2) and blocking parameters. Defaults to
-	// Kunpeng 920 when nil.
-	Plat *platform.Platform
-	// Threads is the requested parallel width, a cap: a call or batch forks
-	// only as wide as the work rule (forkWidth) lets its work pay for, and
-	// values < 2 run single-threaded.
-	Threads int
-	// Pool optionally supplies a shared worker pool. When nil and the plan
-	// forks, a transient pool is created for the call.
-	Pool *parallel.Pool
-	// NumericGuard enables the runtime numeric guard: operand and result
-	// blocks are scanned for NaN/Inf, and a fast path that panics or
-	// manufactures non-finite values from finite inputs is demoted to the
-	// portable reference path (the call still succeeds, degraded).
-	NumericGuard bool
-	// CheckAlias makes batch calls validate up front that no two entries
-	// write overlapping C storage, returning ErrAliasedBatch instead of
-	// racing.
-	CheckAlias bool
-	// Deadline, when positive, bounds the call: parallel runs arm the
-	// stuck-worker watchdog with it as the per-block budget (a block
-	// exceeding it converts the call into a *guard.StuckWorkerError instead
-	// of a hang), and batch calls additionally wrap their context with it so
-	// unstarted entries are abandoned once it expires.
-	Deadline time.Duration
-	// RetryTransient retries a transiently failed block once on the
-	// reference path instead of surfacing the failure: a fast path that
-	// panics trips the breaker and the block is recomputed transparently —
-	// the call succeeds, degraded. NumericGuard implies the same recovery
-	// plus the NaN/Inf scan.
-	RetryTransient bool
-	// Tel is the optional telemetry recorder the call reports into: per-
-	// shape metrics, phase trace spans, pool gauges. nil disables the layer;
-	// the disabled hot path performs zero atomic writes and zero
-	// allocations (proven by shalom-vet, see internal/telemetry).
-	Tel *telemetry.Recorder
-}
-
-// pool returns the pool a fork runs on and its release: Config.Pool, or a
-// transient pool threads wide, observed by Tel but never by a typed nil.
-func (c Config) pool(threads int) (*parallel.Pool, func()) {
-	if c.Pool != nil {
-		return c.Pool, func() {}
-	}
-	var obs parallel.Observer
-	if c.Tel != nil {
-		obs = c.Tel
-	}
-	p := parallel.NewPoolObserved(threads, obs)
-	return p, p.Close
-}
-
-func (c Config) platform() *platform.Platform {
-	if c.Plat != nil {
-		return c.Plat
-	}
-	return platform.KP920()
-}
 
 // Float constrains the generic driver to the two GEMM precisions: the
 // compute kernels' constraint.
@@ -82,13 +18,13 @@ type Float = kernels.Float
 // SGEMM computes C = α·op(A)·op(B) + β·C in single precision with
 // LibShalom's driver. op(A) is m×k and op(B) is k×n; lda/ldb/ldc are the
 // row strides of the operands as stored.
-func SGEMM(cfg Config, mode Mode, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) error {
-	return gemm(cfg, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+func SGEMM(d *Driver, mode Mode, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) error {
+	return gemm(d, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // DGEMM is the double-precision counterpart of SGEMM.
-func DGEMM(cfg Config, mode Mode, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) error {
-	return gemm(cfg, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+func DGEMM(d *Driver, mode Mode, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) error {
+	return gemm(d, mode, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // CheckArgs rejects a GEMM call whose dimensions are negative, whose leading
@@ -129,18 +65,20 @@ func sliceNeed(rows, cols, ld int) int {
 	return (rows-1)*ld + cols
 }
 
-// gemm is the single-call driver: the plan phase (newCall, then split),
-// then the call as one problem down the dispatch ladder, split over the
-// pool by the planned partition on the fast route.
-func gemm[T Float](cfg Config, mode Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) error {
+// gemm is the single-call driver: the plan phase (newCall, then the
+// call's width and partition, planned once by split), then the call as one
+// problem down the dispatch ladder, split over the pool by that partition
+// on the fast route.
+func gemm[T Float](d *Driver, mode Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) error {
 	if err := CheckArgs(mode, m, n, k, a, lda, b, ldb, c, ldc); err != nil {
 		return err
 	}
-	tel := cfg.Tel
+	tel := d.cfg.Tel
 	prec := telemetry.PrecFor(kernels.ElemBytes[T]())
 	start := tel.Now()
-	cl := newCall[T](cfg, mode)
-	cl.threads, _ = split(cfg.Threads, m, n, k, cl.fam.tile)
+	cl := newCall[T](d, mode)
+	cl.threads, cl.part = split(d.threadsFor(m, n), m, n, k, cl.fam.tile)
+	d.recordWidth(cl.threads)
 	tel.Span(telemetry.PhasePlan, cl.tid, start, uint8(mode), prec, m, n, k)
 	e := BatchEntry[T]{M: m, N: n, K: k, Alpha: alpha, A: a, LDA: lda, B: b, LDB: ldb, Beta: beta, C: c, LDC: ldc}
 	err := cl.run(&e, -1, -1, start)

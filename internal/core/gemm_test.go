@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"libshalom/internal/mat"
-	"libshalom/internal/parallel"
 	"libshalom/internal/platform"
 )
 
@@ -44,7 +43,7 @@ func TestSGEMMAllModesSmall(t *testing.T) {
 			a, b, c := buildOperands32(mode, m, n, k, rng)
 			want := refWant32(mode, 1.5, a, b, -0.5, c)
 			got := c.Clone()
-			if err := SGEMM(Config{}, mode, m, n, k, 1.5, a.Data, a.Stride, b.Data, b.Stride, -0.5, got.Data, got.Stride); err != nil {
+			if err := SGEMM(testDriver(t, Config{}), mode, m, n, k, 1.5, a.Data, a.Stride, b.Data, b.Stride, -0.5, got.Data, got.Stride); err != nil {
 				t.Fatalf("%v %v: %v", mode, dims, err)
 			}
 			if !got.Equal(want, 1e-3) {
@@ -83,7 +82,7 @@ func TestSGEMMProperty(t *testing.T) {
 			}
 		}
 		want := refWant32(mode, alpha, a, b, beta, c)
-		if err := SGEMM(Config{Plat: plat, Threads: threads}, mode, m, n, k, alpha, a.Data, a.Stride, b.Data, b.Stride, beta, cv.Data, cv.Stride); err != nil {
+		if err := SGEMM(testDriver(t, Config{Plat: plat, Threads: threads}), mode, m, n, k, alpha, a.Data, a.Stride, b.Data, b.Stride, beta, cv.Data, cv.Stride); err != nil {
 			return false
 		}
 		for i := 0; i < m; i++ {
@@ -125,7 +124,7 @@ func TestDGEMMAllModes(t *testing.T) {
 			tb = mat.Transpose
 		}
 		mat.RefGEMMF64(ta, tb, 2, a, b, 0.25, want)
-		if err := DGEMM(Config{}, mode, m, n, k, 2, a.Data, a.Stride, b.Data, b.Stride, 0.25, c.Data, c.Stride); err != nil {
+		if err := DGEMM(testDriver(t, Config{}), mode, m, n, k, 2, a.Data, a.Stride, b.Data, b.Stride, 0.25, c.Data, c.Stride); err != nil {
 			t.Fatal(err)
 		}
 		if !c.Equal(want, 1e-10) {
@@ -162,7 +161,7 @@ func TestDGEMMProperty(t *testing.T) {
 			tb = mat.Transpose
 		}
 		mat.RefGEMMF64(ta, tb, alpha, a, b, beta, want)
-		if err := DGEMM(Config{Threads: threads}, mode, m, n, k, alpha, a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride); err != nil {
+		if err := DGEMM(testDriver(t, Config{Threads: threads}), mode, m, n, k, alpha, a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride); err != nil {
 			return false
 		}
 		return c.Equal(want, 1e-9)
@@ -181,7 +180,7 @@ func TestLargeKMultipleBlocks(t *testing.T) {
 		a, b, c := buildOperands32(mode, m, n, k, rng)
 		want := refWant32(mode, 1, a, b, 1, c)
 		got := c.Clone()
-		if err := SGEMM(Config{Plat: platform.Phytium2000()}, mode, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 1, got.Data, got.Stride); err != nil {
+		if err := SGEMM(testDriver(t, Config{Plat: platform.Phytium2000()}), mode, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 1, got.Data, got.Stride); err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(want, 1e-2) {
@@ -199,12 +198,10 @@ func TestIrregularParallelMatchesSerial(t *testing.T) {
 		a, b, c := buildOperands32(mode, m, n, k, rng)
 		serial := c.Clone()
 		parallelC := c.Clone()
-		if err := SGEMM(Config{Threads: 1}, mode, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 0, serial.Data, serial.Stride); err != nil {
+		if err := SGEMM(testDriver(t, Config{Threads: 1}), mode, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 0, serial.Data, serial.Stride); err != nil {
 			t.Fatal(err)
 		}
-		pool := parallel.NewPool(8)
-		defer pool.Close()
-		if err := SGEMM(Config{Threads: 8, Pool: pool}, mode, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 0, parallelC.Data, parallelC.Stride); err != nil {
+		if err := SGEMM(testDriver(t, Config{Threads: 8}), mode, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 0, parallelC.Data, parallelC.Stride); err != nil {
 			t.Fatal(err)
 		}
 		if !parallelC.Equal(serial, 0) {
@@ -220,7 +217,7 @@ func TestAlphaZeroScalesOnly(t *testing.T) {
 	b := mat.NewF32(3, 3)
 	a.Fill(999)
 	b.Fill(999)
-	if err := SGEMM(Config{}, NN, 3, 3, 3, 0, a.Data, 3, b.Data, 3, 0.5, c.Data, 3); err != nil {
+	if err := SGEMM(testDriver(t, Config{}), NN, 3, 3, 3, 0, a.Data, 3, b.Data, 3, 0.5, c.Data, 3); err != nil {
 		t.Fatal(err)
 	}
 	if c.At(1, 1) != 1 {
@@ -231,7 +228,7 @@ func TestAlphaZeroScalesOnly(t *testing.T) {
 func TestKZeroScalesOnly(t *testing.T) {
 	c := mat.NewF64(2, 2)
 	c.Fill(4)
-	if err := DGEMM(Config{}, NN, 2, 2, 0, 3, []float64{0}, 1, []float64{0}, 2, 0.25, c.Data, 2); err != nil {
+	if err := DGEMM(testDriver(t, Config{}), NN, 2, 2, 0, 3, []float64{0}, 1, []float64{0}, 2, 0.25, c.Data, 2); err != nil {
 		t.Fatal(err)
 	}
 	if c.At(0, 0) != 1 {
@@ -240,33 +237,33 @@ func TestKZeroScalesOnly(t *testing.T) {
 }
 
 func TestZeroSizeNoop(t *testing.T) {
-	if err := SGEMM(Config{}, NN, 0, 5, 3, 1, nil, 3, make([]float32, 15), 5, 0, nil, 5); err != nil {
+	if err := SGEMM(testDriver(t, Config{}), NN, 0, 5, 3, 1, nil, 3, make([]float32, 15), 5, 0, nil, 5); err != nil {
 		t.Fatalf("m=0 call errored: %v", err)
 	}
-	if err := SGEMM(Config{}, NN, 5, 0, 3, 1, make([]float32, 15), 3, nil, 1, 0, nil, 1); err != nil {
+	if err := SGEMM(testDriver(t, Config{}), NN, 5, 0, 3, 1, make([]float32, 15), 3, nil, 1, 0, nil, 1); err != nil {
 		t.Fatalf("n=0 call errored: %v", err)
 	}
 }
 
 func TestArgValidation(t *testing.T) {
 	c := make([]float32, 4)
-	if err := SGEMM(Config{}, NN, -1, 2, 2, 1, c, 2, c, 2, 0, c, 2); err == nil {
+	if err := SGEMM(testDriver(t, Config{}), NN, -1, 2, 2, 1, c, 2, c, 2, 0, c, 2); err == nil {
 		t.Fatal("negative m accepted")
 	}
-	if err := SGEMM(Config{}, NN, 2, 2, 2, 1, c, 1, c, 2, 0, c, 2); err == nil {
+	if err := SGEMM(testDriver(t, Config{}), NN, 2, 2, 2, 1, c, 1, c, 2, 0, c, 2); err == nil {
 		t.Fatal("lda < k accepted")
 	}
-	if err := SGEMM(Config{}, NN, 2, 2, 2, 1, make([]float32, 3), 2, c, 2, 0, c, 2); err == nil {
+	if err := SGEMM(testDriver(t, Config{}), NN, 2, 2, 2, 1, make([]float32, 3), 2, c, 2, 0, c, 2); err == nil {
 		t.Fatal("short A accepted")
 	}
-	if err := SGEMM(Config{}, NN, 2, 2, 2, 1, c, 2, make([]float32, 3), 2, 0, c, 2); err == nil {
+	if err := SGEMM(testDriver(t, Config{}), NN, 2, 2, 2, 1, c, 2, make([]float32, 3), 2, 0, c, 2); err == nil {
 		t.Fatal("short B accepted")
 	}
-	if err := SGEMM(Config{}, NN, 2, 2, 2, 1, c, 2, c, 2, 0, make([]float32, 3), 2); err == nil {
+	if err := SGEMM(testDriver(t, Config{}), NN, 2, 2, 2, 1, c, 2, c, 2, 0, make([]float32, 3), 2); err == nil {
 		t.Fatal("short C accepted")
 	}
 	// Transposed shapes: lda must cover M for TN.
-	if err := SGEMM(Config{}, TN, 4, 2, 2, 1, make([]float32, 8), 2, c, 2, 0, make([]float32, 8), 2); err == nil {
+	if err := SGEMM(testDriver(t, Config{}), TN, 4, 2, 2, 1, make([]float32, 8), 2, c, 2, 0, make([]float32, 8), 2); err == nil {
 		t.Fatal("TN lda < m accepted")
 	}
 }
@@ -290,11 +287,19 @@ func TestModeHelpers(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	if (Config{}).platform().Name != "Kunpeng 920" {
+	if NewDriver(Config{}).cfg.Plat.Name != "Kunpeng 920" {
 		t.Fatal("default platform wrong")
 	}
 	ph := platform.Phytium2000()
-	if (Config{Plat: ph}).platform() != ph {
+	if NewDriver(Config{Plat: ph}).cfg.Plat != ph {
 		t.Fatal("explicit platform ignored")
 	}
+}
+
+// testDriver builds the driver cfg resolves to, as a Context does, and
+// releases its pool when the test ends.
+func testDriver(t testing.TB, cfg Config) *Driver {
+	d := NewDriver(cfg)
+	t.Cleanup(d.Close)
+	return d
 }

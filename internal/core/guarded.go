@@ -40,8 +40,8 @@ import (
 // on the incumbent tile. The first return value reports whether the block
 // was recomputed on the reference path after a demotion (the call degraded
 // but succeeded).
-func (cl *call[T]) runBlock(e *BatchEntry[T], fp fastRoute, bl parallel.Block, entry int, tid int32) (degraded bool, err error) {
-	cfg, tel := cl.cfg, cl.cfg.Tel
+func (cl *call[T]) runBlock(e *BatchEntry[T], fp *fastRoute, bl parallel.Block, entry int, tid int32) (degraded bool, err error) {
+	cfg, tel := &cl.d.cfg, cl.d.cfg.Tel
 	m, n, k := e.M, e.N, e.K
 	blockStart := tel.Now()
 	defer func() {
@@ -105,8 +105,8 @@ func (cl *call[T]) runBlock(e *BatchEntry[T], fp fastRoute, bl parallel.Block, e
 // cooldown (for a tuned path, the trip also evicts the dispatch override,
 // restoring the incumbent tile). The returned degraded flag reports whether
 // the call fell back to the reference result.
-func (cl *call[T]) runCanary(e *BatchEntry[T], fp fastRoute, tid int32) (degraded bool) {
-	tel := cl.cfg.Tel
+func (cl *call[T]) runCanary(e *BatchEntry[T], fp *fastRoute, tid int32) (degraded bool) {
+	tel := cl.d.cfg.Tel
 	tel.HealEvent(telemetry.HealCanaryRun)
 	m, n := e.M, e.N
 
@@ -143,7 +143,7 @@ func (cl *call[T]) runCanary(e *BatchEntry[T], fp fastRoute, tid int32) (degrade
 		return true
 	}
 	tel.HealEvent(telemetry.HealCanaryAgree)
-	if guard.CanaryAgree(cl.plat.Name, fp.path, 0) {
+	if guard.CanaryAgree(cl.d.cfg.Plat.Name, fp.path, 0) {
 		tel.HealEvent(telemetry.HealBreakerClose)
 		tel.BreakerTransition(telemetry.BreakerProbing, telemetry.BreakerHealthy)
 	}
@@ -154,13 +154,13 @@ func (cl *call[T]) runCanary(e *BatchEntry[T], fp fastRoute, tid int32) (degrade
 // isolation, converting a panic into a structured KernelPanicError. The
 // PanicInKernel injection point fires inside the protected region, and
 // corruptPack arms the CorruptPack point on the packed B panel (gemmST).
-func (cl *call[T]) runFast(corruptPack bool, fp fastRoute, e *BatchEntry[T], bl parallel.Block, entry int, tid int32) (err error) {
+func (cl *call[T]) runFast(corruptPack bool, fp *fastRoute, e *BatchEntry[T], bl parallel.Block, entry int, tid int32) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &guard.KernelPanicError{
-				Platform: cl.plat.Name,
+				Platform: cl.d.cfg.Plat.Name,
 				Mode:     cl.mode.String(),
-				Kernel:   guard.PathFor(kernels.ElemBytes[T]()),
+				Kernel:   cl.fam.path,
 				I0:       bl.I0, J0: bl.J0, M: bl.M, N: bl.N,
 				Entry: entry,
 				Value: r,
@@ -168,12 +168,12 @@ func (cl *call[T]) runFast(corruptPack bool, fp fastRoute, e *BatchEntry[T], bl 
 			}
 		}
 	}()
-	tel := cl.cfg.Tel
+	tel := cl.d.cfg.Tel
 	if faults.Fire(faults.PanicInKernel) {
 		tel.FaultInjected(faults.PanicInKernel)
 		panic(faults.InjectedPanicMsg)
 	}
-	gemmST(tel, tid, corruptPack, cl.plat, fp.tile, fp.blk, cl.mode, e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
+	gemmST(tel, tid, corruptPack, cl.d.cfg.Plat, fp.tile, fp.blk, cl.mode, e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
 	return nil
 }
 
@@ -183,7 +183,7 @@ func (cl *call[T]) runFast(corruptPack bool, fp fastRoute, e *BatchEntry[T], bl 
 // degradation. A canary mismatch re-opens a probing breaker; a panic or a
 // numeric-guard failure opens a healthy one.
 func (cl *call[T]) trip(path string, reason guard.Reason, detail string, m, n, k int) {
-	tel := cl.cfg.Tel
+	tel := cl.d.cfg.Tel
 	from, degr := telemetry.BreakerHealthy, telemetry.DegrPanic
 	switch reason {
 	case guard.ReasonNumeric:
@@ -191,7 +191,7 @@ func (cl *call[T]) trip(path string, reason guard.Reason, detail string, m, n, k
 	case guard.ReasonCanary:
 		from, degr = telemetry.BreakerProbing, telemetry.DegrCanary
 	}
-	if guard.Trip(cl.plat.Name, path, reason, detail, fmt.Sprintf("%s %dx%dx%d", cl.mode, m, n, k), 0) {
+	if guard.Trip(cl.d.cfg.Plat.Name, path, reason, detail, fmt.Sprintf("%s %dx%dx%d", cl.mode, m, n, k), 0) {
 		tel.HealEvent(telemetry.HealBreakerOpen)
 		tel.BreakerTransition(from, telemetry.BreakerOpen)
 	}

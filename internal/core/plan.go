@@ -47,23 +47,25 @@ type Plan struct {
 	ThreadBStrategy pack.Strategy
 }
 
-// PlanFor computes the execution plan the driver follows for a call under
-// cfg; cfg.Threads is the requested width, which the work rule caps.
-func PlanFor(cfg Config, mode Mode, m, n, k, elemBytes int) Plan {
-	plat := cfg.platform()
-	tile := analytic.SolveForElem(elemBytes)
+// PlanFor computes the execution plan d follows for a call: the width it
+// requests (the configured width or the §7.4 answer), capped by the work
+// rule.
+func PlanFor(d *Driver, mode Mode, m, n, k, elemBytes int) Plan {
+	plat := d.cfg.Plat
+	fam := newFastRoute(plat, elemBytes)
+	tile := fam.tile
 	l1 := plat.L1.SizeBytes
 	p := Plan{
 		Mode:       mode,
 		ElemBytes:  elemBytes,
 		Tile:       tile,
-		Blocking:   analytic.BlockingFor(plat, elemBytes),
+		Blocking:   fam.blk,
 		ShapeClass: telemetry.ClassifyShape(m, n, k),
 		BStrategy:  mode.bStrategy(n*k*elemBytes, l1),
 		Depth:      pack.DepthFor(n*k*elemBytes, plat.LLC().SizeBytes),
 		PackA:      mode.TransA(),
 	}
-	p.Threads, p.Partition = split(cfg.Threads, m, n, k, tile)
+	p.Threads, p.Partition = split(d.threadsFor(m, n), m, n, k, tile)
 	p.ThreadBlockM, p.ThreadBlockN, p.ThreadBStrategy = m, n, p.BStrategy
 	if p.Threads > 1 {
 		var worst parallel.Block
@@ -122,16 +124,9 @@ func split(requested, m, n, k int, tile analytic.Tile) (int, analytic.Partition)
 	return 1, analytic.Partition{TM: 1, TN: 1}
 }
 
-// SplitWidth is split's width, for a caller that must know before a call
-// whether it forks.
-func SplitWidth(requested, m, n, k, elemBytes int) int {
-	t, _ := split(requested, m, n, k, analytic.SolveForElem(elemBytes))
-	return t
-}
-
-// PoolWidth is the fork-join width of one batch: the work rule over its
+// poolWidth is the fork-join width of one batch: the work rule over its
 // entries and their summed flops.
-func PoolWidth[T Float](requested int, batch []BatchEntry[T]) int {
+func poolWidth[T Float](requested int, batch []BatchEntry[T]) int {
 	flops := 0.0
 	for i := range batch {
 		flops += 2 * float64(batch[i].M) * float64(batch[i].N) * float64(batch[i].K)

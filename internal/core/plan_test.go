@@ -12,7 +12,7 @@ import (
 )
 
 func TestPlanSmallNNSkipsPacking(t *testing.T) {
-	p := PlanFor(Config{Plat: platform.Phytium2000()}, NN, 32, 32, 32, 4)
+	p := PlanFor(testDriver(t, Config{Plat: platform.Phytium2000()}), NN, 32, 32, 32, 4)
 	if p.BStrategy != pack.NoPack {
 		t.Fatalf("small NN plan packs B: %v", p.BStrategy)
 	}
@@ -28,14 +28,14 @@ func TestPlanSmallNNSkipsPacking(t *testing.T) {
 }
 
 func TestPlanNTAlwaysPacks(t *testing.T) {
-	p := PlanFor(Config{}, NT, 8, 8, 8, 4)
+	p := PlanFor(testDriver(t, Config{}), NT, 8, 8, 8, 4)
 	if p.BStrategy != pack.PackOverlap {
 		t.Fatal("NT must always pack B (§4.3)")
 	}
 }
 
 func TestPlanLargeNNPacksWithOverlap(t *testing.T) {
-	p := PlanFor(Config{Plat: platform.Phytium2000()}, NN, 64, 4096, 4096, 4)
+	p := PlanFor(testDriver(t, Config{Plat: platform.Phytium2000()}), NN, 64, 4096, 4096, 4)
 	if p.BStrategy != pack.PackOverlap {
 		t.Fatal("beyond-L1 B must overlap-pack")
 	}
@@ -46,16 +46,16 @@ func TestPlanLargeNNPacksWithOverlap(t *testing.T) {
 }
 
 func TestPlanTransAGathers(t *testing.T) {
-	if !PlanFor(Config{}, TN, 16, 16, 16, 4).PackA {
+	if !PlanFor(testDriver(t, Config{}), TN, 16, 16, 16, 4).PackA {
 		t.Fatal("TN plan must gather A")
 	}
-	if PlanFor(Config{}, NT, 16, 16, 16, 4).PackA {
+	if PlanFor(testDriver(t, Config{}), NT, 16, 16, 16, 4).PackA {
 		t.Fatal("NT plan must not gather A")
 	}
 }
 
 func TestPlanParallelPartition(t *testing.T) {
-	p := PlanFor(Config{Threads: 64}, NT, 32, 10240, 5000, 4)
+	p := PlanFor(testDriver(t, Config{Threads: 64}), NT, 32, 10240, 5000, 4)
 	if p.Threads != 64 {
 		t.Fatalf("parallel plan reports %d threads", p.Threads)
 	}
@@ -76,7 +76,7 @@ func TestPlanPerThreadDecisionDiffers(t *testing.T) {
 	// NN with a B that exceeds L1 globally but fits per thread.
 	plat := platform.KP920() // 64KB L1
 	// B = 256×64 FP32 = 64KB > L1? exactly 64KB → NoPack (≤). Use 128 cols.
-	p := PlanFor(Config{Plat: plat, Threads: 16}, NN, 256, 128, 256, 4)
+	p := PlanFor(testDriver(t, Config{Plat: plat, Threads: 16}), NN, 256, 128, 256, 4)
 	if p.BStrategy == pack.NoPack {
 		t.Skip("global B unexpectedly fits L1")
 	}
@@ -89,13 +89,13 @@ func TestPlanPerThreadDecisionDiffers(t *testing.T) {
 }
 
 func TestPlanString(t *testing.T) {
-	s := PlanFor(Config{Threads: 64}, NT, 64, 50176, 576, 4).String()
+	s := PlanFor(testDriver(t, Config{Threads: 64}), NT, 64, 50176, 576, 4).String()
 	for _, frag := range []string{"7x12", "overlap", "Tn=", "per-thread block"} {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("plan rendering missing %q:\n%s", frag, s)
 		}
 	}
-	s1 := PlanFor(Config{}, TN, 8, 8, 8, 8).String()
+	s1 := PlanFor(testDriver(t, Config{}), TN, 8, 8, 8, 8).String()
 	if !strings.Contains(s1, "single-threaded") || !strings.Contains(s1, "A gathered") {
 		t.Fatalf("TN plan rendering wrong:\n%s", s1)
 	}
@@ -126,21 +126,21 @@ func TestForkWidth(t *testing.T) {
 	}
 	procs := runtime.GOMAXPROCS(0)
 	entry := BatchEntry[float32]{M: 512, N: 512, K: 512}
-	if got := PoolWidth(procs, []BatchEntry[float32]{entry}); got != 1 {
+	if got := poolWidth(procs, []BatchEntry[float32]{entry}); got != 1 {
 		t.Fatalf("single-entry batch width %d, want 1", got)
 	}
 	many := make([]BatchEntry[float32], 10000)
 	for i := range many {
 		many[i] = entry
 	}
-	if got := PoolWidth(procs, many); got < 1 || got > procs {
+	if got := poolWidth(procs, many); got < 1 || got > procs {
 		t.Fatalf("batch width %d outside [1, GOMAXPROCS=%d]", got, procs)
 	}
 }
 
 // split's width is a fixpoint of the rule: the partition at the width has
-// exactly that many blocks, so re-planning a planned width (as the driver
-// does with the width the public Context passes it) changes nothing.
+// exactly that many blocks, so the width, the partition's size and the
+// split's pool tasks are one number.
 func TestSplitIsAFixpoint(t *testing.T) {
 	tile := analytic.SolveForElem(4)
 	for _, m := range []int{1, 5, 7, 14, 33, 64, 256, 2048} {

@@ -54,8 +54,16 @@ func newProblem(seed uint64, mode core.Mode, m, n, k int) *problem {
 	return p
 }
 
-func (p *problem) run(cfg core.Config) error {
-	return core.SGEMM(cfg, p.mode, p.m, p.n, p.k, p.alpha,
+// newDriver builds the driver cfg resolves to, as a Context does, and
+// releases its pool when the test ends.
+func newDriver(t testing.TB, cfg core.Config) *core.Driver {
+	d := core.NewDriver(cfg)
+	t.Cleanup(d.Close)
+	return d
+}
+
+func (p *problem) run(d *core.Driver) error {
+	return core.SGEMM(d, p.mode, p.m, p.n, p.k, p.alpha,
 		p.a.Data, p.a.Stride, p.b.Data, p.b.Stride, p.beta, p.c.Data, p.c.Stride)
 }
 
@@ -85,7 +93,7 @@ func TestChaosPanicYieldsTypedError(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		faults.Arm(faults.PanicInKernel, 1)
 		p := newProblem(1, core.NN, 128, 128, 32)
-		err := p.run(core.Config{Plat: platform.KP920(), Threads: threads})
+		err := p.run(newDriver(t, core.Config{Plat: platform.KP920(), Threads: threads}))
 		var kpe *guard.KernelPanicError
 		if !errors.As(err, &kpe) {
 			t.Fatalf("threads=%d: err = %v (%T), want *guard.KernelPanicError", threads, err, err)
@@ -104,7 +112,7 @@ func TestChaosPanicYieldsTypedError(t *testing.T) {
 		}
 		// The fault is spent; the same runtime must answer correctly now.
 		p2 := newProblem(2, core.NN, 128, 128, 32)
-		if err := p2.run(core.Config{Plat: platform.KP920(), Threads: threads}); err != nil {
+		if err := p2.run(newDriver(t, core.Config{Plat: platform.KP920(), Threads: threads})); err != nil {
 			t.Fatalf("threads=%d: call after recovered panic failed: %v", threads, err)
 		}
 		p2.assertCorrect(t, "call after recovered panic")
@@ -118,8 +126,8 @@ func TestChaosPanicDegradesUnderGuard(t *testing.T) {
 	defer resetAll()
 	faults.Arm(faults.PanicInKernel, 1)
 	p := newProblem(3, core.NN, 64, 48, 24)
-	cfg := core.Config{Plat: platform.KP920(), Threads: 1, NumericGuard: true}
-	if err := p.run(cfg); err != nil {
+	drv := newDriver(t, core.Config{Plat: platform.KP920(), Threads: 1, NumericGuard: true})
+	if err := p.run(drv); err != nil {
 		t.Fatalf("guarded call returned error: %v", err)
 	}
 	p.assertCorrect(t, "degraded result after panic")
@@ -129,7 +137,7 @@ func TestChaosPanicDegradesUnderGuard(t *testing.T) {
 	}
 	// Demoted: later calls keep answering (reference path), still correct.
 	p2 := newProblem(4, core.TN, 33, 29, 17)
-	if err := p2.run(cfg); err != nil {
+	if err := p2.run(drv); err != nil {
 		t.Fatalf("post-demotion call failed: %v", err)
 	}
 	p2.assertCorrect(t, "post-demotion call")
@@ -153,8 +161,8 @@ func TestChaosCorruptPackDegrades(t *testing.T) {
 		resetAll()
 		faults.Arm(faults.CorruptPack, 1)
 		p := newProblem(5, tc.mode, tc.m, tc.n, tc.k)
-		cfg := core.Config{Plat: platform.KP920(), Threads: 1, NumericGuard: true}
-		if err := p.run(cfg); err != nil {
+		drv := newDriver(t, core.Config{Plat: platform.KP920(), Threads: 1, NumericGuard: true})
+		if err := p.run(drv); err != nil {
 			t.Fatalf("%v: guarded call returned error: %v", tc.mode, err)
 		}
 		p.assertCorrect(t, tc.mode.String()+" degraded result after pack corruption")
@@ -171,8 +179,8 @@ func TestChaosSpuriousNaNDegrades(t *testing.T) {
 	defer resetAll()
 	faults.Arm(faults.SpuriousNaN, 1)
 	p := newProblem(6, core.NN, 21, 25, 30)
-	cfg := core.Config{Plat: platform.KP920(), Threads: 1, NumericGuard: true}
-	if err := p.run(cfg); err != nil {
+	drv := newDriver(t, core.Config{Plat: platform.KP920(), Threads: 1, NumericGuard: true})
+	if err := p.run(drv); err != nil {
 		t.Fatalf("guarded call returned error: %v", err)
 	}
 	p.assertCorrect(t, "degraded result after spurious NaN")
@@ -188,8 +196,8 @@ func TestChaosNaNInputIsNotAFault(t *testing.T) {
 	defer resetAll()
 	p := newProblem(7, core.NN, 14, 12, 9)
 	p.a.Set(3, 2, float32(math.NaN()))
-	cfg := core.Config{Plat: platform.KP920(), Threads: 1, NumericGuard: true}
-	if err := p.run(cfg); err != nil {
+	drv := newDriver(t, core.Config{Plat: platform.KP920(), Threads: 1, NumericGuard: true})
+	if err := p.run(drv); err != nil {
 		t.Fatalf("call with NaN input failed: %v", err)
 	}
 	if !math.IsNaN(float64(p.c.At(3, 0))) {
@@ -225,7 +233,7 @@ func TestChaosSlowWorkerStaysCorrect(t *testing.T) {
 			A: a.Data, LDA: a.Stride, B: b.Data, LDB: b.Stride,
 			Beta: 0.25, C: c.Data, LDC: c.Stride}
 	}
-	if err := core.SGEMMBatch(core.Config{Plat: platform.KP920(), Threads: 4}, core.NN, batch); err != nil {
+	if err := core.SGEMMBatch(newDriver(t, core.Config{Plat: platform.KP920(), Threads: 4}), core.NN, batch); err != nil {
 		t.Fatalf("batch with slow workers failed: %v", err)
 	}
 	for i := range cs {
@@ -267,7 +275,7 @@ func TestChaosSlowWorkerWithCancellation(t *testing.T) {
 		time.Sleep(3 * time.Millisecond)
 		cancel()
 	}()
-	err := core.SGEMMBatchCtx(ctx, core.Config{Plat: platform.KP920(), Threads: 4}, core.NN, batch)
+	err := core.SGEMMBatchCtx(ctx, newDriver(t, core.Config{Plat: platform.KP920(), Threads: 4}), core.NN, batch)
 	touched := 0
 	for i := range cs {
 		for j := range cs[i].Data {
@@ -357,8 +365,8 @@ func TestChaosTelemetryOneEventPerInjection(t *testing.T) {
 			})
 			guard.BeginProbation(platform.KP920().Name, path)
 			p := newProblem(uint64(30+faults.TunerBadCandidate), core.NT, 64, 36, 16)
-			cfg := core.Config{Plat: platform.KP920(), Threads: 4, NumericGuard: true, Tel: tel}
-			if err := p.run(cfg); err != nil {
+			drv := newDriver(t, core.Config{Plat: platform.KP920(), Threads: 4, NumericGuard: true, Tel: tel})
+			if err := p.run(drv); err != nil {
 				t.Fatalf("canaried call errored: %v", err)
 			}
 			p.assertCorrect(t, "canaried call with injected bad candidate")
@@ -431,8 +439,8 @@ func TestChaosTelemetryOneEventPerInjection(t *testing.T) {
 			// and 1.2 MFLOP, enough work for the plan to fork four blocks, so
 			// the pool injection sites are on the path.
 			p := newProblem(uint64(30+pt), core.NT, 64, 96, 96)
-			cfg := core.Config{Plat: platform.KP920(), Threads: 4, NumericGuard: true, Tel: tel}
-			if err := p.run(cfg); err != nil {
+			drv := newDriver(t, core.Config{Plat: platform.KP920(), Threads: 4, NumericGuard: true, Tel: tel})
+			if err := p.run(drv); err != nil {
 				t.Fatalf("%v: guarded call errored: %v", pt, err)
 			}
 			p.assertCorrect(t, pt.String()+": guarded call")
@@ -503,8 +511,9 @@ func TestChaosStuckWorkerConvertsToTypedError(t *testing.T) {
 	p := newProblem(50, core.NN, 256, 256, 32)
 	done := make(chan error, 1)
 	start := time.Now()
+	drv := newDriver(t, core.Config{Plat: platform.KP920(), Threads: 4, Deadline: budget})
 	go func() {
-		done <- p.run(core.Config{Plat: platform.KP920(), Threads: 4, Deadline: budget})
+		done <- p.run(drv)
 	}()
 	select {
 	case err := <-done:
@@ -559,8 +568,8 @@ func TestChaosBatchDeadlineExpires(t *testing.T) {
 	// clock starts so the deadline lands in the pooled batch.
 	guard.VerifyContracts(platform.KP920())
 	tel := telemetry.New(telemetry.Options{})
-	cfg := core.Config{Plat: platform.KP920(), Threads: 4, Deadline: 3 * time.Millisecond, Tel: tel}
-	err := core.SGEMMBatch(cfg, core.NN, batch)
+	drv := newDriver(t, core.Config{Plat: platform.KP920(), Threads: 4, Deadline: 3 * time.Millisecond, Tel: tel})
+	err := core.SGEMMBatch(drv, core.NN, batch)
 	if q := tel.Snapshot().Pool.TasksQueued; q == 0 {
 		t.Fatal("batch never ran on the pool")
 	}
@@ -604,7 +613,7 @@ func TestChaosTelemetryPanicOutcome(t *testing.T) {
 	faults.Arm(faults.PanicInKernel, 1)
 	tel := telemetry.New(telemetry.Options{})
 	p := newProblem(40, core.NN, 64, 48, 24)
-	err := p.run(core.Config{Plat: platform.KP920(), Threads: 1, Tel: tel})
+	err := p.run(newDriver(t, core.Config{Plat: platform.KP920(), Threads: 1, Tel: tel}))
 	var kpe *guard.KernelPanicError
 	if !errors.As(err, &kpe) {
 		t.Fatalf("err = %v, want *guard.KernelPanicError", err)
@@ -630,14 +639,14 @@ func TestChaosEveryPointLeavesRuntimeUsable(t *testing.T) {
 		faults.Arm(pt, 1)
 		// 1.2 MFLOP, enough work for the plan to fork four blocks.
 		p := newProblem(uint64(10+pt), core.NT, 64, 96, 96)
-		cfg := core.Config{Plat: platform.KP920(), Threads: 4, NumericGuard: true}
-		if err := p.run(cfg); err != nil {
+		drv := newDriver(t, core.Config{Plat: platform.KP920(), Threads: 4, NumericGuard: true})
+		if err := p.run(drv); err != nil {
 			t.Fatalf("%v: guarded call errored: %v", pt, err)
 		}
 		p.assertCorrect(t, pt.String()+": guarded call")
 		faults.Reset()
 		p2 := newProblem(uint64(20+pt), core.NT, 64, 96, 96)
-		if err := p2.run(cfg); err != nil {
+		if err := p2.run(drv); err != nil {
 			t.Fatalf("%v: follow-up call errored: %v", pt, err)
 		}
 		p2.assertCorrect(t, pt.String()+": follow-up call")
@@ -672,8 +681,8 @@ func TestChaosTunerBadCandidateRevertsToIncumbent(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{})
 	faults.Arm(faults.TunerBadCandidate, 1)
 	p := newProblem(77, core.NT, 64, 36, 16)
-	cfg := core.Config{Plat: plat, Threads: 4, NumericGuard: true, Tel: tel}
-	if err := p.run(cfg); err != nil {
+	drv := newDriver(t, core.Config{Plat: plat, Threads: 4, NumericGuard: true, Tel: tel})
+	if err := p.run(drv); err != nil {
 		t.Fatalf("canaried call errored: %v", err)
 	}
 	// (1) The caller got the reference-shadow result, not the corruption.
@@ -707,7 +716,7 @@ func TestChaosTunerBadCandidateRevertsToIncumbent(t *testing.T) {
 		t.Fatalf("fault events = %+v, want exactly one %q", snap.Faults, faults.TunerBadCandidate.String())
 	}
 	p2 := newProblem(78, core.NT, 64, 36, 16)
-	if err := p2.run(cfg); err != nil {
+	if err := p2.run(drv); err != nil {
 		t.Fatalf("follow-up call errored: %v", err)
 	}
 	p2.assertCorrect(t, "follow-up call on the restored incumbent")

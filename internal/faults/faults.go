@@ -53,21 +53,21 @@ const (
 	// engine's drift detector, and the seed the e2e attrib test uses to
 	// prove a slow class surfaces as a drift event and tuning candidate.
 	SlowShapeClass
-	// RouterBackendBlackhole makes the router's forward to the targeted
-	// backend hang until the attempt context expires, standing in for a
-	// backend whose packets vanish (dead NIC, partitioned rack). The router
-	// must hedge the request onto the next-preferred backend instead of
-	// stalling the client.
+	// RouterBackendBlackhole makes the router's forward to a backend hang
+	// until the attempt context expires, standing in for a backend whose
+	// packets vanish (dead NIC, partitioned rack). The router must hedge
+	// the request onto the next-preferred backend instead of stalling the
+	// client.
 	RouterBackendBlackhole
-	// RouterSlowBackend delays the router's forward to the targeted backend
-	// by the SetRouterSlow duration, standing in for a congested or
-	// GC-pausing node; it perturbs timing, never results — the latency-hedge
-	// trigger's chaos coverage.
+	// RouterSlowBackend delays the router's forward to a backend by the
+	// SetRouterSlow duration, standing in for a congested or GC-pausing
+	// node; it perturbs timing, never results — the latency-hedge trigger's
+	// chaos coverage.
 	RouterSlowBackend
-	// RouterConnReset fails the router's forward to the targeted backend
-	// with an immediate connection-reset error, standing in for a backend
-	// process killed mid-request (the rolling-restart crash case). The
-	// request is idempotent, so the router retries it on a survivor.
+	// RouterConnReset fails the router's forward to a backend with an
+	// immediate connection-reset error, standing in for a backend process
+	// killed mid-request (the rolling-restart crash case). The request is
+	// idempotent, so the router retries it on a survivor.
 	RouterConnReset
 	// TunerBadCandidate corrupts the tuned fast path's output during a
 	// canary-shadowed call on a tuned-override breaker path, standing in for
@@ -176,7 +176,6 @@ func Reset() {
 	}
 	slowClassTarget.Store(0)
 	slowClassDelay.Store(0)
-	routerTarget.Store(0)
 	routerSlowDelay.Store(0)
 	anyArmed.Store(false)
 }
@@ -224,13 +223,6 @@ func Fire(p Point) bool {
 	}
 }
 
-// SleepIfArmed implements the SlowWorker point: a short delay when armed.
-func SleepIfArmed(p Point) {
-	if Fire(p) {
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // SlowShapeClass target configuration. The class index mirrors
 // telemetry.ShapeClass (faults cannot import telemetry — telemetry imports
 // faults); the driver passes its already-computed class byte.
@@ -264,24 +256,8 @@ func SlowClassFire(class uint8) time.Duration {
 	return d
 }
 
-// Router point target configuration. The router's three points (blackhole,
-// slow backend, connection reset) fire on one targeted backend so chaos
-// tests can break a specific node while the survivors stay clean; routerTarget
-// stores index+1 so the zero value (after Reset) matches any backend.
-var (
-	routerTarget    atomic.Int32
-	routerSlowDelay atomic.Int64
-)
-
-// SetRouterTarget aims the router points at one backend index; a negative
-// index makes them fire on any backend. Reset restores any-backend.
-func SetRouterTarget(index int) {
-	if index < 0 {
-		routerTarget.Store(0)
-		return
-	}
-	routerTarget.Store(int32(index) + 1)
-}
+// routerSlowDelay is the RouterSlowBackend delay SetRouterSlow configures.
+var routerSlowDelay atomic.Int64
 
 // SetRouterSlow configures the RouterSlowBackend delay; the point still
 // needs Arm(RouterSlowBackend, n) to fire.
@@ -289,24 +265,11 @@ func SetRouterSlow(d time.Duration) {
 	routerSlowDelay.Store(int64(d))
 }
 
-// RouterFire consumes one fire from p's budget if p is armed and the attempt
-// targets the configured backend (or no target is set). Disarmed cost: one
-// atomic load.
-func RouterFire(p Point, backendIndex int) bool {
-	if !anyArmed.Load() {
-		return false
-	}
-	if t := routerTarget.Load(); t != 0 && int32(backendIndex)+1 != t {
-		return false
-	}
-	return Fire(p)
-}
-
-// RouterSlowFire consumes one RouterSlowBackend fire for the given backend,
-// returning the configured delay (0 = no fire; a fire with no configured
-// delay defaults to 1ms so an armed point is never silently inert).
-func RouterSlowFire(backendIndex int) time.Duration {
-	if !RouterFire(RouterSlowBackend, backendIndex) {
+// RouterSlowFire consumes one RouterSlowBackend fire, returning the
+// configured delay (0 = no fire; a fire with no configured delay defaults
+// to 1ms so an armed point is never silently inert).
+func RouterSlowFire() time.Duration {
+	if !Fire(RouterSlowBackend) {
 		return 0
 	}
 	d := time.Duration(routerSlowDelay.Load())

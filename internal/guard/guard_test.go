@@ -107,11 +107,21 @@ func TestVerifyContractsDemotesBrokenKernel(t *testing.T) {
 		t.Fatalf("detail %q does not name the failing kernel", d.Detail)
 	}
 	// Memoised: a second call is a no-op (would re-demote if it re-ran,
-	// which the first-wins rule hides; instead check the memo directly by
-	// verifying a clean reset re-verifies).
+	// which the first-wins rule hides).
 	VerifyContracts(plat)
 	if got := List(plat.Name); len(got) != 1 {
 		t.Fatalf("re-verification changed the registry: %+v", got)
+	}
+	// Reset clears the memo: the next verification runs again and the
+	// broken kernel trips anew, as a later demotion.
+	Reset()
+	VerifyContracts(plat)
+	again, ok := Demotion(plat.Name, PathF32)
+	if !ok || again.Reason != ReasonContract {
+		t.Fatalf("after Reset the broken kernel did not trip again: %+v, %v", again, ok)
+	}
+	if again.Seq <= d.Seq {
+		t.Fatalf("re-verified demotion seq %d, want after the first trip's %d", again.Seq, d.Seq)
 	}
 }
 

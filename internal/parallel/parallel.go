@@ -100,7 +100,7 @@ func splitAligned(extent, parts, unit int) []span {
 // should be a handful of atomic operations at most. telemetry.Recorder
 // implements Observer.
 type Observer interface {
-	// TaskQueued reports n tasks submitted to the pool by one Run call.
+	// TaskQueued reports n tasks submitted to the pool by one run.
 	TaskQueued(n int)
 	// TaskStart reports a task beginning execution after queueWaitNs in
 	// the run queue.
@@ -114,7 +114,7 @@ type Observer interface {
 
 // Pool is a fork-join worker pool with persistent goroutines, standing in
 // for the fork-join threading primitive the paper's runtime uses. A Pool is
-// safe for concurrent Run calls (each call joins only its own tasks), which
+// safe for concurrent runs (each run joins only its own tasks), which
 // is how a shared Context serves simultaneous GEMMs.
 type Pool struct {
 	workers int
@@ -151,15 +151,15 @@ func NewPoolObserved(workers int, obs Observer) *Pool {
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// ErrClosed is returned by Run on a pool whose Close has been called.
-var ErrClosed = errors.New("parallel: Run on closed pool")
+// ErrClosed is returned by RunWorkerCfg on a pool whose Close has been called.
+var ErrClosed = errors.New("parallel: run on closed pool")
 
-// PanicError is returned by Run when a task panics: the worker goroutine
-// recovers (the pool stays usable), tasks of the same Run call that have
+// PanicError is returned by RunWorkerCfg when a task panics: the worker
+// goroutine recovers (the pool stays usable), tasks of the same call that have
 // not started yet are cancelled, and the first panic is reported with the
 // goroutine stack captured at the point of recovery.
 type PanicError struct {
-	Task  int // index into the Run call's task slice
+	Task  int // index into the call's task slice
 	Value any
 	Stack []byte
 }
@@ -168,23 +168,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: task %d panicked: %v", e.Task, e.Value)
 }
 
-// Run executes all tasks on the pool and blocks until every one has
-// completed or been cancelled (the join of fork-join). Each call owns its
-// own join state, so concurrent Run calls on one pool are independent.
-//
-// A panicking task does not kill its worker or the process: the panic is
-// recovered, remaining unstarted tasks of this Run call are skipped, and
-// Run returns a *PanicError describing the first panic. Run on a closed
-// pool returns ErrClosed.
-func (p *Pool) Run(tasks []func()) error {
-	wrapped := make([]func(worker int), len(tasks))
-	for i, t := range tasks {
-		wrapped[i] = func(int) { t() }
-	}
-	return p.RunWorker(wrapped)
-}
-
-// RunConfig carries the optional deadline machinery of one Run call.
+// RunConfig carries the optional deadline machinery of one RunWorkerCfg call.
 type RunConfig struct {
 	// Ctx, when non-nil, cancels cooperatively: tasks not yet handed to a
 	// worker are skipped once the context is done, started tasks still run
@@ -201,15 +185,17 @@ type RunConfig struct {
 	TaskBudget time.Duration
 }
 
-// RunWorker is Run for tasks that want to know which worker executes them
-// (the GEMM driver uses the index for trace-lane attribution). Worker
-// indices are 0..Workers()-1.
-func (p *Pool) RunWorker(tasks []func(worker int)) error {
-	return p.RunWorkerCfg(RunConfig{}, tasks)
-}
-
-// RunWorkerCfg is RunWorker with cooperative cancellation and the
-// stuck-worker watchdog; see RunConfig.
+// RunWorkerCfg executes all tasks on the pool and blocks until every one
+// has completed or been cancelled (the join of fork-join), with the
+// cooperative cancellation and the stuck-worker watchdog of rc. Each task
+// learns the index, 0..Workers()-1, of the worker executing it (the GEMM
+// driver uses it for trace-lane attribution). Each call owns its own join
+// state, so concurrent calls on one pool are independent.
+//
+// A panicking task does not kill its worker or the process: the panic is
+// recovered, remaining unstarted tasks of this call are skipped, and the
+// call returns a *PanicError describing the first panic. A call on a closed
+// pool returns ErrClosed.
 func (p *Pool) RunWorkerCfg(rc RunConfig, tasks []func(worker int)) error {
 	if len(tasks) == 0 {
 		return nil
@@ -378,6 +364,3 @@ func (p *Pool) doneSending() {
 		close(p.tasks)
 	}
 }
-
-// Closed reports whether Close has been called.
-func (p *Pool) Closed() bool { return p.closed.Load() }

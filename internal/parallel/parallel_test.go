@@ -132,16 +132,16 @@ func TestPoolRunsAllTasks(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	var count atomic.Int64
-	tasks := make([]func(), 100)
+	tasks := make([]func(int), 100)
 	for i := range tasks {
-		tasks[i] = func() { count.Add(1) }
+		tasks[i] = func(int) { count.Add(1) }
 	}
-	p.Run(tasks)
+	p.RunWorkerCfg(RunConfig{}, tasks)
 	if count.Load() != 100 {
 		t.Fatalf("ran %d of 100 tasks", count.Load())
 	}
 	// The pool must be reusable.
-	p.Run(tasks[:10])
+	p.RunWorkerCfg(RunConfig{}, tasks[:10])
 	if count.Load() != 110 {
 		t.Fatal("pool not reusable")
 	}
@@ -152,9 +152,9 @@ func TestPoolParallelism(t *testing.T) {
 	defer p.Close()
 	var concurrent, peak atomic.Int64
 	gate := make(chan struct{})
-	tasks := make([]func(), 8)
+	tasks := make([]func(int), 8)
 	for i := range tasks {
-		tasks[i] = func() {
+		tasks[i] = func(int) {
 			c := concurrent.Add(1)
 			for {
 				old := peak.Load()
@@ -167,7 +167,7 @@ func TestPoolParallelism(t *testing.T) {
 		}
 	}
 	done := make(chan struct{})
-	go func() { p.Run(tasks); close(done) }()
+	go func() { p.RunWorkerCfg(RunConfig{}, tasks); close(done) }()
 	// Wait until several tasks are genuinely parked on the gate before
 	// releasing any, so observed concurrency is deterministic.
 	for concurrent.Load() < 4 {
@@ -184,7 +184,7 @@ func TestPoolParallelism(t *testing.T) {
 func TestPoolEmptyRun(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	p.Run(nil) // must not deadlock
+	p.RunWorkerCfg(RunConfig{}, nil) // must not deadlock
 }
 
 func TestPoolMinimumWorkers(t *testing.T) {
@@ -194,7 +194,7 @@ func TestPoolMinimumWorkers(t *testing.T) {
 		t.Fatal("worker floor not applied")
 	}
 	var ran atomic.Bool
-	p.Run([]func(){func() { ran.Store(true) }})
+	p.RunWorkerCfg(RunConfig{}, []func(int){func(int) { ran.Store(true) }})
 	if !ran.Load() {
 		t.Fatal("task did not run")
 	}
@@ -217,11 +217,11 @@ func TestConcurrentRuns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var count atomic.Int64
-			tasks := make([]func(), 25)
+			tasks := make([]func(int), 25)
 			for i := range tasks {
-				tasks[i] = func() { count.Add(1) }
+				tasks[i] = func(int) { count.Add(1) }
 			}
-			p.Run(tasks)
+			p.RunWorkerCfg(RunConfig{}, tasks)
 			if count.Load() != 25 {
 				t.Errorf("Run joined with %d of 25 tasks done", count.Load())
 			}

@@ -629,7 +629,7 @@ func (rt *Router) forward(ctx context.Context, b *backend, hdr server.Header, pa
 
 	// Fault points, in injection order: a slow backend delays, a reset
 	// fails fast, a blackhole swallows the attempt until its context dies.
-	if d := faults.RouterSlowFire(b.index); d > 0 {
+	if d := faults.RouterSlowFire(); d > 0 {
 		rt.tel.FaultInjected(faults.RouterSlowBackend)
 		select {
 		case <-time.After(d):
@@ -638,12 +638,12 @@ func (rt *Router) forward(ctx context.Context, b *backend, hdr server.Header, pa
 			return res
 		}
 	}
-	if faults.RouterFire(faults.RouterConnReset, b.index) {
+	if faults.Fire(faults.RouterConnReset) {
 		rt.tel.FaultInjected(faults.RouterConnReset)
 		res.outcome, res.err = outcomeFail, fmt.Errorf("injected connection reset by %s", b.id)
 		return res
 	}
-	if faults.RouterFire(faults.RouterBackendBlackhole, b.index) {
+	if faults.Fire(faults.RouterBackendBlackhole) {
 		rt.tel.FaultInjected(faults.RouterBackendBlackhole)
 		<-ctx.Done()
 		res.outcome, res.err = outcomeFail, fmt.Errorf("blackholed attempt to %s: %w", b.id, ctx.Err())

@@ -145,6 +145,30 @@ func TestRAWThroughMemoryOpsRespected(t *testing.T) {
 	}
 }
 
+// TestIssueOrderRespectsDependencies: each FMA waits for the load it
+// consumes, and the independent second load does not wait for the first
+// FMA. With a 16-entry window both loads issue at cycle 0 on the two load
+// pipes, their FMAs at cycles 4 and 5 on the one FMA pipe, and the last
+// completes at 9 (ignoring the loads would give 5). An in-order window of
+// one serialises the pairs: 13.
+func TestIssueOrderRespectsDependencies(t *testing.T) {
+	b := isa.NewBuilder("deps", 4)
+	s := b.Stream("A", isa.StreamA, 16, true)
+	b.LdVec(0, s, 0)
+	b.FmlaVec(1, 0, 0) // depends on the load
+	b.LdVec(2, s, 4)   // independent
+	b.FmlaVec(3, 2, 2)
+	p := b.MustBuild()
+	if got := Simulate(p, cfg1()).Cycles; got != 9 {
+		t.Fatalf("cycles = %d, want 9", got)
+	}
+	inOrder := cfg1()
+	inOrder.Window = 1
+	if got := Simulate(p, inOrder).Cycles; got != 13 {
+		t.Fatalf("in-order cycles = %d, want 13", got)
+	}
+}
+
 // TestWindowEffectBatchVsInterleaved reproduces the Fig 6 phenomenon at the
 // model level: with a bounded window, a batch of loads followed by all their
 // dependent FMAs runs slower than the same work with loads interleaved

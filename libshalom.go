@@ -26,17 +26,13 @@ package libshalom
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"libshalom/internal/analytic"
 	"libshalom/internal/baselines"
 	"libshalom/internal/core"
-	"libshalom/internal/parallel"
 	"libshalom/internal/perfsim"
 	"libshalom/internal/platform"
-	"libshalom/internal/telemetry"
 	"libshalom/internal/tuner"
 )
 
@@ -71,16 +67,8 @@ var (
 // ready to use; call New. A Context is safe for concurrent use: GEMM calls
 // from multiple goroutines share its worker pool.
 type Context struct {
-	plat       *Platform
-	threads    int // 0 = automatic policy
-	guard      bool
-	aliasCheck bool
-	deadline   time.Duration
-	retry      bool
-	tel        *telemetry.Recorder // nil: telemetry disabled
-
-	mu   sync.Mutex
-	pool *parallel.Pool
+	cfg core.Config // what the options set; New resolves it into drv
+	drv *core.Driver
 }
 
 // Option configures a Context.
@@ -89,7 +77,7 @@ type Option func(*Context)
 // WithPlatform selects the platform model whose cache hierarchy drives
 // packing decisions and blocking. Default: Kunpeng 920.
 func WithPlatform(p *Platform) Option {
-	return func(c *Context) { c.plat = p }
+	return func(c *Context) { c.cfg.Plat = p }
 }
 
 // WithThreads sets the parallel width. Zero restores the automatic policy:
@@ -97,7 +85,7 @@ func WithPlatform(p *Platform) Option {
 // (§7.4). One disables parallelism. Any width is a cap: a call or batch
 // forks only as many workers as its work pays for (PlanFor reports them).
 func WithThreads(n int) Option {
-	return func(c *Context) { c.threads = n }
+	return func(c *Context) { c.cfg.Threads = n }
 }
 
 // WithNumericGuard enables the runtime numeric guard: the driver scans
@@ -108,14 +96,14 @@ func WithThreads(n int) Option {
 // cost a pass over the operands, so this is a debug/hardening option, not
 // the default.
 func WithNumericGuard() Option {
-	return func(c *Context) { c.guard = true }
+	return func(c *Context) { c.cfg.NumericGuard = true }
 }
 
 // WithAliasCheck makes batch calls validate up front that no two entries
 // write overlapping C storage, returning ErrAliasedBatch instead of racing.
 // Adjacent-but-disjoint views of one backing array are allowed.
 func WithAliasCheck() Option {
-	return func(c *Context) { c.aliasCheck = true }
+	return func(c *Context) { c.cfg.CheckAlias = true }
 }
 
 // WithDeadline bounds every call made through the context. A call or batch
@@ -127,7 +115,7 @@ func WithAliasCheck() Option {
 // abandon unstarted entries once d expires, surfacing a *BatchCancelError
 // that unwraps to context.DeadlineExceeded. Zero disables the bound.
 func WithDeadline(d time.Duration) Option {
-	return func(c *Context) { c.deadline = d }
+	return func(c *Context) { c.cfg.Deadline = d }
 }
 
 // WithoutTransientRetry disables the transparent transient-fault retry. By
@@ -137,105 +125,37 @@ func WithDeadline(d time.Duration) Option {
 // (the pre-self-healing behaviour, useful when callers want to observe raw
 // failures).
 func WithoutTransientRetry() Option {
-	return func(c *Context) { c.retry = false }
+	return func(c *Context) { c.cfg.RetryTransient = false }
 }
 
-// New builds a Context.
+// New builds a Context. The options take effect here: New resolves them
+// into the driver every call of the Context runs.
 func New(opts ...Option) *Context {
-	c := &Context{plat: platform.KP920(), retry: true}
+	c := &Context{cfg: core.Config{Plat: platform.KP920(), RetryTransient: true}}
 	for _, o := range opts {
 		o(c)
 	}
+	c.drv = core.NewDriver(c.cfg)
 	return c
 }
 
 // Close releases the context's worker pool, if one was started. The context
 // remains usable; a new pool is started on demand. Close must not overlap
 // in-flight GEMM calls.
-func (c *Context) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pool != nil {
-		c.pool.Close()
-		c.pool = nil
-	}
-}
+func (c *Context) Close() { c.drv.Close() }
 
 // Platform returns the context's platform model.
-func (c *Context) Platform() *Platform { return c.plat }
-
-// threadsFor is the width a call requests: the configured width, or under
-// the automatic policy the §7.4 answer — small GEMM runs single-threaded
-// (parallelism across independent problems is the caller's job); irregular
-// or large GEMM uses every core. The work rule caps it (core.SplitWidth).
-func (c *Context) threadsFor(m, n, k int) int {
-	// Irregular: one C dimension much larger than the other, or the work
-	// is simply large.
-	large := m >= 256 && n >= 256
-	irregular := (m >= 8*n || n >= 8*m) && (m >= 512 || n >= 512)
-	if c.threads > 0 || large || irregular {
-		return c.requested()
-	}
-	return 1
-}
-
-// requested is the widest the context forks: the configured width, or the
-// machine's parallelism under the automatic policy.
-func (c *Context) requested() int {
-	if c.threads > 0 {
-		return c.threads
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// ensurePool returns the shared pool when a plan forks threads wide,
-// starting it requested() workers wide so that it serves every width.
-func (c *Context) ensurePool(threads int) *parallel.Pool {
-	if threads <= 1 {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pool == nil {
-		var obs parallel.Observer
-		if c.tel != nil {
-			obs = c.tel
-		}
-		c.pool = parallel.NewPoolObserved(c.requested(), obs)
-	}
-	return c.pool
-}
+func (c *Context) Platform() *Platform { return c.cfg.Plat }
 
 // SGEMM computes C = alpha·op(A)·op(B) + beta·C in single precision.
 // op(A) is m×k and op(B) is k×n.
 func (c *Context) SGEMM(mode Mode, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, cOut []float32, ldc int) error {
-	cfg := c.config(core.SplitWidth(c.threadsFor(m, n, k), m, n, k, 4))
-	return core.SGEMM(cfg, mode, m, n, k, alpha, a, lda, b, ldb, beta, cOut, ldc)
+	return core.SGEMM(c.drv, mode, m, n, k, alpha, a, lda, b, ldb, beta, cOut, ldc)
 }
 
 // DGEMM computes C = alpha·op(A)·op(B) + beta·C in double precision.
 func (c *Context) DGEMM(mode Mode, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, cOut []float64, ldc int) error {
-	cfg := c.config(core.SplitWidth(c.threadsFor(m, n, k), m, n, k, 8))
-	return core.DGEMM(cfg, mode, m, n, k, alpha, a, lda, b, ldb, beta, cOut, ldc)
-}
-
-// config assembles the driver configuration of a call or batch whose plan
-// forks threads wide, and records that width against requested() in the
-// thread-policy telemetry.
-func (c *Context) config(threads int) core.Config {
-	if c.tel != nil {
-		c.tel.ThreadChoice(c.requested(), threads)
-	}
-	return core.Config{
-		Plat:           c.plat,
-		Threads:        threads,
-		Pool:           c.ensurePool(threads),
-		NumericGuard:   c.guard,
-		CheckAlias:     c.aliasCheck,
-		Deadline:       c.deadline,
-		RetryTransient: c.retry,
-		Tel:            c.tel,
-	}
+	return core.DGEMM(c.drv, mode, m, n, k, alpha, a, lda, b, ldb, beta, cOut, ldc)
 }
 
 var defaultCtx = New()
@@ -257,7 +177,7 @@ type Plan = core.Plan
 // PlanFor returns the execution plan a context follows for the given call,
 // without running it. elemBytes is 4 (FP32) or 8 (FP64).
 func (c *Context) PlanFor(mode Mode, m, n, k, elemBytes int) Plan {
-	return core.PlanFor(core.Config{Plat: c.plat, Threads: c.threadsFor(m, n, k)}, mode, m, n, k, elemBytes)
+	return core.PlanFor(c.drv, mode, m, n, k, elemBytes)
 }
 
 // Tile is a solved micro-kernel register tile.

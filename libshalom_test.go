@@ -1,6 +1,7 @@
 package libshalom
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -68,23 +69,27 @@ func TestDGEMMDefault(t *testing.T) {
 	}
 }
 
+// TestAutoThreadPolicy checks the §7.4 automatic policy through the width
+// PlanFor reports: small calls run single-threaded even where their work
+// would pay for a fork, irregular and large calls fork as wide as the
+// machine allows, and an explicit width wins over the policy.
 func TestAutoThreadPolicy(t *testing.T) {
 	ctx := New()
-	if ctx.threadsFor(8, 8, 8) != 1 {
-		t.Fatal("small GEMM must run single-threaded (§7.4)")
+	if got := ctx.PlanFor(NN, 8, 8, 8, 4).Threads; got != 1 {
+		t.Fatalf("small GEMM planned %d threads, must run single-threaded (§7.4)", got)
 	}
-	if ctx.threadsFor(100, 100, 100) != 1 {
-		t.Fatal("mid-small GEMM must run single-threaded")
+	if got := ctx.PlanFor(NN, 100, 100, 100, 4).Threads; got != 1 {
+		t.Fatalf("mid-small GEMM planned %d threads, must run single-threaded", got)
 	}
-	if ctx.threadsFor(64, 50176, 576) < 1 {
-		t.Fatal("irregular GEMM should be eligible for parallelism")
+	procs := runtime.GOMAXPROCS(0)
+	if got := ctx.PlanFor(NT, 64, 50176, 576, 4).Threads; got != procs {
+		t.Fatalf("irregular GEMM planned %d threads, want GOMAXPROCS=%d", got, procs)
 	}
-	if ctx.threadsFor(2048, 2048, 2048) < 1 {
-		t.Fatal("large GEMM should be eligible for parallelism")
+	if got := ctx.PlanFor(NN, 2048, 2048, 2048, 4).Threads; got != procs {
+		t.Fatalf("large GEMM planned %d threads, want GOMAXPROCS=%d", got, procs)
 	}
-	fixed := New(WithThreads(3))
-	if fixed.threadsFor(8, 8, 8) != 3 {
-		t.Fatal("explicit thread count must win")
+	if got := New(WithThreads(3)).PlanFor(NN, 100, 100, 100, 4).Threads; got != 3 {
+		t.Fatalf("WithThreads(3) planned %d threads for 100³, explicit thread count must win", got)
 	}
 }
 

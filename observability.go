@@ -42,40 +42,40 @@ type TelemetryOptions = telemetry.Options
 // plus phase-span tracing into a ring buffer of the default capacity
 // (8192 spans). Use WithTelemetryOptions to size or disable the trace ring.
 func WithTelemetry() Option {
-	return func(c *Context) { c.tel = telemetry.New(telemetry.Options{}) }
+	return func(c *Context) { c.cfg.Tel = telemetry.New(telemetry.Options{}) }
 }
 
 // WithTelemetryOptions enables runtime telemetry with explicit options.
 func WithTelemetryOptions(o TelemetryOptions) Option {
-	return func(c *Context) { c.tel = telemetry.New(o) }
+	return func(c *Context) { c.cfg.Tel = telemetry.New(o) }
 }
 
 // TelemetryEnabled reports whether the context records telemetry.
-func (c *Context) TelemetryEnabled() bool { return c.tel != nil }
+func (c *Context) TelemetryEnabled() bool { return c.cfg.Tel != nil }
 
 // TelemetryRecorder exposes the context's recorder to in-module subsystems
 // (internal/server) that record their own events — admission, shedding,
 // coalescing — next to the driver's, so one scrape shows the whole pipeline.
 // Returns nil when telemetry is disabled; every recorder method no-ops on a
 // nil receiver, so callers need not check.
-func (c *Context) TelemetryRecorder() *telemetry.Recorder { return c.tel }
+func (c *Context) TelemetryRecorder() *telemetry.Recorder { return c.cfg.Tel }
 
 // Snapshot aggregates the context's telemetry into an exposition-ready
 // value; Snapshot on a context without telemetry returns the zero value.
 // Safe to call while GEMM traffic is in flight.
-func (c *Context) Snapshot() TelemetrySnapshot { return c.tel.Snapshot() }
+func (c *Context) Snapshot() TelemetrySnapshot { return c.cfg.Tel.Snapshot() }
 
 // WritePrometheus renders the context's telemetry in the Prometheus text
 // exposition format.
 func (c *Context) WritePrometheus(w io.Writer) error {
-	return c.tel.Snapshot().WritePrometheus(w)
+	return c.cfg.Tel.Snapshot().WritePrometheus(w)
 }
 
 // ExportTrace writes the buffered phase spans as Chrome trace_event JSON,
 // loadable in chrome://tracing or ui.perfetto.dev. Returns an error when
 // telemetry or tracing is disabled.
 func (c *Context) ExportTrace(w io.Writer) error {
-	_, err := c.tel.WriteTrace(w)
+	_, err := c.cfg.Tel.WriteTrace(w)
 	return err
 }
 
@@ -88,10 +88,10 @@ func (c *Context) ExportTrace(w io.Writer) error {
 //		go http.ListenAndServe("localhost:9090", h)
 //	}
 func (c *Context) TelemetryHandler() (http.Handler, bool) {
-	if c.tel == nil {
+	if c.cfg.Tel == nil {
 		return nil, false
 	}
-	return c.tel.Handler(), true
+	return c.cfg.Tel.Handler(), true
 }
 
 // PublishExpvar publishes the context's live telemetry snapshot under the
@@ -99,9 +99,9 @@ func (c *Context) TelemetryHandler() (http.Handler, bool) {
 // panics on duplicate names, so publish once per process per name; returns
 // false without publishing when telemetry is disabled.
 func (c *Context) PublishExpvar(name string) bool {
-	if c.tel == nil {
+	if c.cfg.Tel == nil {
 		return false
 	}
-	telemetry.PublishExpvar(name, c.tel)
+	telemetry.PublishExpvar(name, c.cfg.Tel)
 	return true
 }

@@ -339,7 +339,7 @@ func TestDegenerateGEMMNeverStartsPool(t *testing.T) {
 	for _, width := range []int{0, 8} {
 		ctx := New(WithThreads(width), WithTelemetry())
 		runSGEMM(t, ctx, NN, 1, 1, 1)
-		if ctx.pool != nil {
+		if ctx.drv.Pool() != nil {
 			t.Fatalf("WithThreads(%d): 1x1x1 GEMM started the worker pool", width)
 		}
 		snap := ctx.Snapshot()
@@ -394,8 +394,8 @@ func TestPlanForMatchesDriver(t *testing.T) {
 						t.Errorf("%s: driver chose %+v, plan says %d threads", name, snap.Threads, plan.Threads)
 					case snap.Pool.TasksQueued != uint64(blocks):
 						t.Errorf("%s: driver queued %d tasks, plan has %d blocks", name, snap.Pool.TasksQueued, blocks)
-					case (ctx.pool != nil) != (plan.Threads > 1):
-						t.Errorf("%s: pool started %v, plan forks %v", name, ctx.pool != nil, plan.Threads > 1)
+					case (ctx.drv.Pool() != nil) != (plan.Threads > 1):
+						t.Errorf("%s: pool started %v, plan forks %v", name, ctx.drv.Pool() != nil, plan.Threads > 1)
 					}
 					ctx.Close()
 				}
