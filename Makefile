@@ -29,9 +29,12 @@ test:
 # the public API, whose shared Context starts the driver's pool from
 # concurrent calls, the thread pool, the blocked GEMM driver that feeds it,
 # the breaker registry it dispatches through, the serving front end that
-# coalesces concurrent requests onto the batch path, and the router.
+# coalesces concurrent requests onto the batch path, and the router. The
+# pool's run state is shared by its hand-out, its workers and the joining
+# caller, so its tests run ten times over.
 race:
 	$(GO) test -race . ./internal/parallel/... ./internal/core/... ./internal/guard/... ./internal/server/... ./internal/router/...
+	$(GO) test -race -count=10 ./internal/parallel/
 
 # Fault-injection chaos suite: every injected fault (kernel panic, corrupt
 # packing buffer, slow worker, spurious NaN) must surface as a typed error

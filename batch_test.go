@@ -3,6 +3,7 @@ package libshalom
 import (
 	"testing"
 
+	"libshalom/internal/faults"
 	"libshalom/internal/mat"
 )
 
@@ -118,5 +119,46 @@ func TestBatchDegenerateClampSkipsPool(t *testing.T) {
 	snap = ctx.Snapshot()
 	if snap.Pool.TasksQueued == 0 {
 		t.Fatal("mixed batch never used the pool; the clamp is overreaching")
+	}
+}
+
+// A batch's planned width is a cap the pool enforces, not only a count of
+// units: a 64 × 16³ batch, which the work rule plans 2 wide under
+// WithThreads(8), never has more pool units in flight than that, even with
+// every unit slowed so that an uncapped pool would run all of its chunks at
+// once.
+func TestBatchWidthIsEnforced(t *testing.T) {
+	faults.Arm(faults.SlowWorker, faults.Unlimited)
+	defer faults.Reset()
+	ctx := New(WithThreads(8), WithTelemetry())
+	defer ctx.Close()
+	const s = 16
+	rng := mat.NewRNG(13)
+	batch := make([]SBatchEntry, 64)
+	for i := range batch {
+		a := mat.RandomF32(s, s, rng)
+		batch[i] = SBatchEntry{M: s, N: s, K: s, Alpha: 1,
+			A: a.Data, LDA: s, B: a.Data, LDB: s, C: make([]float32, s*s), LDC: s}
+	}
+	done := make(chan error)
+	go func() { done <- ctx.SGEMMBatch(NN, batch) }()
+	var peak int64
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+			peak = max(peak, ctx.Snapshot().Pool.InFlight)
+		}
+	}
+	width := ctx.Snapshot().Threads.ChosenSum
+	if width != 2 {
+		t.Fatalf("planned width %d, want 2", width)
+	}
+	if peak > int64(width) {
+		t.Fatalf("%d pool units in flight for a batch of width %d", peak, width)
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"unsafe"
 
-	"libshalom/internal/guard"
 	"libshalom/internal/kernels"
-	"libshalom/internal/parallel"
 	"libshalom/internal/telemetry"
 )
 
@@ -111,7 +109,7 @@ func gemmBatch[T Float](ctx context.Context, d *Driver, mode Mode, batch []Batch
 
 	// ran marks the entries that ran to the end. Entries run whole or not
 	// at all, so their results are identical to an uncancelled run's; slots
-	// are written by exactly one task each and read only after the join, so
+	// are written by exactly one pool unit each and read only after the join, so
 	// cancellation telemetry can label the abandoned entries precisely and
 	// BatchCancelError can carry per-entry accounting.
 	ran := make([]bool, len(batch))
@@ -131,57 +129,29 @@ func gemmBatch[T Float](ctx context.Context, d *Driver, mode Mode, batch []Batch
 }
 
 // runPooled spreads a batch threads wide over the worker pool in chunks, so
-// tiny problems do not drown in task dispatch. cl is taken by value: the
-// escaping chunk tasks capture it, and a captured pointer would move the
+// tiny problems do not drown in unit hand-out. cl is taken by value: the
+// escaping chunk body captures it, and a captured pointer would move the
 // caller's call to the heap on the serial path too.
 func runPooled[T Float](ctx context.Context, cl call[T], threads int, batch []BatchEntry[T], ran []bool) error {
-	tel := cl.d.cfg.Tel
 	chunk := max((len(batch)+threads*4-1)/(threads*4), 1)
-	var tasks []func(int)
-	var errSlots []error
-	for lo := 0; lo < len(batch); lo += chunk {
-		hi := min(lo+chunk, len(batch))
-		slot := len(errSlots)
-		errSlots = append(errSlots, nil)
-		tasks = append(tasks, func(worker int) {
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				if err := cl.run(&batch[i], i, worker, tel.Now()); err != nil {
-					errSlots[slot] = err
-					return
-				}
-				ran[i] = true
+	err := cl.fork(ctx, threads, (len(batch)+chunk-1)/chunk, func(c, worker int) error {
+		for i := c * chunk; i < min((c+1)*chunk, len(batch)); i++ {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-		})
-	}
-	barrierStart := tel.Now()
-	poolErr := cl.d.forkPool().RunWorkerCfg(parallel.RunConfig{Ctx: ctx, TaskBudget: cl.d.cfg.Deadline}, tasks)
-	tel.Span(telemetry.PhaseBarrier, cl.tid, barrierStart, uint8(cl.mode), telemetry.PrecFor(kernels.ElemBytes[T]()), len(batch), 0, 0)
-	var stuck *guard.StuckWorkerError
-	if errors.As(poolErr, &stuck) {
-		// Watchdog early return: stragglers may still be writing errSlots
-		// and the ran accounting, so none of it may be read — surface the
-		// typed error immediately.
-		tel.HealEvent(telemetry.HealStuckWorker)
-		return poolErr
-	}
-	for _, err := range errSlots {
-		if err != nil {
-			return err
+			if err := cl.run(&batch[i], i, worker, cl.d.cfg.Tel.Now()); err != nil {
+				return err
+			}
+			ran[i] = true
 		}
-	}
-	if poolErr != nil {
-		if cause := ctx.Err(); cause != nil && errors.Is(poolErr, cause) {
-			return cl.cancelled(ctx, batch, ran)
-		}
-		return poolErr
-	}
-	if ctx.Err() != nil {
+		return nil
+	}, len(batch), 0, 0)
+	if cause := ctx.Err(); cause != nil && errors.Is(err, cause) {
+		// A cancelled run joins every unit it handed out, so ran is final;
+		// a watchdog early return (a *guard.StuckWorkerError) is not.
 		return cl.cancelled(ctx, batch, ran)
 	}
-	return nil
+	return err
 }
 
 // cancelled reports a batch abandoned because ctx is done. Entries the

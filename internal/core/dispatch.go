@@ -1,7 +1,8 @@
 package core
 
 import (
-	"errors"
+	"context"
+	"sync/atomic"
 	"time"
 
 	"libshalom/internal/analytic"
@@ -119,9 +120,7 @@ func (cl *call[T]) route(e *BatchEntry[T], class uint8, entry int, tid int32) (k
 	}
 	switch {
 	case err != nil:
-		var stuck *guard.StuckWorkerError
-		if errors.As(err, &stuck) {
-			cl.d.cfg.Tel.HealEvent(telemetry.HealStuckWorker)
+		if _, ok := err.(*guard.StuckWorkerError); ok {
 			return fp.kernel, telemetry.OutcomeStuck, err
 		}
 		if _, ok := err.(*guard.KernelPanicError); ok {
@@ -175,54 +174,53 @@ func (cl *call[T]) ref(e *BatchEntry[T]) {
 	kernels.GEMMRef(cl.mode.TransA(), cl.mode.TransB(), e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
 }
 
-// splitRun is what the tasks of one parallel split share. The tasks escape
-// to the pool, so everything they read lives in this one allocation: a
-// captured pointer to the caller's call or problem would move those to the
-// heap on the single-threaded path too.
+// splitRun is one §6 split, shared by the pool units that run its blocks.
+// The units escape to the pool, so everything they read lives in this one
+// allocation: a captured pointer to the caller's call or problem would move
+// those to the heap on the single-threaded path too.
 type splitRun[T Float] struct {
-	cl  call[T]
-	e   BatchEntry[T]
-	fp  fastRoute
-	res []blockResult
+	cl       call[T]
+	e        BatchEntry[T]
+	fp       fastRoute
+	blocks   []parallel.Block
+	degraded atomic.Bool
 }
 
-// blockResult is one split task's slot; each task owns a disjoint C block,
-// so the slots need no synchronization beyond the pool's join.
-type blockResult struct {
-	degraded bool
-	err      error
+// run is the split's unit i: block i of the partition.
+func (s *splitRun[T]) run(i, worker int) error {
+	bl := s.blocks[i]
+	sub := s.e.block(s.cl.mode, bl)
+	degraded, err := s.cl.runBlock(&sub, &s.fp, bl, -1, telemetry.WorkerTid(worker, s.cl.tid))
+	if degraded {
+		s.degraded.Store(true)
+	}
+	return err
 }
 
 // runSplit is the single-call driver's §6 parallel split of the fast route:
 // the planned partition's C blocks, aligned to the plan's tile even when a
-// tuned tile serves them, run as one pool task each.
+// tuned tile serves them, run as one pool unit each.
 func (cl *call[T]) runSplit(e *BatchEntry[T], fp *fastRoute) (bool, error) {
-	blocks := parallel.Blocks(e.M, e.N, cl.part, cl.fam.tile.MR, cl.fam.tile.NR)
-	s := &splitRun[T]{cl: *cl, e: *e, fp: *fp, res: make([]blockResult, len(blocks))}
-	tasks := make([]func(int), len(blocks))
-	for bi, bl := range blocks {
-		tasks[bi] = func(worker int) {
-			sub := s.e.block(s.cl.mode, bl)
-			s.res[bi].degraded, s.res[bi].err = s.cl.runBlock(&sub, &s.fp, bl, -1, telemetry.WorkerTid(worker, s.cl.tid))
-		}
+	s := &splitRun[T]{cl: *cl, e: *e, fp: *fp, blocks: parallel.Blocks(e.M, e.N, cl.part, cl.fam.tile.MR, cl.fam.tile.NR)}
+	if err := cl.fork(nil, cl.threads, len(s.blocks), s.run, e.M, e.N, e.K); err != nil {
+		return false, err
 	}
+	return s.degraded.Load(), nil
+}
+
+// fork is the driver's one fork-join, shared by the §6 split and the batch:
+// units 0..units-1 of body on the shared pool, at most width at once, under
+// ctx (nil: not cancellable) and the driver's watchdog budget. It records
+// the barrier span over the m×n×k extent and a watchdog early return.
+func (cl *call[T]) fork(ctx context.Context, width, units int, body func(i, worker int) error, m, n, k int) error {
 	tel := cl.d.cfg.Tel
-	barrierStart := tel.Now()
-	poolErr := cl.d.forkPool().RunWorkerCfg(parallel.RunConfig{TaskBudget: cl.d.cfg.Deadline}, tasks)
-	tel.Span(telemetry.PhaseBarrier, cl.tid, barrierStart, uint8(cl.mode), telemetry.PrecFor(kernels.ElemBytes[T]()), e.M, e.N, e.K)
-	if poolErr != nil {
-		// On a watchdog early return stragglers may still be writing their
-		// result slots; the pool error must win before those are read.
-		return false, poolErr
+	start := tel.Now()
+	err := cl.d.forkPool().Run(parallel.RunConfig{Ctx: ctx, TaskBudget: cl.d.cfg.Deadline}, width, units, body)
+	tel.Span(telemetry.PhaseBarrier, cl.tid, start, uint8(cl.mode), telemetry.PrecFor(kernels.ElemBytes[T]()), m, n, k)
+	if _, stuck := err.(*guard.StuckWorkerError); stuck {
+		tel.HealEvent(telemetry.HealStuckWorker)
 	}
-	degraded := false
-	for _, r := range s.res {
-		if r.err != nil {
-			return false, r.err
-		}
-		degraded = degraded || r.degraded
-	}
-	return degraded, nil
+	return err
 }
 
 // block returns the operand views of the C sub-block bl of e: operand

@@ -119,11 +119,7 @@ func (d *Driver) forkPool() *parallel.Pool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.pool == nil {
-		var obs parallel.Observer
-		if d.cfg.Tel != nil {
-			obs = d.cfg.Tel
-		}
-		d.pool = parallel.NewPoolObserved(d.requested(), obs)
+		d.pool = parallel.NewPoolObserved(d.requested(), d.cfg.Tel)
 	}
 	return d.pool
 }
@@ -138,16 +134,13 @@ func (d *Driver) requested() int {
 }
 
 // threadsFor is the width a single call requests: the configured width, or
-// under the automatic policy the §7.4 answer — small GEMM runs
-// single-threaded (parallelism across independent problems is the caller's
-// job); irregular or large GEMM uses every core. The work rule caps it
-// (split).
-func (d *Driver) threadsFor(m, n int) int {
-	// Irregular: one C dimension much larger than the other, or the work
-	// is simply large.
-	large := m >= 256 && n >= 256
-	irregular := (m >= 8*n || n >= 8*m) && (m >= 512 || n >= 512)
-	if d.cfg.Threads > 0 || large || irregular {
+// under the automatic policy the §7.4 answer by the problem's shape class —
+// small GEMM runs single-threaded (parallelism across independent problems
+// is the caller's job); irregular or large GEMM uses every core. The work
+// rule caps it (split).
+func (d *Driver) threadsFor(m, n, k int) int {
+	class := telemetry.ClassifyShape(m, n, k)
+	if d.cfg.Threads > 0 || class == telemetry.ShapeIrregular || class == telemetry.ShapeLarge {
 		return d.requested()
 	}
 	return 1

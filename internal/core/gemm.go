@@ -77,7 +77,7 @@ func gemm[T Float](d *Driver, mode Mode, m, n, k int, alpha T, a []T, lda int, b
 	prec := telemetry.PrecFor(kernels.ElemBytes[T]())
 	start := tel.Now()
 	cl := newCall[T](d, mode)
-	cl.threads, cl.part = split(d.threadsFor(m, n), m, n, k, cl.fam.tile)
+	cl.threads, cl.part = split(d.threadsFor(m, n, k), m, n, k, cl.fam.tile)
 	d.recordWidth(cl.threads)
 	tel.Span(telemetry.PhasePlan, cl.tid, start, uint8(mode), prec, m, n, k)
 	e := BatchEntry[T]{M: m, N: n, K: k, Alpha: alpha, A: a, LDA: lda, B: b, LDB: ldb, Beta: beta, C: c, LDC: ldc}

@@ -65,7 +65,7 @@ func PlanFor(d *Driver, mode Mode, m, n, k, elemBytes int) Plan {
 		Depth:      pack.DepthFor(n*k*elemBytes, plat.LLC().SizeBytes),
 		PackA:      mode.TransA(),
 	}
-	p.Threads, p.Partition = split(d.threadsFor(m, n), m, n, k, tile)
+	p.Threads, p.Partition = split(d.threadsFor(m, n, k), m, n, k, tile)
 	p.ThreadBlockM, p.ThreadBlockN, p.ThreadBStrategy = m, n, p.BStrategy
 	if p.Threads > 1 {
 		var worst parallel.Block

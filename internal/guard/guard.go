@@ -466,7 +466,7 @@ func (e *KernelPanicError) Error() string {
 // stuck goroutine cannot be killed and may still write to it after the
 // call returns.
 type StuckWorkerError struct {
-	// Task is the index of the stuck task in the run's task slice.
+	// Task is the index of the stuck unit in its pool run.
 	Task int
 	// Budget is the configured per-block deadline; Elapsed how long the
 	// task had been running when the watchdog fired.

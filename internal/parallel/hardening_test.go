@@ -85,6 +85,28 @@ func TestRunCancelsRemainingAfterPanic(t *testing.T) {
 	}
 }
 
+// A unit's error fails its run as a panic does: it is what Run returns, and
+// on one worker the units after it are skipped.
+func TestRunErrorSkipsRemaining(t *testing.T) {
+	p := NewPool(1)
+	defer p.Close()
+	failure := errors.New("unit failed")
+	var ran atomic.Int64
+	err := p.Run(RunConfig{}, 4, 4, func(i, _ int) error {
+		if i == 0 {
+			return failure
+		}
+		ran.Add(1)
+		return nil
+	})
+	if !errors.Is(err, failure) {
+		t.Fatalf("err = %v, want the unit's error", err)
+	}
+	if ran.Load() != 0 {
+		t.Fatalf("%d units ran after the failure; want 0 (skipped)", ran.Load())
+	}
+}
+
 // Concurrent Run calls stay independent: a panic in one call must not
 // cancel or fail the other.
 func TestPanicDoesNotLeakAcrossRuns(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"libshalom/internal/analytic"
 	"libshalom/internal/faults"
 	"libshalom/internal/guard"
+	"libshalom/internal/telemetry"
 )
 
 // Block is one thread's sub-block of C.
@@ -94,56 +95,56 @@ func splitAligned(extent, parts, unit int) []span {
 	return spans
 }
 
-// Observer receives the pool's scheduling events — the hook the telemetry
-// layer plugs into. Implementations must be safe for concurrent use from
-// every worker; all methods are called on hot scheduling paths, so they
-// should be a handful of atomic operations at most. telemetry.Recorder
-// implements Observer.
-type Observer interface {
-	// TaskQueued reports n tasks submitted to the pool by one run.
-	TaskQueued(n int)
-	// TaskStart reports a task beginning execution after queueWaitNs in
-	// the run queue.
-	TaskStart(queueWaitNs int64)
-	// TaskDone reports a task finishing after busyNs of execution.
-	TaskDone(busyNs int64)
-	// FaultInjected reports a fired fault-injection point inside the pool
-	// (the SlowWorker chaos point).
-	FaultInjected(p faults.Point)
+// Pool is a fork-join worker pool with persistent goroutines, standing in
+// for the fork-join threading primitive the paper's runtime uses. Both of
+// the driver's fork-join sites run on it: the §6 split of one call into its
+// partition blocks and the §7.4 spread of a batch's entries. A Pool is safe
+// for concurrent runs: each run joins only its own units, and the units of
+// concurrent runs reach the workers in the order their runs hand them out.
+type Pool struct {
+	workers  int
+	units    chan unit
+	stop     chan struct{}
+	stopOnce sync.Once
+	tel      *telemetry.Recorder // nil: scheduling is not instrumented
 }
 
-// Pool is a fork-join worker pool with persistent goroutines, standing in
-// for the fork-join threading primitive the paper's runtime uses. A Pool is
-// safe for concurrent runs (each run joins only its own tasks), which
-// is how a shared Context serves simultaneous GEMMs.
-type Pool struct {
-	workers int
-	tasks   chan func(worker int)
-	obs     Observer // nil: scheduling is not instrumented
-	// mu orders Close after the runs still handing out tasks: tasks is
-	// closed when the last of them finishes, so no send races the close.
-	mu      sync.Mutex
-	sending int
-	closed  atomic.Bool
+// unit is the i-th unit of run r, handed out at the recorder time queued.
+type unit struct {
+	r      *run
+	i      int
+	queued int64
+}
+
+// run is the join state of one Run.
+type run struct {
+	rc   RunConfig
+	body func(i, worker int) error
+	n    int
+	// slots is the width semaphore: a unit holds a slot from its hand-out
+	// until it finishes.
+	slots chan struct{}
+	wg    sync.WaitGroup
+	// failed is set once, by the first failure, which alone writes err;
+	// err is read only after the join.
+	failed atomic.Bool
+	err    error
+	// starts[i] is the UnixNano at which unit i began, 0 before and -1
+	// after: the watchdog's view of the units in flight. nil without a
+	// budget.
+	starts []atomic.Int64
 }
 
 // NewPool starts a pool with the given number of worker goroutines
 // (minimum 1).
 func NewPool(workers int) *Pool { return NewPoolObserved(workers, nil) }
 
-// NewPoolObserved starts a pool whose scheduling events feed obs; a nil
-// observer leaves the pool exactly as cheap as NewPool's.
-func NewPoolObserved(workers int, obs Observer) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Pool{workers: workers, tasks: make(chan func(worker int)), obs: obs}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for f := range p.tasks {
-				f(i)
-			}
-		}()
+// NewPoolObserved starts a pool whose scheduling events feed tel; a nil
+// recorder leaves the pool exactly as cheap as NewPool's.
+func NewPoolObserved(workers int, tel *telemetry.Recorder) *Pool {
+	p := &Pool{workers: max(workers, 1), units: make(chan unit), stop: make(chan struct{}), tel: tel}
+	for i := range p.workers {
+		go p.work(i)
 	}
 	return p
 }
@@ -151,15 +152,15 @@ func NewPoolObserved(workers int, obs Observer) *Pool {
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// ErrClosed is returned by RunWorkerCfg on a pool whose Close has been called.
+// ErrClosed is returned by a run on a pool whose Close has been called.
 var ErrClosed = errors.New("parallel: run on closed pool")
 
-// PanicError is returned by RunWorkerCfg when a task panics: the worker
-// goroutine recovers (the pool stays usable), tasks of the same call that have
-// not started yet are cancelled, and the first panic is reported with the
+// PanicError is returned by a run when a unit panics: the worker goroutine
+// recovers (the pool stays usable), units of the same run that have not
+// started yet are skipped, and the first panic is reported with the
 // goroutine stack captured at the point of recovery.
 type PanicError struct {
-	Task  int // index into the call's task slice
+	Task  int // the unit's index in its run
 	Value any
 	Stack []byte
 }
@@ -168,199 +169,191 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: task %d panicked: %v", e.Task, e.Value)
 }
 
-// RunConfig carries the optional deadline machinery of one RunWorkerCfg call.
+// RunConfig carries the optional deadline machinery of one run.
 type RunConfig struct {
-	// Ctx, when non-nil, cancels cooperatively: tasks not yet handed to a
-	// worker are skipped once the context is done, started tasks still run
+	// Ctx, when non-nil, cancels cooperatively: units not yet handed to a
+	// worker are skipped once the context is done, started units still run
 	// to completion (the join is preserved), and the run fails with the
 	// context's error. This is how per-call deadlines propagate into the
 	// pool without abandoning in-flight writers.
 	Ctx context.Context
-	// TaskBudget, when positive, arms the stuck-worker watchdog: a task
+	// TaskBudget, when positive, arms the stuck-worker watchdog: a unit
 	// running longer than the budget fails the run with a typed
 	// *guard.StuckWorkerError and releases the join immediately — the one
-	// case where Run returns before every task has finished, because a
+	// case where a run returns before every unit has finished, because a
 	// stuck goroutine cannot be killed. The caller must then treat the
-	// tasks' output as undefined (the straggler may still write).
+	// units' output as undefined (the straggler may still write).
 	TaskBudget time.Duration
 }
 
-// RunWorkerCfg executes all tasks on the pool and blocks until every one
-// has completed or been cancelled (the join of fork-join), with the
-// cooperative cancellation and the stuck-worker watchdog of rc. Each task
-// learns the index, 0..Workers()-1, of the worker executing it (the GEMM
-// driver uses it for trace-lane attribution). Each call owns its own join
-// state, so concurrent calls on one pool are independent.
+// Run executes units 0..n-1 of body on the pool, at most width of them at
+// once, and blocks until every unit handed out has finished (the join of
+// fork-join), with the cooperative cancellation and the stuck-worker
+// watchdog of rc. body learns the unit's index and the index,
+// 0..Workers()-1, of the worker running it.
 //
-// A panicking task does not kill its worker or the process: the panic is
-// recovered, remaining unstarted tasks of this call are skipped, and the
-// call returns a *PanicError describing the first panic. A call on a closed
-// pool returns ErrClosed.
-func (p *Pool) RunWorkerCfg(rc RunConfig, tasks []func(worker int)) error {
-	if len(tasks) == 0 {
+// The first failure — an error a unit returns, a unit's panic (recovered
+// into a *PanicError; the worker survives), rc's context or its watchdog —
+// fails the run: it is what Run returns, and units not yet handed out are
+// skipped. A run on a closed pool returns ErrClosed.
+func (p *Pool) Run(rc RunConfig, width, n int, body func(i, worker int) error) error {
+	if n <= 0 {
 		return nil
 	}
-	p.mu.Lock()
-	if p.closed.Load() {
-		p.mu.Unlock()
+	select {
+	case <-p.stop:
 		return ErrClosed
+	default:
 	}
-	p.sending++
-	p.mu.Unlock()
 	if rc.Ctx != nil {
 		if err := rc.Ctx.Err(); err != nil {
-			p.doneSending()
 			return err
 		}
 	}
-	if p.obs != nil {
-		p.obs.TaskQueued(len(tasks))
+	p.tel.TaskQueued(n)
+	r := &run{rc: rc, body: body, n: n, slots: make(chan struct{}, max(1, min(width, n)))}
+	if rc.TaskBudget > 0 {
+		r.starts = make([]atomic.Int64, n)
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		failed   atomic.Bool
-	)
-	// fail records the first failure and raises the cancellation flag; the
-	// flag is stored after the error under the same lock, so any goroutine
-	// observing failed==true also observes firstErr through the mutex.
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	r.wg.Add(1)
+	go p.handOut(r)
+	if rc.TaskBudget <= 0 {
+		r.wg.Wait()
+		return r.err
+	}
+	return r.watch()
+}
+
+// RunWorkerCfg runs each task as one unit of a Run as wide as the pool.
+func (p *Pool) RunWorkerCfg(rc RunConfig, tasks []func(worker int)) error {
+	return p.Run(rc, p.workers, len(tasks), func(i, worker int) error {
+		tasks[i](worker)
+		return nil
+	})
+}
+
+// handOut passes the run's units to the workers in index order, each once
+// it holds a slot, until every unit is out or the run has failed.
+func (p *Pool) handOut(r *run) {
+	defer r.wg.Done()
+	for i := range r.n {
+		select {
+		case r.slots <- struct{}{}:
+		case <-p.stop:
+			r.fail(ErrClosed)
+			return
 		}
-		failed.Store(true)
-		mu.Unlock()
-	}
-	firstError := func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr
-	}
-	// starts[i] is the UnixNano at which task i began executing, 0 before,
-	// -1 after — the watchdog's view of who is in flight and for how long.
-	watched := rc.TaskBudget > 0
-	var starts []atomic.Int64
-	if watched {
-		starts = make([]atomic.Int64, len(tasks))
-	}
-	wg.Add(len(tasks))
-	go func() {
-		defer p.doneSending()
-		for i, t := range tasks {
-			if rc.Ctx != nil && !failed.Load() {
-				select {
-				case <-rc.Ctx.Done():
-					fail(rc.Ctx.Err())
-				default:
-				}
+		if r.rc.Ctx != nil {
+			if err := r.rc.Ctx.Err(); err != nil {
+				r.fail(err)
 			}
-			if failed.Load() {
-				wg.Done()
-				continue
-			}
-			var enqueued time.Time
-			if p.obs != nil {
-				enqueued = time.Now()
-			}
-			run := func(worker int) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						fail(&PanicError{Task: i, Value: r, Stack: debug.Stack()})
-					}
-				}()
-				if watched {
-					starts[i].Store(time.Now().UnixNano())
-					defer starts[i].Store(-1)
-				}
-				var began time.Time
-				if p.obs != nil {
-					began = time.Now()
-					p.obs.TaskStart(began.Sub(enqueued).Nanoseconds())
-					defer func() { p.obs.TaskDone(time.Since(began).Nanoseconds()) }()
-				}
-				if failed.Load() {
-					return // cancelled after an earlier task failed
-				}
-				if faults.Fire(faults.SlowWorker) {
-					if p.obs != nil {
-						p.obs.FaultInjected(faults.SlowWorker)
-					}
-					time.Sleep(time.Millisecond)
-				}
-				if faults.Fire(faults.StuckWorker) {
-					if p.obs != nil {
-						p.obs.FaultInjected(faults.StuckWorker)
-					}
-					time.Sleep(faults.StuckSleep)
-				}
-				t(worker)
-			}
-			p.tasks <- run
 		}
+		if r.failed.Load() {
+			return
+		}
+		r.wg.Add(1)
+		select {
+		case p.units <- unit{r: r, i: i, queued: p.tel.Now()}:
+		case <-p.stop:
+			r.wg.Done()
+			r.fail(ErrClosed)
+			return
+		}
+	}
+}
+
+// work is one worker goroutine: it runs the units handed to it until the
+// pool closes.
+func (p *Pool) work(worker int) {
+	for {
+		select {
+		case u := <-p.units:
+			p.exec(u, worker)
+		case <-p.stop:
+			return
+		}
+	}
+}
+
+// exec runs one unit unless its run has already failed, then frees the
+// unit's slot and joins it.
+func (p *Pool) exec(u unit, worker int) {
+	r := u.r
+	began := p.tel.Now()
+	p.tel.TaskStart(began - u.queued)
+	if r.starts != nil {
+		r.starts[u.i].Store(time.Now().UnixNano())
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			r.fail(&PanicError{Task: u.i, Value: v, Stack: debug.Stack()})
+		}
+		if r.starts != nil {
+			r.starts[u.i].Store(-1)
+		}
+		p.tel.TaskDone(p.tel.Now() - began)
+		<-r.slots
+		r.wg.Done()
 	}()
-	if !watched {
-		wg.Wait()
-		return firstError()
+	if r.failed.Load() {
+		return
 	}
-	// Watchdog join: wait for completion, but scan in-flight tasks every
-	// quarter budget; the first task over budget converts the run into a
-	// typed StuckWorkerError without waiting for the stuck goroutine.
+	if faults.Fire(faults.SlowWorker) {
+		p.tel.FaultInjected(faults.SlowWorker)
+		time.Sleep(time.Millisecond)
+	}
+	if faults.Fire(faults.StuckWorker) {
+		p.tel.FaultInjected(faults.StuckWorker)
+		time.Sleep(faults.StuckSleep)
+	}
+	if err := r.body(u.i, worker); err != nil {
+		r.fail(err)
+	}
+}
+
+// fail records err as the run's failure unless an earlier one was.
+func (r *run) fail(err error) {
+	if r.failed.CompareAndSwap(false, true) {
+		r.err = err
+	}
+}
+
+// watch is the watchdog join: it waits for the run, but scans the units in
+// flight every quarter budget; the first unit over budget fails the run
+// with a typed StuckWorkerError, returned without waiting for the stuck
+// goroutine — even after an earlier failure (a cancelled context), since
+// the caller must not read what the straggler writes.
+func (r *run) watch() error {
+	budget := r.rc.TaskBudget
 	done := make(chan struct{})
 	go func() {
-		wg.Wait()
+		r.wg.Wait()
 		close(done)
 	}()
-	tick := rc.TaskBudget / 4
-	if tick < 100*time.Microsecond {
-		tick = 100 * time.Microsecond
-	}
-	ticker := time.NewTicker(tick)
+	ticker := time.NewTicker(max(budget/4, 100*time.Microsecond))
 	defer ticker.Stop()
 	for {
 		select {
 		case <-done:
-			return firstError()
+			return r.err
 		case <-ticker.C:
 			now := time.Now().UnixNano()
-			for i := range starts {
-				s := starts[i].Load()
-				if s <= 0 || now-s <= int64(rc.TaskBudget) {
+			for i := range r.starts {
+				s := r.starts[i].Load()
+				if s <= 0 || now-s <= int64(budget) {
 					continue
 				}
-				// Stuck even after an earlier failure (a cancelled
-				// context): the caller must not read what stragglers write.
-				stuck := &guard.StuckWorkerError{
-					Task:    i,
-					Budget:  rc.TaskBudget,
-					Elapsed: time.Duration(now - s),
-				}
-				fail(stuck)
+				stuck := &guard.StuckWorkerError{Task: i, Budget: budget, Elapsed: time.Duration(now - s)}
+				r.fail(stuck)
 				return stuck
 			}
 		}
 	}
 }
 
-// Close terminates the worker goroutines once no run is still handing out
-// tasks (a run a watchdog early return left behind finishes that first).
-// Closing a pool twice is a no-op.
+// Close stops the worker goroutines; units already handed out finish. A
+// run that Close overlaps may skip its remaining units and fail with
+// ErrClosed. Closing twice is a no-op.
 func (p *Pool) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.closed.Swap(true) && p.sending == 0 {
-		close(p.tasks)
-	}
-}
-
-// doneSending ends one run's hand-out, closing tasks if Close came first:
-// after a watchdog early return the run's dispatcher may still be sending.
-func (p *Pool) doneSending() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.sending--; p.sending == 0 && p.closed.Load() {
-		close(p.tasks)
-	}
+	p.stopOnce.Do(func() { close(p.stop) })
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"libshalom/internal/analytic"
 )
@@ -228,4 +229,67 @@ func TestConcurrentRuns(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRunEnforcesWidth: a run never has more than its width of units in
+// flight, however many workers the pool has, counted inside units that
+// sleep so that any excess would overlap.
+func TestRunEnforcesWidth(t *testing.T) {
+	p := NewPool(8)
+	defer p.Close()
+	var inFlight, peak atomic.Int64
+	err := p.Run(RunConfig{}, 2, 16, func(int, int) error {
+		c := inFlight.Add(1)
+		for old := peak.Load(); c > old && !peak.CompareAndSwap(old, c); old = peak.Load() {
+		}
+		time.Sleep(time.Millisecond)
+		inFlight.Add(-1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got > 2 {
+		t.Fatalf("%d units in flight in a run of width 2", got)
+	}
+}
+
+// TestConcurrentRunsInterleave: runs share the workers in the order they
+// hand out their units, so a run started while another run's first unit
+// holds the only worker does not wait for all of that run. Every unit holds
+// the worker until released, so the order is the pool's. A run's hand-out
+// cannot be observed from outside the pool, so the second run gets 10 ms
+// to reach it before the first release.
+func TestConcurrentRunsInterleave(t *testing.T) {
+	p := NewPool(1)
+	defer p.Close()
+	started := make(chan string)
+	release := make(chan struct{})
+	unit := func(name string) func(int) {
+		return func(int) {
+			started <- name
+			<-release
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		p.RunWorkerCfg(RunConfig{}, []func(int){unit("a0"), unit("a1"), unit("a2"), unit("a3")})
+	}()
+	order := []string{<-started}
+	go func() {
+		defer wg.Done()
+		p.RunWorkerCfg(RunConfig{}, []func(int){unit("b0")})
+	}()
+	time.Sleep(10 * time.Millisecond)
+	for range 4 {
+		release <- struct{}{}
+		order = append(order, <-started)
+	}
+	release <- struct{}{}
+	wg.Wait()
+	if order[0] != "a0" || order[4] == "b0" {
+		t.Fatalf("unit order %v: the one-unit run waited for the whole four-unit run", order)
+	}
 }

@@ -70,10 +70,10 @@ func TestWatchdogAfterCancelReportsStuck(t *testing.T) {
 	}
 }
 
-// Closing a pool right after a watchdog early return, while its dispatcher
-// is still blocked handing out the next task, does not race that send (run
-// under -race): the task channel closes once the hand-out ends, and the
-// task handed over late sees the failed run and does not run.
+// Closing a pool right after a watchdog early return, while its hand-out is
+// still waiting to pass on the next task, is safe (run under -race): the
+// hand-out stops at the closed pool, and a task handed over late sees the
+// failed run and does not run.
 func TestCloseAfterWatchdogReturn(t *testing.T) {
 	p := NewPool(1)
 	release := make(chan struct{})

@@ -3,9 +3,10 @@ package telemetry
 // ShapeClass buckets a GEMM problem into the paper's workload regimes so
 // per-shape metrics stay low-cardinality: "small" is the §7.2 small-GEMM
 // regime (every dimension ≤ 128, the SeisSol/NekBox sizes), "irregular" the
-// §6 regime (one C dimension much larger than the other — the thresholds
-// match the driver's threadsFor policy), "large" the conventionally
-// BLAS-friendly regime, and "tiny"/"medium"/"empty" the remainder.
+// §6 regime (one C dimension much larger than the other), "large" the
+// conventionally BLAS-friendly regime, and "tiny"/"medium"/"empty" the
+// remainder. The driver's §7.4 thread policy reads the class: irregular and
+// large problems fork, the rest run single-threaded.
 type ShapeClass uint8
 
 // Shape classes, densest first.

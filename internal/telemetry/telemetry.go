@@ -138,7 +138,7 @@ type Recorder struct {
 	// rates; it has no series of its own.
 	flops [numKeys]atomic.Uint64
 
-	// Pool scheduling (fed through the parallel.Observer interface).
+	// Pool scheduling, fed by the pool (parallel.NewPoolObserved).
 	tasksQueued, tasksStarted, tasksDone *Counter
 	inFlight                             *Gauge
 	queueWaitNs, busyNs                  *Counter // nanoseconds; exposed in seconds
@@ -418,9 +418,7 @@ func (r *Recorder) DegradationEvent(reason uint8) {
 	r.degrEvents.At(int(reason)).Add(1)
 }
 
-// FaultInjected counts one fired fault-injection point. Together with
-// TaskQueued/TaskStart/TaskDone it satisfies parallel.Observer, so a
-// Recorder plugs directly into the worker pool.
+// FaultInjected counts one fired fault-injection point.
 //
 //shalom:hotpath noalloc,nolock,noblock
 func (r *Recorder) FaultInjected(p faults.Point) {

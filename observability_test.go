@@ -267,14 +267,16 @@ func TestAllocationPins(t *testing.T) {
 	}{
 		// gemmST's packed-B sliver.
 		{"NT 32x32x32", 1, 100, 1, call(NT, 32, 32, 32)},
-		// The split's blocks, tasks and per-block pack buffers.
-		{"NN 64x2048x512", 2, 3, 18, call(NN, 64, 2048, 512)},
+		// The split's shared state and partition, the pool run and its
+		// width semaphore and hand-out, and the per-block pack buffers.
+		{"NN 64x2048x512", 2, 3, 10, call(NN, 64, 2048, 512)},
 		// Below the fork floor a batch runs serially: only its completion
 		// bitmap allocates.
 		{"batch 16 x 8^3", 2, 100, 1, batch(16, 8)},
 		{"batch 2 x 8^3", 2, 100, 1, batch(2, 8)},
-		// Above it: the chunk tasks, their error slots and the pool's join.
-		{"batch 8 x 64^3", 2, 20, 34, batch(8, 64)},
+		// Above it: the bitmap, the chunk body and the call it captures, and
+		// the pool run with its width semaphore and hand-out.
+		{"batch 8 x 64^3", 2, 20, 6, batch(8, 64)},
 	} {
 		ctx := New(WithThreads(pin.threads))
 		var err error
