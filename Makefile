@@ -31,10 +31,12 @@ test:
 # the breaker registry it dispatches through, the serving front end that
 # coalesces concurrent requests onto the batch path, and the router. The
 # pool's run state is shared by its hand-out, its workers and the joining
-# caller, so its tests run ten times over.
+# caller, so its tests run ten times over, and so does the test whose
+# scraper reads the breaker registry while two Contexts trip and heal it.
 race:
 	$(GO) test -race . ./internal/parallel/... ./internal/core/... ./internal/guard/... ./internal/server/... ./internal/router/...
 	$(GO) test -race -count=10 ./internal/parallel/
+	$(GO) test -race -count=10 -run TestBreakerGaugesReadTheRegistry .
 
 # Fault-injection chaos suite: every injected fault (kernel panic, corrupt
 # packing buffer, slow worker, spurious NaN) must surface as a typed error

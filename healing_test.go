@@ -1,8 +1,12 @@
 package libshalom_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,6 +139,123 @@ func TestHealingLoopEndToEnd(t *testing.T) {
 	if len(libshalom.DegradationHistory()) != 1 {
 		t.Fatalf("history = %+v", libshalom.DegradationHistory())
 	}
+}
+
+// The breaker gauges read the guard registry, which every Context shares:
+// when Context B's canaries close the breaker Context A tripped, both
+// contexts read it closed, in their snapshots and in their expositions. A
+// scraper renders both expositions throughout, and one kernel path's
+// breaker never reads outside [0, 1].
+func TestBreakerGaugesReadTheRegistry(t *testing.T) {
+	resetHealState()
+	defer resetHealState()
+	prev := libshalom.ConfigureHealing(libshalom.HealingConfig{
+		Cooldown: 20 * time.Millisecond, CanaryTarget: 4, CanaryStride: 1,
+	})
+	defer libshalom.ConfigureHealing(prev)
+
+	a := libshalom.New(libshalom.WithThreads(1), libshalom.WithTelemetry())
+	defer a.Close()
+	b := libshalom.New(libshalom.WithThreads(1), libshalom.WithTelemetry())
+	defer b.Close()
+	contexts := map[string]*libshalom.Context{"A": a, "B": b}
+	p := newHealProblem(3, 64, 48, 24)
+
+	// The scraper's count is read only after scraped closes.
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	scrapes := 0
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for name, ctx := range contexts {
+				open, probing, err := breakerGauges(ctx)
+				if err != nil || open < 0 || open > 1 || probing < 0 || probing > 1 {
+					t.Errorf("scrape of %s: breaker gauges open %v, probing %v (%v)", name, open, probing, err)
+					return
+				}
+			}
+			scrapes++
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-scraped
+		if scrapes == 0 {
+			t.Error("the scraper never rendered an exposition")
+		}
+	}()
+
+	expect := func(when string, open, probing float64) {
+		t.Helper()
+		for name, ctx := range contexts {
+			snap := ctx.Snapshot()
+			eo, ep, err := breakerGauges(ctx)
+			if err != nil {
+				t.Fatalf("%s: exposition of %s: %v", when, name, err)
+			}
+			if float64(snap.BreakersOpen) != open || float64(snap.BreakersProbing) != probing || eo != open || ep != probing {
+				t.Fatalf("%s: %s reads open %d, probing %d (snapshot) and open %v, probing %v (exposition); want %v, %v",
+					when, name, snap.BreakersOpen, snap.BreakersProbing, eo, ep, open, probing)
+			}
+		}
+	}
+
+	faults.Arm(faults.PanicInKernel, 1)
+	p.run(t, a, "tripping call on A")
+	expect("after A's trip", 1, 0)
+
+	time.Sleep(50 * time.Millisecond)
+	p.run(t, b, "first canary on B")
+	expect("while B's canaries run", 0, 1)
+	for i := 1; i < 4; i++ {
+		p.run(t, b, "canary call on B")
+	}
+	if !libshalom.Health().Healthy() {
+		t.Fatalf("B's canaries did not close the breaker: %+v", libshalom.Health().Breakers)
+	}
+	expect("after B's canaries closed it", 0, 0)
+
+	faults.Arm(faults.PanicInKernel, 1)
+	p.run(t, a, "second tripping call on A")
+	expect("after A's second trip", 1, 0)
+
+	libshalom.ResetDegradations()
+	expect("after ResetDegradations", 0, 0)
+}
+
+// breakerGauges reads the libshalom_breakers_open and _probing samples of
+// ctx's Prometheus exposition.
+func breakerGauges(ctx *libshalom.Context) (open, probing float64, err error) {
+	var buf bytes.Buffer
+	if err := ctx.WritePrometheus(&buf); err != nil {
+		return 0, 0, err
+	}
+	found := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		name, value, _ := strings.Cut(line, " ")
+		var into *float64
+		switch name {
+		case "libshalom_breakers_open":
+			into = &open
+		case "libshalom_breakers_probing":
+			into = &probing
+		default:
+			continue
+		}
+		if *into, err = strconv.ParseFloat(value, 64); err != nil {
+			return 0, 0, err
+		}
+		found++
+	}
+	if found != 2 {
+		return 0, 0, fmt.Errorf("%d of the 2 breaker gauges in the exposition", found)
+	}
+	return open, probing, nil
 }
 
 // A persistent fault must not heal: the first canary disagrees, the breaker

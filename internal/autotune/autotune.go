@@ -55,15 +55,14 @@ const (
 // Config is the tuning-loop policy. Zero fields select the documented
 // defaults.
 type Config struct {
-	// Recorder receives the autotune lifecycle counters and the breaker
-	// gauge rebalances. Nil disables the engine: New returns nil, and the
-	// nil engine's whole method set is a no-op (the same off-path contract
-	// as telemetry and attribution).
+	// Recorder receives the autotune lifecycle counters. Nil disables the
+	// engine: New returns nil, and the nil engine's whole method set is a
+	// no-op (the same off-path contract as telemetry and attribution).
 	Recorder *telemetry.Recorder
 	// Attrib is the candidate feed: the loop tunes the top-ranked
 	// hot × underperforming class. Nil means no automatic candidate intake
-	// (Step still polls canaries, and TuneNow still works — the offline and
-	// operator-driven entry points).
+	// (Step still polls canaries, and TuneNow still works — the
+	// operator-driven entry point).
 	Attrib *attrib.Engine
 	// Platform is the machine model searched and proved against. Default
 	// KP920.
@@ -114,8 +113,8 @@ type classKey struct {
 // classState is the engine's book on one class.
 type classState struct {
 	state     State
-	incumbent Candidate
-	cand      Candidate
+	incumbent candidate
+	cand      candidate
 	path      string // override breaker path while canary/promoted
 	detail    string
 	updated   time.Time
@@ -130,8 +129,7 @@ type Engine struct {
 	// Lifetime counters, one per lifecycle event kind.
 	searched, proved, rejected, canaried, promoted, reverted uint64
 
-	events    *telemetry.CounterVec // lifecycle events by kind
-	overrides *telemetry.Gauge      // installed dispatch overrides
+	events *telemetry.CounterVec // lifecycle events by kind
 
 	stop chan struct{}
 	done chan struct{}
@@ -209,8 +207,7 @@ func (e *Engine) Close() {
 // Step runs one loop iteration synchronously: settle every in-flight
 // canary and watched promotion against the breaker registry, then — if no
 // canary is in flight — pull the top attribution candidate and tune it.
-// Exported so tests and the offline CLI can drive the machine
-// deterministically.
+// Exported so tests can drive the machine deterministically.
 func (e *Engine) Step() {
 	if e == nil {
 		return
@@ -269,20 +266,13 @@ func (e *Engine) promoteLocked(key classKey, cs *classState) {
 
 // revertLocked records a canary/promoted→reverted transition: the override
 // is already gone (the trip evicted it), so this is pure bookkeeping — the
-// journal record, the lifecycle counter, the overrides gauge, retiring the
-// candidate's private breaker record, and rebalancing the breaker state
-// gauges the install skewed. Callers hold e.mu.
+// journal record, the lifecycle counter, and retiring the candidate's
+// private breaker record. Callers hold e.mu.
 func (e *Engine) revertLocked(key classKey, cs *classState) {
 	plat := e.cfg.Platform.Name
 	detail := "override cleared"
 	if d, ok := guard.Demotion(plat, cs.path); ok {
 		detail = fmt.Sprintf("%s: %s", d.Reason, d.Detail)
-	}
-	switch guard.StateOf(plat, cs.path) {
-	case guard.StateOpen:
-		e.cfg.Recorder.BreakerTransition(telemetry.BreakerOpen, telemetry.BreakerHealthy)
-	case guard.StateProbing:
-		e.cfg.Recorder.BreakerTransition(telemetry.BreakerProbing, telemetry.BreakerHealthy)
 	}
 	guard.Forget(plat, cs.path)
 	cs.state = StateReverted
@@ -290,7 +280,6 @@ func (e *Engine) revertLocked(key classKey, cs *classState) {
 	cs.updated = time.Now()
 	e.reverted++
 	e.events.At(evReverted).Add(1)
-	e.overrides.Add(-1)
 	e.cfg.Journal.TuneRevert(plat, classLabel(key), cs.cand.Kernel,
 		cs.cand.MR, cs.cand.NR, cs.cand.KC, detail)
 }
@@ -342,12 +331,12 @@ func (e *Engine) tune(k classKey) {
 	e.mu.Unlock()
 	e.events.At(evSearch).Add(1)
 
-	sr := Search(e.cfg.Platform, k.elem, k.class)
+	sr := search(e.cfg.Platform, k.elem, k.class)
 	e.mu.Lock()
 	cs.incumbent = sr.Incumbent
 	e.mu.Unlock()
 	floor := sr.Incumbent.GFLOPS * (1 + e.cfg.Margin)
-	var worthy []Candidate
+	var worthy []candidate
 	for _, c := range sr.Candidates {
 		if c.GFLOPS >= floor {
 			worthy = append(worthy, c)
@@ -364,7 +353,7 @@ func (e *Engine) tune(k classKey) {
 
 	e.transition(k, StateProving, "")
 	for _, c := range worthy {
-		if err := Prove(e.cfg.Platform, k.elem, c); err != nil {
+		if err := prove(e.cfg.Platform, k.elem, c); err != nil {
 			e.setDetail(k, fmt.Sprintf("candidate %s failed proof: %v", c.Kernel, err))
 			continue
 		}
@@ -381,16 +370,14 @@ func (e *Engine) tune(k classKey) {
 // install hot-swaps a proved candidate in as the class's dispatch override,
 // behind a freshly minted probing breaker: every canaried call is shadowed
 // against the reference kernel until the breaker closes or trips.
-func (e *Engine) install(k classKey, c Candidate) {
+func (e *Engine) install(k classKey, c candidate) {
 	plat := e.cfg.Platform.Name
 	path := guard.MintOverridePath(k.elem, k.class.String())
 	guard.SetOverride(k.elem, uint8(k.class), guard.TileOverride{
 		MR: c.MR, NR: c.NR, KC: c.KC, Kernel: c.Kernel, Path: path,
 	})
 	guard.BeginProbation(plat, path)
-	e.cfg.Recorder.BreakerTransition(telemetry.BreakerHealthy, telemetry.BreakerProbing)
 	e.events.At(evCanary).Add(1)
-	e.overrides.Add(1)
 
 	e.mu.Lock()
 	cs := e.stateLocked(k)
@@ -441,7 +428,7 @@ func (e *Engine) stateLocked(k classKey) *classState {
 }
 
 // TuneNow runs one full search → prove → install pass for a named class,
-// bypassing the attribution feed — the operator and offline entry point.
+// bypassing the attribution feed — the operator's entry point.
 // It refuses while that class is already canarying or mid-tune.
 func (e *Engine) TuneNow(precision, class string) error {
 	if e == nil {

@@ -28,7 +28,7 @@ func resetWorld(t *testing.T) {
 
 func TestSearchWellTunedClass(t *testing.T) {
 	resetWorld(t)
-	sr := Search(platform.KP920(), 4, telemetry.ShapeSmall)
+	sr := search(platform.KP920(), 4, telemetry.ShapeSmall)
 	if sr.Incumbent.Kernel != "analytic-7x12" {
 		t.Fatalf("incumbent = %q, want the analytic solution", sr.Incumbent.Kernel)
 	}
@@ -62,18 +62,18 @@ func TestSearchWellTunedClass(t *testing.T) {
 
 func TestProveGate(t *testing.T) {
 	resetWorld(t)
-	sr := Search(platform.KP920(), 4, telemetry.ShapeSmall)
-	if err := Prove(platform.KP920(), 4, sr.Candidates[0]); err != nil {
+	sr := search(platform.KP920(), 4, telemetry.ShapeSmall)
+	if err := prove(platform.KP920(), 4, sr.Candidates[0]); err != nil {
 		t.Fatalf("top candidate %s failed the proof gate: %v", sr.Candidates[0].Kernel, err)
 	}
-	bad := Candidate{MR: 9, NR: 12, KC: 8, Kernel: "tuned-9x12-kc8-pipelined"}
-	if err := Prove(platform.KP920(), 4, bad); err == nil {
+	bad := candidate{MR: 9, NR: 12, KC: 8, Kernel: "tuned-9x12-kc8-pipelined"}
+	if err := prove(platform.KP920(), 4, bad); err == nil {
 		t.Fatal("out-of-domain tile passed the proof gate")
 	} else if !strings.Contains(err.Error(), "outside family") {
 		t.Fatalf("wrong rejection: %v", err)
 	}
-	srF64 := Search(platform.KP920(), 8, telemetry.ShapeMedium)
-	if err := Prove(platform.KP920(), 8, srF64.Candidates[0]); err != nil {
+	srF64 := search(platform.KP920(), 8, telemetry.ShapeMedium)
+	if err := prove(platform.KP920(), 8, srF64.Candidates[0]); err != nil {
 		t.Fatalf("top f64 candidate failed the proof gate: %v", err)
 	}
 }

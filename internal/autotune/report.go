@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"libshalom/internal/guard"
 	"libshalom/internal/telemetry"
 )
 
@@ -99,13 +100,14 @@ func (e *Engine) Handler() http.HandlerFunc {
 }
 
 // declareMetrics declares the engine's families on its recorder: the
-// lifecycle event counter and installed-overrides gauge, and per-class
-// gauges computed from the report at scrape time.
+// lifecycle event counter, and gauges computed at scrape time from the
+// guard override table and from the per-class report.
 func (e *Engine) declareMetrics(r *telemetry.Recorder) {
 	e.events = r.CounterVec("libshalom_autotune_events_total",
 		"Autotuner lifecycle events: searches, proofs, rejections, canaries, promotions, reverts.",
 		telemetry.Label{Name: "event", Values: []string{"search", "proved", "rejected", "canary", "promoted", "reverted"}})
-	e.overrides = r.Gauge("libshalom_autotune_overrides", "Tuned dispatch overrides currently installed.")
+	r.GaugeFunc("libshalom_autotune_overrides", "Tuned dispatch overrides currently installed.", nil,
+		func(emit telemetry.Emit) { emit(float64(len(guard.Overrides()))) })
 	r.GaugeFunc("libshalom_autotune_class_state", "Tuning lifecycle state per shape class (1 = current state).",
 		[]string{"precision", "shape_class", "state"}, func(emit telemetry.Emit) {
 			for _, c := range e.Report().Classes {

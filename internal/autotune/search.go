@@ -3,21 +3,23 @@ package autotune
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"libshalom/internal/analytic"
 	"libshalom/internal/guard"
 	"libshalom/internal/isa"
 	"libshalom/internal/isacheck"
+	"libshalom/internal/kernels"
 	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
 	"libshalom/internal/tuner"
 	"libshalom/internal/vexec"
 )
 
-// Candidate is one tuned-tile candidate: the register tile and panel depth,
+// candidate is one tuned-tile candidate: the register tile and panel depth,
 // its minted kernel identity, and its modeled steady-state throughput on
 // the target platform.
-type Candidate struct {
+type candidate struct {
 	MR, NR, KC int
 	Kernel     string
 	// GFLOPS is the uarch scoreboard model's steady-state throughput with
@@ -25,16 +27,16 @@ type Candidate struct {
 	GFLOPS float64
 }
 
-// SearchResult is one completed class search.
-type SearchResult struct {
+// searchResult is one completed class search.
+type searchResult struct {
 	// Incumbent is the tile currently serving the class — the installed
 	// override if one exists (e.g. an operator-seeded detuned tile, or a
 	// previous promotion), otherwise the Eq. 1–2 analytic solution —
 	// evaluated through the same model as the candidates.
-	Incumbent Candidate
+	Incumbent candidate
 	// Candidates are every feasible tile inside the generator family's
 	// proven symbolic domain, sorted by modeled throughput descending.
-	Candidates []Candidate
+	Candidates []candidate
 }
 
 // familyFor names the symbolic generator family a tuned main kernel of an
@@ -67,12 +69,12 @@ func kernelTag(mr, nr, kc int) string {
 	return fmt.Sprintf("tuned-%dx%d-kc%d-pipelined", mr, nr, kc)
 }
 
-// Search enumerates and scores every candidate tile for one (element size,
+// search enumerates and scores every candidate tile for one (element size,
 // shape class) key: tuner.Enumerate admitting only the generator family's
 // symbolic domain (which lies inside the Eq. 1 space the tuner walks) —
 // only tiles the family proof quantifies over are admissible, because
-// Prove will demand membership.
-func Search(p *platform.Platform, elemBytes int, class telemetry.ShapeClass) SearchResult {
+// prove will demand membership.
+func search(p *platform.Platform, elemBytes int, class telemetry.ShapeClass) searchResult {
 	lanes := 16 / elemBytes
 	fam, _ := isacheck.FamilyByName(familyFor(elemBytes))
 
@@ -86,10 +88,10 @@ func Search(p *platform.Platform, elemBytes int, class telemetry.ShapeClass) Sea
 		kc -= fam.Domain.KC.Step
 	}
 
-	var r SearchResult
+	var r searchResult
 	inDomain := func(mr, nr int) bool { return inRange(mr, fam.Domain.MR) && inRange(nr, fam.Domain.NR) }
 	for _, c := range tuner.Enumerate(p, elemBytes, inDomain) {
-		r.Candidates = append(r.Candidates, Candidate{
+		r.Candidates = append(r.Candidates, candidate{
 			MR: c.MR, NR: c.NR, KC: kc,
 			Kernel: kernelTag(c.MR, c.NR, kc),
 			GFLOPS: c.GFLOPS,
@@ -104,14 +106,14 @@ func Search(p *platform.Platform, elemBytes int, class telemetry.ShapeClass) Sea
 		return tuner.TileGFLOPS(p, elemBytes, mr, nr)
 	}
 	if ov, ok := guard.OverrideFor(elemBytes, uint8(class)); ok {
-		r.Incumbent = Candidate{
+		r.Incumbent = candidate{
 			MR: ov.MR, NR: ov.NR, KC: ov.KC,
 			Kernel: ov.Kernel,
 			GFLOPS: eval(ov.MR, ov.NR),
 		}
 	} else {
 		at := analytic.SolveForElem(elemBytes)
-		r.Incumbent = Candidate{
+		r.Incumbent = candidate{
 			MR: at.MR, NR: at.NR, KC: blk.KC,
 			Kernel: fmt.Sprintf("analytic-%dx%d", at.MR, at.NR),
 			GFLOPS: eval(at.MR, at.NR),
@@ -120,7 +122,7 @@ func Search(p *platform.Platform, elemBytes int, class telemetry.ShapeClass) Sea
 	return r
 }
 
-// Prove runs the full admission gate on one candidate — nothing serves
+// prove runs the full admission gate on one candidate — nothing serves
 // traffic without passing all of it:
 //
 //  1. family-domain membership: the tile must lie inside the symbolic
@@ -130,11 +132,11 @@ func Search(p *platform.Platform, elemBytes int, class telemetry.ShapeClass) Sea
 //     schedule thresholds, plus the memoized symbolic family proof;
 //  3. vexec-vs-reference numeric validation: the exact program that would
 //     serve, executed functionally on pseudorandom operands and compared
-//     element-wise against a straightforward reference within the canary
-//     tolerance, twice with independent seeds.
+//     element-wise against the portable reference (kernels.GEMMRef)
+//     within the canary tolerance, twice with independent seeds.
 //
 // A nil error means the candidate is admissible for canary installation.
-func Prove(p *platform.Platform, elemBytes int, c Candidate) error {
+func prove(p *platform.Platform, elemBytes int, c candidate) error {
 	fam, ok := isacheck.FamilyByName(familyFor(elemBytes))
 	if !ok {
 		return fmt.Errorf("autotune: family %s not registered", familyFor(elemBytes))
@@ -167,73 +169,45 @@ func Prove(p *platform.Platform, elemBytes int, c Candidate) error {
 
 	prog := fam.BuildAt(shape)
 	for seed := uint64(1); seed <= 2; seed++ {
-		if err := validate(prog, elemBytes, c, seed); err != nil {
+		var err error
+		if elemBytes == 8 {
+			err = validate(prog, vexec.RunF64, c, seed)
+		} else {
+			err = validate(prog, vexec.RunF32, c, seed)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// validate executes prog functionally on seeded pseudorandom operands and
-// compares against the reference accumulation C += A·B (the family contract
-// is Accumulate). Stream order mirrors BuildMain: A, B, C.
-func validate(prog *isa.Program, elemBytes int, c Candidate, seed uint64) error {
+// validate executes prog functionally through run, the precision's vexec
+// entry point, on seeded pseudorandom operands and compares against the
+// reference accumulation C += A·B (the family contract is Accumulate).
+// Stream order mirrors BuildMain: A, B, C.
+func validate[T kernels.Float](prog *isa.Program, run func(*isa.Program, ...[]T) error, c candidate, seed uint64) error {
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 	mr, nr, kc := c.MR, c.NR, c.KC
-	if elemBytes == 8 {
-		a := randF64(rng, mr*kc)
-		b := randF64(rng, kc*nr)
-		cb := randF64(rng, mr*nr)
-		want := append([]float64(nil), cb...)
-		for i := 0; i < mr; i++ {
-			for j := 0; j < nr; j++ {
-				for k := 0; k < kc; k++ {
-					want[i*nr+j] += a[i*kc+k] * b[k*nr+j]
-				}
-			}
-		}
-		if err := vexec.RunF64(prog, a, b, cb); err != nil {
-			return fmt.Errorf("autotune: vexec %s: %w", c.Kernel, err)
-		}
-		if !guard.Agrees(cb, nr, want, nr, mr, nr, guard.Tolerance(8)) {
-			return fmt.Errorf("autotune: %s disagrees with reference (seed %d)", c.Kernel, seed)
-		}
-		return nil
-	}
-	a := randF32(rng, mr*kc)
-	b := randF32(rng, kc*nr)
-	cb := randF32(rng, mr*nr)
-	want := append([]float32(nil), cb...)
-	for i := 0; i < mr; i++ {
-		for j := 0; j < nr; j++ {
-			var acc float32
-			for k := 0; k < kc; k++ {
-				acc += a[i*kc+k] * b[k*nr+j]
-			}
-			want[i*nr+j] += acc
-		}
-	}
-	if err := vexec.RunF32(prog, a, b, cb); err != nil {
+	a := randOperand[T](rng, mr*kc)
+	b := randOperand[T](rng, kc*nr)
+	cb := randOperand[T](rng, mr*nr)
+	want := slices.Clone(cb)
+	kernels.GEMMRef(false, false, mr, nr, kc, 1, a, kc, b, nr, 1, want, nr)
+	if err := run(prog, a, b, cb); err != nil {
 		return fmt.Errorf("autotune: vexec %s: %w", c.Kernel, err)
 	}
-	if !guard.Agrees(cb, nr, want, nr, mr, nr, guard.Tolerance(4)) {
+	if !guard.Agrees(cb, nr, want, nr, mr, nr, guard.Tolerance(kernels.ElemBytes[T]())) {
 		return fmt.Errorf("autotune: %s disagrees with reference (seed %d)", c.Kernel, seed)
 	}
 	return nil
 }
 
-func randF32(rng *rand.Rand, n int) []float32 {
-	v := make([]float32, n)
+// randOperand draws n elements uniformly from [-1, 1).
+func randOperand[T kernels.Float](rng *rand.Rand, n int) []T {
+	v := make([]T, n)
 	for i := range v {
-		v[i] = float32(rng.Float64()*2 - 1)
-	}
-	return v
-}
-
-func randF64(rng *rand.Rand, n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.Float64()*2 - 1
+		v[i] = T(rng.Float64()*2 - 1)
 	}
 	return v
 }

@@ -140,7 +140,6 @@ func (cl *call[T]) dispatch(path string) guard.Disposition {
 	d, beganProbe := guard.Dispatch(cl.d.cfg.Plat.Name, path, 0)
 	if beganProbe {
 		cl.d.cfg.Tel.HealEvent(telemetry.HealBreakerProbe)
-		cl.d.cfg.Tel.BreakerTransition(telemetry.BreakerOpen, telemetry.BreakerProbing)
 	}
 	return d
 }

@@ -145,7 +145,6 @@ func (cl *call[T]) runCanary(e *BatchEntry[T], fp *fastRoute, tid int32) (degrad
 	tel.HealEvent(telemetry.HealCanaryAgree)
 	if guard.CanaryAgree(cl.d.cfg.Plat.Name, fp.path, 0) {
 		tel.HealEvent(telemetry.HealBreakerClose)
-		tel.BreakerTransition(telemetry.BreakerProbing, telemetry.BreakerHealthy)
 	}
 	return false
 }
@@ -177,25 +176,17 @@ func (cl *call[T]) runFast(corruptPack bool, fp *fastRoute, e *BatchEntry[T], bl
 	return nil
 }
 
-// trip opens a failed fast route's breaker and records it: the open events
+// trip opens a failed fast route's breaker and records it: the open event
 // exactly once even when several blocks of one call fail concurrently
 // (guard.Trip reports whether this call recorded the trip), and the
 // degradation. A canary mismatch re-opens a probing breaker; a panic or a
 // numeric-guard failure opens a healthy one.
 func (cl *call[T]) trip(path string, reason guard.Reason, detail string, m, n, k int) {
 	tel := cl.d.cfg.Tel
-	from, degr := telemetry.BreakerHealthy, telemetry.DegrPanic
-	switch reason {
-	case guard.ReasonNumeric:
-		degr = telemetry.DegrNumeric
-	case guard.ReasonCanary:
-		from, degr = telemetry.BreakerProbing, telemetry.DegrCanary
-	}
 	if guard.Trip(cl.d.cfg.Plat.Name, path, reason, detail, fmt.Sprintf("%s %dx%dx%d", cl.mode, m, n, k), 0) {
 		tel.HealEvent(telemetry.HealBreakerOpen)
-		tel.BreakerTransition(from, telemetry.BreakerOpen)
 	}
-	tel.DegradationEvent(degr)
+	tel.DegradationEvent(reason)
 }
 
 // poison is the corruption hook of the injection points that falsify a

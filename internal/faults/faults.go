@@ -59,10 +59,9 @@ const (
 	// the request onto the next-preferred backend instead of stalling the
 	// client.
 	RouterBackendBlackhole
-	// RouterSlowBackend delays the router's forward to a backend by the
-	// SetRouterSlow duration, standing in for a congested or GC-pausing
-	// node; it perturbs timing, never results — the latency-hedge trigger's
-	// chaos coverage.
+	// RouterSlowBackend delays the router's forward to a backend by 1 ms,
+	// standing in for a congested or GC-pausing node; it perturbs timing,
+	// never results — the latency-hedge trigger's chaos coverage.
 	RouterSlowBackend
 	// RouterConnReset fails the router's forward to a backend with an
 	// immediate connection-reset error, standing in for a backend process
@@ -176,7 +175,6 @@ func Reset() {
 	}
 	slowClassTarget.Store(0)
 	slowClassDelay.Store(0)
-	routerSlowDelay.Store(0)
 	anyArmed.Store(false)
 }
 
@@ -252,29 +250,6 @@ func SlowClassFire(class uint8) time.Duration {
 	}
 	if !Fire(SlowShapeClass) {
 		return 0
-	}
-	return d
-}
-
-// routerSlowDelay is the RouterSlowBackend delay SetRouterSlow configures.
-var routerSlowDelay atomic.Int64
-
-// SetRouterSlow configures the RouterSlowBackend delay; the point still
-// needs Arm(RouterSlowBackend, n) to fire.
-func SetRouterSlow(d time.Duration) {
-	routerSlowDelay.Store(int64(d))
-}
-
-// RouterSlowFire consumes one RouterSlowBackend fire, returning the
-// configured delay (0 = no fire; a fire with no configured delay defaults
-// to 1ms so an armed point is never silently inert).
-func RouterSlowFire() time.Duration {
-	if !Fire(RouterSlowBackend) {
-		return 0
-	}
-	d := time.Duration(routerSlowDelay.Load())
-	if d <= 0 {
-		d = time.Millisecond
 	}
 	return d
 }

@@ -53,6 +53,10 @@ const (
 	ReasonCanary Reason = "canary-mismatch"
 )
 
+// Reasons lists every demotion reason, in the order telemetry's
+// degradation counter labels them.
+var Reasons = [...]Reason{ReasonContract, ReasonPanic, ReasonNumeric, ReasonCanary}
+
 // State is a circuit breaker's position in the self-healing state machine.
 type State string
 

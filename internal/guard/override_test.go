@@ -4,8 +4,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+)
 
-	"libshalom/internal/telemetry"
+// The override table's class indexes are telemetry.ShapeClass values,
+// which this package's tests cannot import: telemetry imports guard.
+const (
+	classSmall uint8 = 2
+	classLarge uint8 = 4
 )
 
 // A set override is visible on the hot-path lookup, replaceable in place,
@@ -14,30 +19,29 @@ func TestOverrideSetGetClear(t *testing.T) {
 	Reset()
 	t.Cleanup(Reset)
 
-	small := uint8(telemetry.ShapeSmall)
 	ov := TileOverride{MR: 5, NR: 8, KC: 16, Kernel: "tuned-5x8-kc16", Path: MintOverridePath(4, "small")}
-	if !SetOverride(4, small, ov) {
+	if !SetOverride(4, classSmall, ov) {
 		t.Fatal("SetOverride rejected a valid override")
 	}
-	got, ok := OverrideFor(4, small)
+	got, ok := OverrideFor(4, classSmall)
 	if !ok || got != ov {
 		t.Fatalf("OverrideFor = %+v, %v; want %+v, true", got, ok, ov)
 	}
 	// A different key on the same element row stays empty.
-	if _, ok := OverrideFor(4, uint8(telemetry.ShapeLarge)); ok {
+	if _, ok := OverrideFor(4, classLarge); ok {
 		t.Error("unrelated class reports an override")
 	}
 	// The f64 row is independent of the f32 row.
-	if _, ok := OverrideFor(8, small); ok {
+	if _, ok := OverrideFor(8, classSmall); ok {
 		t.Error("f64 row inherited the f32 override")
 	}
 
 	// Replacement swaps the tile in place.
 	ov2 := TileOverride{MR: 7, NR: 12, KC: 16, Kernel: "tuned-7x12-kc16", Path: MintOverridePath(4, "small")}
-	if !SetOverride(4, small, ov2) {
+	if !SetOverride(4, classSmall, ov2) {
 		t.Fatal("SetOverride rejected a replacement")
 	}
-	if got, _ := OverrideFor(4, small); got != ov2 {
+	if got, _ := OverrideFor(4, classSmall); got != ov2 {
 		t.Fatalf("after replace, OverrideFor = %+v, want %+v", got, ov2)
 	}
 	if n := len(Overrides()); n != 1 {
@@ -47,25 +51,25 @@ func TestOverrideSetGetClear(t *testing.T) {
 	// The replaced override's path no longer serves: tripping it leaves
 	// the live override in place; tripping the live path clears it.
 	Trip("kp920", ov.Path, ReasonCanary, "stale", "", time.Minute)
-	if got, _ := OverrideFor(4, small); got != ov2 {
+	if got, _ := OverrideFor(4, classSmall); got != ov2 {
 		t.Fatalf("trip on a replaced path evicted the live override: %+v", got)
 	}
 	Trip("kp920", ov2.Path, ReasonCanary, "evict", "", time.Minute)
-	if _, ok := OverrideFor(4, small); ok {
+	if _, ok := OverrideFor(4, classSmall); ok {
 		t.Error("override survived its breaker trip")
 	}
 
 	// Out-of-range keys and empty paths are rejected.
-	if SetOverride(2, small, ov) {
+	if SetOverride(2, classSmall, ov) {
 		t.Error("SetOverride accepted elem size 2")
 	}
 	if SetOverride(4, 200, ov) {
 		t.Error("SetOverride accepted class 200")
 	}
-	if SetOverride(4, small, TileOverride{MR: 1, NR: 4}) {
+	if SetOverride(4, classSmall, TileOverride{MR: 1, NR: 4}) {
 		t.Error("SetOverride accepted an override with no breaker path")
 	}
-	if _, ok := OverrideFor(2, small); ok {
+	if _, ok := OverrideFor(2, classSmall); ok {
 		t.Error("OverrideFor accepted elem size 2")
 	}
 	if _, ok := OverrideFor(4, 200); ok {
@@ -95,17 +99,16 @@ func TestTripEvictsTunedOverride(t *testing.T) {
 	Reset()
 	t.Cleanup(Reset)
 
-	small := uint8(telemetry.ShapeSmall)
 	path := MintOverridePath(4, "small")
 	ov := TileOverride{MR: 3, NR: 8, KC: 12, Kernel: "tuned-3x8-kc12", Path: path}
-	if !SetOverride(4, small, ov) {
+	if !SetOverride(4, classSmall, ov) {
 		t.Fatal("SetOverride failed")
 	}
 
 	if !Trip("kp920", path, ReasonCanary, "injected mismatch", "NN 64x64x64", time.Minute) {
 		t.Fatal("Trip on the tuned path was a no-op")
 	}
-	if _, ok := OverrideFor(4, small); ok {
+	if _, ok := OverrideFor(4, classSmall); ok {
 		t.Error("override still installed after its breaker tripped")
 	}
 	d, ok := Demotion("kp920", path)
@@ -162,10 +165,10 @@ func TestResetOverrides(t *testing.T) {
 	Reset()
 	t.Cleanup(Reset)
 
-	if !SetOverride(4, uint8(telemetry.ShapeSmall), TileOverride{MR: 2, NR: 4, Kernel: "x", Path: MintOverridePath(4, "small")}) {
+	if !SetOverride(4, classSmall, TileOverride{MR: 2, NR: 4, Kernel: "x", Path: MintOverridePath(4, "small")}) {
 		t.Fatal("SetOverride failed")
 	}
-	if !SetOverride(8, uint8(telemetry.ShapeLarge), TileOverride{MR: 2, NR: 2, Kernel: "y", Path: MintOverridePath(8, "large")}) {
+	if !SetOverride(8, classLarge, TileOverride{MR: 2, NR: 2, Kernel: "y", Path: MintOverridePath(8, "large")}) {
 		t.Fatal("SetOverride failed")
 	}
 	if n := len(Overrides()); n != 2 {

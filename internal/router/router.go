@@ -629,10 +629,10 @@ func (rt *Router) forward(ctx context.Context, b *backend, hdr server.Header, pa
 
 	// Fault points, in injection order: a slow backend delays, a reset
 	// fails fast, a blackhole swallows the attempt until its context dies.
-	if d := faults.RouterSlowFire(); d > 0 {
+	if faults.Fire(faults.RouterSlowBackend) {
 		rt.tel.FaultInjected(faults.RouterSlowBackend)
 		select {
-		case <-time.After(d):
+		case <-time.After(time.Millisecond):
 		case <-ctx.Done():
 			res.outcome, res.err = outcomeFail, ctx.Err()
 			return res

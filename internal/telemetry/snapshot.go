@@ -78,8 +78,9 @@ type Snapshot struct {
 	// Heal counts self-healing events: breaker opens/probes/closes, canary
 	// runs and verdicts, watchdog conversions and transient retries.
 	Heal []EventCount `json:"heal,omitempty"`
-	// BreakersOpen/BreakersProbing are the breaker state gauges as observed
-	// through this recorder's transitions.
+	// BreakersOpen/BreakersProbing count the guard registry's open and
+	// probing breakers at snapshot time, process-wide: the
+	// libshalom_breakers_* gauges of Metrics.
 	BreakersOpen    int64 `json:"breakers_open"`
 	BreakersProbing int64 `json:"breakers_probing"`
 	// TraceSpans/TraceDropped report ring-buffer occupancy: spans ever
@@ -145,14 +146,14 @@ func (r *Recorder) Snapshot() Snapshot {
 		ClampedCalls: r.clampedCalls.v.Load(),
 	}
 	s.Faults = eventCounts(r.faultEvents, faultPoints)
-	s.Degradations = eventCounts(r.degrEvents, degrNames[:])
+	s.Degradations = eventCounts(r.degrEvents, reasonNames)
 	s.Heal = eventCounts(r.healEvents, healNames[:])
-	s.BreakersOpen = r.breakersOpen.v.Load()
-	s.BreakersProbing = r.breakersProbing.v.Load()
 	s.TraceSpans, s.TraceDropped = r.traceCounts()
 	s.Attrib = r.attribSnapshot()
 	s.AttribWindows = r.attrib.windows.v.Load()
 	s.Metrics = r.Families()
+	s.BreakersOpen = int64(s.Metric("libshalom_breakers_open"))
+	s.BreakersProbing = int64(s.Metric("libshalom_breakers_probing"))
 	return s
 }
 

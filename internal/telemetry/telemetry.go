@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"libshalom/internal/faults"
+	"libshalom/internal/guard"
 )
 
 // Key dimensions. Values are dense indices into the counter arrays; the
@@ -150,13 +151,6 @@ type Recorder struct {
 	// self-healing events by kind.
 	faultEvents, degrEvents, healEvents *CounterVec
 
-	// Breaker state gauges: how many (platform, kernel) breakers this
-	// recorder has observed transitioning into the open/probing states and
-	// not yet out. The guard registry is the source of truth for current
-	// state; these gauges track what flowed through contexts sharing this
-	// recorder, for exposition next to the event counters.
-	breakersOpen, breakersProbing *Gauge
-
 	// Attribution sketch (read by internal/attrib; see attrib.go).
 	attrib attribStats
 
@@ -185,6 +179,16 @@ var faultPoints = func() []string {
 	names := make([]string, faults.NumPoints)
 	for p := range names {
 		names[p] = faults.Point(p).String()
+	}
+	return names
+}()
+
+// reasonNames names guard's demotion reasons, the degradation family's
+// label values.
+var reasonNames = func() []string {
+	names := make([]string, len(guard.Reasons))
+	for i, reason := range guard.Reasons {
+		names[i] = string(reason)
 	}
 	return names
 }()
@@ -221,13 +225,15 @@ func New(o Options) *Recorder {
 	r.clampedCalls = r.Counter("libshalom_threads_clamped_calls_total", "Calls and batches run narrower than the requested width, by the §7.4 policy or the work rule.")
 
 	r.faultEvents = r.CounterVec("libshalom_fault_events_total", "Fired fault-injection points.", Label{"point", faultPoints})
-	r.degrEvents = r.CounterVec("libshalom_degradation_events_total", "Kernel-path demotions observed by the runtime.", Label{"reason", degrNames[:]})
+	r.degrEvents = r.CounterVec("libshalom_degradation_events_total", "Kernel-path demotions observed by the runtime.", Label{"reason", reasonNames})
 	r.healEvents = r.CounterVec("libshalom_heal_events_total",
 		"Self-healing events: breaker lifecycle, canary verdicts, watchdog conversions, transient retries.", Label{"event", healNames[:]})
 
 	r.declareAttrib()
-	r.breakersOpen = r.Gauge("libshalom_breakers_open", "Circuit breakers currently open (reference path in use), as observed through this recorder.")
-	r.breakersProbing = r.Gauge("libshalom_breakers_probing", "Circuit breakers currently probing (canary re-promotion in progress), as observed through this recorder.")
+	r.GaugeFunc("libshalom_breakers_open", "Circuit breakers currently open (reference path in use), process-wide.", nil,
+		func(emit Emit) { open, _ := breakerCounts(); emit(float64(open)) })
+	r.GaugeFunc("libshalom_breakers_probing", "Circuit breakers currently probing (canary re-promotion in progress), process-wide.", nil,
+		func(emit Emit) { _, probing := breakerCounts(); emit(float64(probing)) })
 	r.CounterFunc("libshalom_trace_spans_total", "Phase spans recorded into the trace ring.", nil,
 		func(emit Emit) { spans, _ := r.traceCounts(); emit(float64(spans)) })
 	r.CounterFunc("libshalom_trace_spans_dropped_total", "Spans overwritten by ring wraparound.", nil,
@@ -331,18 +337,6 @@ func (r *Recorder) ThreadChoice(requested, chosen int) {
 	}
 }
 
-// Degradation reasons, mirroring guard.Reason (telemetry cannot import
-// guard without dragging the static verifier into every binary).
-const (
-	DegrContract uint8 = iota
-	DegrPanic
-	DegrNumeric
-	DegrCanary
-	numDegrReasons
-)
-
-var degrNames = [numDegrReasons]string{"contract-violation", "runtime-panic", "numeric-guard", "canary-mismatch"}
-
 // Self-healing event kinds: the circuit-breaker lifecycle and the canary
 // protocol, counted per event so the healing loop is observable end to end.
 const (
@@ -383,39 +377,32 @@ func (r *Recorder) HealEvent(kind uint8) {
 	r.healEvents.At(int(kind)).Add(1)
 }
 
-// Breaker states for BreakerTransition, mirroring guard.State.
-const (
-	BreakerHealthy uint8 = iota
-	BreakerOpen
-	BreakerProbing
-)
-
-// BreakerTransition moves the breaker state gauges: one breaker left the
-// from state and entered the to state.
-func (r *Recorder) BreakerTransition(from, to uint8) {
-	if r == nil {
-		return
-	}
-	adj := func(state uint8, delta int64) {
-		switch state {
-		case BreakerOpen:
-			r.breakersOpen.Add(delta)
-		case BreakerProbing:
-			r.breakersProbing.Add(delta)
+// breakerCounts counts the guard registry's open and probing breakers:
+// the whole process's, whichever Context tripped or healed them.
+func breakerCounts() (open, probing int) {
+	for _, d := range guard.List("") {
+		switch d.State {
+		case guard.StateOpen:
+			open++
+		case guard.StateProbing:
+			probing++
 		}
 	}
-	adj(from, -1)
-	adj(to, 1)
+	return open, probing
 }
 
 // DegradationEvent counts one kernel-path demotion observed by the runtime.
 //
 //shalom:hotpath noalloc,nolock,noblock
-func (r *Recorder) DegradationEvent(reason uint8) {
-	if r == nil || reason >= numDegrReasons {
+func (r *Recorder) DegradationEvent(reason guard.Reason) {
+	if r == nil {
 		return
 	}
-	r.degrEvents.At(int(reason)).Add(1)
+	for i, known := range guard.Reasons {
+		if known == reason {
+			r.degrEvents.At(i).Add(1)
+		}
+	}
 }
 
 // FaultInjected counts one fired fault-injection point.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"libshalom/internal/faults"
+	"libshalom/internal/guard"
 )
 
 func TestKeyIndexRoundTrip(t *testing.T) {
@@ -110,7 +111,7 @@ func TestNilRecorder(t *testing.T) {
 	r.CallDone(PrecF32, 0, uint8(ShapeSmall), KernelFast, OutcomeOK, 0, 1)
 	r.CallEvent(PrecF32, 0, uint8(ShapeSmall), KernelFast, OutcomeCancelled)
 	r.ThreadChoice(4, 1)
-	r.DegradationEvent(DegrPanic)
+	r.DegradationEvent(guard.ReasonPanic)
 	r.FaultInjected(faults.PanicInKernel)
 	r.TaskQueued(3)
 	r.TaskStart(10)
@@ -205,8 +206,8 @@ func TestThreadAndPoolStats(t *testing.T) {
 
 func TestEventCounters(t *testing.T) {
 	r := New(Options{})
-	r.DegradationEvent(DegrNumeric)
-	r.DegradationEvent(DegrNumeric)
+	r.DegradationEvent(guard.ReasonNumeric)
+	r.DegradationEvent(guard.ReasonNumeric)
 	r.FaultInjected(faults.SpuriousNaN)
 	s := r.Snapshot()
 	if len(s.Degradations) != 1 || s.Degradations[0].Name != "numeric-guard" || s.Degradations[0].Count != 2 {
@@ -215,8 +216,8 @@ func TestEventCounters(t *testing.T) {
 	if len(s.Faults) != 1 || s.Faults[0].Count != 1 {
 		t.Fatalf("faults = %+v", s.Faults)
 	}
-	// Out-of-range values must not panic or record.
-	r.DegradationEvent(200)
+	// Unknown values must not panic or record.
+	r.DegradationEvent("no-such-reason")
 	r.FaultInjected(faults.Point(200))
 }
 
@@ -343,7 +344,7 @@ func TestWritePrometheus(t *testing.T) {
 	r.CallDone(PrecF32, 0, uint8(ShapeSmall), KernelFast, OutcomeOK, start, 2*64*64*64)
 	r.ThreadChoice(4, 1)
 	r.FaultInjected(faults.PanicInKernel)
-	r.DegradationEvent(DegrPanic)
+	r.DegradationEvent(guard.ReasonPanic)
 
 	var buf bytes.Buffer
 	if err := r.Snapshot().WritePrometheus(&buf); err != nil {

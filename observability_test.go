@@ -227,14 +227,15 @@ func TestTelemetryOnAttribSketchAllocs(t *testing.T) {
 
 // TestAllocationPins pins the allocations per call of the driver paths the
 // zero-allocation work targets: a packed single-threaded call, a forked
-// irregular call, and batches on both sides of the fork floor. It also pins
-// the bytes per call of the small calls that pack, in each mode that packs:
-// their pack buffers are sized by the call, not by the platform's blocking.
+// irregular call, an unpacked small call and the forked call with β = 1,
+// and batches on both sides of the fork floor. It also pins the bytes per
+// call of the small calls that pack, in each mode that packs: their pack
+// buffers are sized by the call, not by the platform's blocking.
 // A pin may only go down. testing.AllocsPerRun runs at GOMAXPROCS 1, so
 // every pin sets its width explicitly.
 func TestAllocationPins(t *testing.T) {
 	rng := mat.NewRNG(12)
-	call := func(mode Mode, m, n, k int) func(*Context) error {
+	call := func(mode Mode, m, n, k int, beta float32) func(*Context) error {
 		A := mat.RandomF32(m, k, rng)
 		B := mat.RandomF32(k, n, rng)
 		C := mat.NewF32(m, n)
@@ -246,7 +247,7 @@ func TestAllocationPins(t *testing.T) {
 			ldb = k
 		}
 		return func(ctx *Context) error {
-			return ctx.SGEMM(mode, m, n, k, 1, A.Data, lda, B.Data, ldb, 0, C.Data, n)
+			return ctx.SGEMM(mode, m, n, k, 1, A.Data, lda, B.Data, ldb, beta, C.Data, n)
 		}
 	}
 	batch := func(entries, s int) func(*Context) error {
@@ -266,10 +267,14 @@ func TestAllocationPins(t *testing.T) {
 		run     func(*Context) error
 	}{
 		// gemmST's packed-B sliver.
-		{"NT 32x32x32", 1, 100, 1, call(NT, 32, 32, 32)},
+		{"NT 32x32x32", 1, 100, 1, call(NT, 32, 32, 32, 0)},
 		// The split's shared state and partition, the pool run and its
 		// width semaphore and hand-out, and the per-block pack buffers.
-		{"NN 64x2048x512", 2, 3, 10, call(NN, 64, 2048, 512)},
+		{"NN 64x2048x512", 2, 3, 10, call(NN, 64, 2048, 512, 0)},
+		// β ≠ 0: the transient retry copies each C block before its fast
+		// path runs, whether or not the kernel panics.
+		{"NN 8x8x8 beta 1", 1, 100, 1, call(NN, 8, 8, 8, 1)},
+		{"NN 64x2048x512 beta 1", 2, 3, 12, call(NN, 64, 2048, 512, 1)},
 		// Below the fork floor a batch runs serially: only its completion
 		// bitmap allocates.
 		{"batch 16 x 8^3", 2, 100, 1, batch(16, 8)},
@@ -300,12 +305,12 @@ func TestAllocationPins(t *testing.T) {
 		max  uint64
 		run  func(*Context) error
 	}{
-		{"NT 8^3", 384, call(NT, 8, 8, 8)},
-		{"TN 8^3", 256, call(TN, 8, 8, 8)},
-		{"TT 8^3", 640, call(TT, 8, 8, 8)},
-		{"NT 32^3", 1536, call(NT, 32, 32, 32)},
-		{"TN 32^3", 4096, call(TN, 32, 32, 32)},
-		{"TT 32^3", 5632, call(TT, 32, 32, 32)},
+		{"NT 8^3", 384, call(NT, 8, 8, 8, 0)},
+		{"TN 8^3", 256, call(TN, 8, 8, 8, 0)},
+		{"TT 8^3", 640, call(TT, 8, 8, 8, 0)},
+		{"NT 32^3", 1536, call(NT, 32, 32, 32, 0)},
+		{"TN 32^3", 4096, call(TN, 32, 32, 32, 0)},
+		{"TT 32^3", 5632, call(TT, 32, 32, 32, 0)},
 	} {
 		var err error
 		got := bytesPerRun(100, func() { err = pin.run(ctx) })
