@@ -161,10 +161,12 @@ func BenchmarkFig15VGG(b *testing.B)                 { benchExperiment(b, "fig15
 // BenchmarkMicroKernels measures the wall-clock throughput of the Go
 // compute micro-kernels themselves on one kc = 256 tile each: the FP32 7×12
 // main tile, the 7×11 tile one column narrower (a column remainder in every
-// block row), and the FP64 7×6 main tile. The packed path's kernels run the
-// 7×12 tile too: the NN packing kernel on a B sliver cut from a 2048-wide
-// matrix, the NT packing kernel on a stored-transposed B with K = 512, and
-// the sweep over the packed sliver that every later tile of a panel runs.
+// block row), and the FP64 7×6 main tile. The packed path runs the 7×12
+// tile too: a 12-column panel packed and computed, from a B sliver cut from
+// a 2048-wide matrix (NN) and from a stored-transposed B with K = 512 (NT),
+// and the sweep over the packed sliver that every tile of a panel runs.
+// The panel rows time the driver's panel fills alone, kc×nc = 431×300 from
+// the same two sources, as one ns/elem each.
 func BenchmarkMicroKernels(b *testing.B) {
 	rng := mat.NewRNG(4)
 	kc := 256
@@ -199,15 +201,37 @@ func BenchmarkMicroKernels(b *testing.B) {
 	b.Run("sgemm7x12-packNN", func(b *testing.B) {
 		b.SetBytes(flops)
 		for i := 0; i < b.N; i++ {
-			kernels.MicroPackB(7, 12, kc, 1, a32, kc, src, ldb, 0, c32, 12, bc)
+			kernels.PackPanel(kc, 12, src, ldb, bc)
+			kernels.MicroPacked(7, 12, kc, 1, a32, kc, bc, 0, c32, 12)
 		}
 	})
 	b.Run("sgemm7x12-packNT", func(b *testing.B) {
 		b.SetBytes(flops)
 		for i := 0; i < b.N; i++ {
-			kernels.MicroNTPack(7, 12, kc, 1, a32, kc, src, ldbT, 0, c32, 12, bc)
+			kernels.PackPanelNT(kc, 12, src, ldbT, bc)
+			kernels.MicroPacked(7, 12, kc, 1, a32, kc, bc, 0, c32, 12)
 		}
 	})
+	const pkc, pnc = 431, 300
+	psrc := make([]float32, pkc*ldb)
+	for i := range psrc {
+		psrc[i] = rng.Float32()
+	}
+	panel := make([]float32, pkc*pnc)
+	for _, p := range []struct {
+		name string
+		fill func()
+	}{
+		{"panelNN-431x300", func() { kernels.PackPanel(pkc, pnc, psrc, ldb, panel) }},
+		{"panelNT-431x300", func() { kernels.PackPanelNT(pkc, pnc, psrc, ldbT, panel) }},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.fill()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(pkc*pnc), "ns/elem")
+		})
+	}
 	b.Run("sgemm7x12-packed", func(b *testing.B) {
 		b.SetBytes(flops)
 		for i := 0; i < b.N; i++ {

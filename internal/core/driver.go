@@ -7,6 +7,7 @@ import (
 
 	"libshalom/internal/analytic"
 	"libshalom/internal/guard"
+	"libshalom/internal/kernels"
 	"libshalom/internal/parallel"
 	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
@@ -55,12 +56,16 @@ type Config struct {
 // Driver is a Config resolved once: the defaulted platform and, per
 // precision, the fast route every call starts from (the Eq. 1–2 tile, the
 // platform's blocking and the kernel family's breaker path). It owns the
-// shared worker pool, started by the first call or batch that forks. A call
-// computes only what depends on the call. A Driver is safe for concurrent
-// use.
+// shared worker pool, started by the first call or batch that forks, and
+// beside it one buffer pool per precision, which hands out the B panels,
+// the TN/TT A blocks and the β ≠ 0 C snapshots (getBuf), so a steady-state
+// call allocates none of them. A call computes only what depends on the
+// call. A Driver is safe for concurrent use.
 type Driver struct {
 	cfg      Config
 	f32, f64 fastRoute
+	// bufs32 and bufs64 hold *[]float32 and *[]float64 buffers.
+	bufs32, bufs64 sync.Pool
 
 	mu   sync.Mutex
 	pool *parallel.Pool
@@ -91,6 +96,40 @@ func (d *Driver) fast(elemBytes int) *fastRoute {
 		return &d.f64
 	}
 	return &d.f32
+}
+
+// getBuf returns a buffer of n elements from the driver's pool of T's
+// precision. Its contents are stale: the caller writes every element it
+// reads. Hand it back with putBuf.
+func getBuf[T Float](d *Driver, n int) *[]T {
+	if b, ok := d.bufs(kernels.ElemBytes[T]()).Get().(*[]T); ok {
+		if cap(*b) < n {
+			*b = make([]T, n)
+		}
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]T, n)
+	return &b
+}
+
+// putBuf returns a buffer to its pool, unless it is larger than the
+// largest pack buffer of its precision's blocking (a kc×nc panel or an
+// mc×kc A block): like fmt's printer pool, the pool keeps no buffer a
+// single huge β ≠ 0 snapshot grew, which would otherwise stay parked in it.
+func putBuf[T Float](d *Driver, b *[]T) {
+	eb := kernels.ElemBytes[T]()
+	if blk := d.fast(eb).blk; cap(*b) <= blk.KC*max(blk.NC, blk.MC) {
+		d.bufs(eb).Put(b)
+	}
+}
+
+// bufs is the buffer pool of a precision.
+func (d *Driver) bufs(elemBytes int) *sync.Pool {
+	if elemBytes == 8 {
+		return &d.bufs64
+	}
+	return &d.bufs32
 }
 
 // Close releases the worker pool, if one was started. The driver remains

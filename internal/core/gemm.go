@@ -7,7 +7,6 @@ import (
 	"libshalom/internal/faults"
 	"libshalom/internal/kernels"
 	"libshalom/internal/pack"
-	"libshalom/internal/platform"
 	"libshalom/internal/telemetry"
 )
 
@@ -86,32 +85,48 @@ func gemm[T Float](d *Driver, mode Mode, m, n, k int, alpha T, a []T, lda int, b
 	return err
 }
 
-// gemmST is the single-threaded Algorithm 1 loop nest for one C block. tel
-// and tid carry the telemetry recorder (nil when disabled) and the trace
-// lane of the executing worker; spans are recorded per kc-block — pack
-// spans around the explicit A gather, kernel-batch spans around the
-// micro-tile sweep (which includes the §5.3 fused B packing) — coarse
-// enough to stay off the micro-tile critical path. corruptPack lets the
-// CorruptPack injection point poison the packed B panel right after each
-// packing micro-kernel fills it (the numeric guard is on and the point is
-// armed).
-func gemmST[T Float](tel *telemetry.Recorder, tid int32, corruptPack bool, plat *platform.Platform, tile analytic.Tile, blk analytic.Blocking, mode Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
+// gemmST is the single-threaded Algorithm 1 loop nest for one C block on
+// driver d, whose recorder (nil when disabled) and buffer pools it uses;
+// tid is the trace lane of the executing worker.
+//
+// When §4's decision packs B (every NT and TT call, and NN and TN when B
+// exceeds the L1), each (ii, kk) block first fills one kc×nc panel from
+// d's pool with its B in k-contiguous columns, bp[j*kcb+k] = B(kk+k, jj+j):
+// NN and TN by transposing a few whole B rows at a time, NT and TT by
+// copying rows of the stored-transposed B. Every micro-tile of the block
+// then runs MicroPacked on its sliver of the panel. The ISA programs fold
+// this packing into the FMA stream instead (§5.3), and the timing model
+// prices that; on the host, one pass that reads each B row once and in
+// order beats packing each nr-wide sliver at B's row stride. A B that fits
+// the L1 stays in place (Alg 1 lines 12–15), and TN/TT gather each A block
+// into a row-major buffer from the same pool (§4.3).
+//
+// Spans are recorded per kc-block: a pack span around each A gather and
+// each panel fill, and a kernel-batch span around the micro-tile sweep,
+// coarse enough to stay off the micro-tile critical path. corruptPack lets
+// the CorruptPack injection point poison each panel right after it is
+// filled (the numeric guard is on and the point is armed).
+func gemmST[T Float](d *Driver, tid int32, corruptPack bool, tile analytic.Tile, blk analytic.Blocking, mode Mode, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
+	tel := d.cfg.Tel
 	mr, nr := tile.MR, tile.NR
 	mc, kc, nc := blk.MC, blk.KC, blk.NC
 	elemBytes := kernels.ElemBytes[T]()
 	prec := telemetry.PrecFor(elemBytes)
 
-	bStrategy := mode.bStrategy(n*k*elemBytes, plat.L1.SizeBytes)
+	packB := mode.bStrategy(n*k*elemBytes, d.cfg.Plat.L1.SizeBytes) != pack.NoPack
 
-	// The pack buffers hold one kc-block's sliver and A block, so a call
-	// smaller than the blocking sizes them by its own k and m.
-	var bc []T
-	if bStrategy != pack.NoPack {
-		bc = make([]T, min(kc, k)*nr)
+	// The buffers hold one block's panel and A block, so a call smaller
+	// than the blocking uses only what its own k, n and m need.
+	var bp, aBuf []T
+	if packB {
+		buf := getBuf[T](d, min(kc, k)*min(nc, n))
+		defer putBuf(d, buf)
+		bp = *buf
 	}
-	var aBuf []T
 	if mode.TransA() {
-		aBuf = make([]T, min(mc, m)*min(kc, k))
+		buf := getBuf[T](d, min(mc, m)*min(kc, k))
+		defer putBuf(d, buf)
+		aBuf = *buf
 	}
 
 	for jj := 0; jj < n; jj += nc {
@@ -136,40 +151,29 @@ func gemmST[T Float](tel *telemetry.Recorder, tid int32, corruptPack bool, plat 
 				} else {
 					aBlk, ldaEff = a[ii*lda+kk:], lda
 				}
+				if packB {
+					packStart := tel.Now()
+					if mode.TransB() {
+						kernels.PackPanelNT(kcb, ncb, b[jj*ldb+kk:], ldb, bp)
+					} else {
+						kernels.PackPanel(kcb, ncb, b[kk*ldb+jj:], ldb, bp)
+					}
+					if corruptPack {
+						poison(tel, faults.CorruptPack, bp)
+					}
+					tel.Span(telemetry.PhasePack, tid, packStart, uint8(mode), prec, 0, ncb, kcb)
+				}
 				kernStart := tel.Now()
 				for j := 0; j < ncb; j += nr {
 					nrb := min(nr, ncb-j)
-					jAbs := jj + j
-					cTile := c[ii*ldc+jAbs:]
-					if bStrategy == pack.NoPack {
-						// Small B (fits L1): no packing at all (Alg 1
-						// lines 12–15) — every tile streams B in place.
-						bBlk := b[kk*ldb+jAbs:]
-						for i := 0; i < mcb; i += mr {
-							mrb := min(mr, mcb-i)
-							kernels.Micro(mrb, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bBlk, ldb, betaEff, cTile[i*ldc:], ldc)
+					cTile := c[ii*ldc+jj+j:]
+					for i := 0; i < mcb; i += mr {
+						mrb := min(mr, mcb-i)
+						if packB {
+							kernels.MicroPacked(mrb, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bp[j*kcb:], betaEff, cTile[i*ldc:], ldc)
+						} else {
+							kernels.Micro(mrb, nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, b[kk*ldb+jj+j:], ldb, betaEff, cTile[i*ldc:], ldc)
 						}
-						continue
-					}
-					// The first micro-tile packs the sliver (Alg 1 lines
-					// 6–8: Fig 5/Alg 3 for NT/TT, Fig 4 for NN/TN with a
-					// large B) and computes from it; every later tile reads
-					// the L1-resident Bc (lines 9–11). The §5.3.2 lookahead
-					// depth t changes when elements are packed, not what
-					// is computed; this portable driver always packs the
-					// current sliver and the timing model prices the t=1
-					// variant.
-					mrb := min(mr, mcb)
-					if mode.TransB() {
-						kernels.MicroNTPack(mrb, nrb, kcb, alpha, aBlk, ldaEff, b[jAbs*ldb+kk:], ldb, betaEff, cTile, ldc, bc)
-					} else {
-						kernels.MicroPackB(mrb, nrb, kcb, alpha, aBlk, ldaEff, b[kk*ldb+jAbs:], ldb, betaEff, cTile, ldc, bc)
-					}
-					if corruptPack {
-						poison(tel, faults.CorruptPack, bc)
-					}
-					for i := mrb; i < mcb; i += mr {
-						kernels.MicroPacked(min(mr, mcb-i), nrb, kcb, alpha, aBlk[i*ldaEff:], ldaEff, bc, betaEff, cTile[i*ldc:], ldc)
 					}
 				}
 				tel.Span(telemetry.PhaseKernelBatch, tid, kernStart, uint8(mode), prec, mcb, ncb, kcb)

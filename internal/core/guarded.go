@@ -48,17 +48,20 @@ func (cl *call[T]) runBlock(e *BatchEntry[T], fp *fastRoute, bl parallel.Block, 
 		tel.Span(telemetry.PhaseBlock, tid, blockStart, uint8(cl.mode), telemetry.PrecFor(kernels.ElemBytes[T]()), m, n, k)
 	}()
 	var corruptPack, inputsFinite bool
-	var snap []T
-	// The snapshot exists to undo a partial fast-path write before the
-	// reference recompute. RetryTransient alone only needs it when beta != 0:
-	// with beta == 0 the reference path overwrites C without reading it, so
-	// no restore is required.
 	if cfg.NumericGuard {
 		corruptPack = faults.Armed(faults.CorruptPack)
 		inputsFinite = finiteOperands(cl.mode, e)
-		snap = snapshotC(e.C, m, n, e.LDC)
-	} else if cfg.RetryTransient && e.Beta != 0 {
-		snap = snapshotC(e.C, m, n, e.LDC)
+	}
+	// The snapshot exists to undo a partial fast-path write before the
+	// reference recompute. RetryTransient alone only needs it when beta != 0:
+	// with beta == 0 the reference path overwrites C without reading it, so
+	// no restore is required. It comes from the driver's buffer pool.
+	var snap []T
+	if cfg.NumericGuard || cfg.RetryTransient && e.Beta != 0 {
+		buf := getBuf[T](cl.d, m*n)
+		defer putBuf(cl.d, buf)
+		snap = *buf
+		snapshotC(snap, e.C, m, n, e.LDC)
 	}
 	panicErr := cl.runFast(corruptPack, fp, e, bl, entry, tid)
 	if panicErr == nil && cfg.NumericGuard {
@@ -112,8 +115,11 @@ func (cl *call[T]) runCanary(e *BatchEntry[T], fp *fastRoute, tid int32) (degrad
 
 	// The shadow starts as a clone of C (dense, leading dimension n) so the
 	// reference path sees the same beta·C term the fast path does.
+	buf := getBuf[T](cl.d, m*n)
+	defer putBuf(cl.d, buf)
 	shadow := *e
-	shadow.C, shadow.LDC = snapshotC(e.C, m, n, e.LDC), n
+	shadow.C, shadow.LDC = *buf, n
+	snapshotC(shadow.C, e.C, m, n, e.LDC)
 	cl.ref(&shadow)
 
 	panicErr := cl.runFast(false, fp, e, parallel.Block{M: m, N: n}, -1, tid)
@@ -172,7 +178,7 @@ func (cl *call[T]) runFast(corruptPack bool, fp *fastRoute, e *BatchEntry[T], bl
 		tel.FaultInjected(faults.PanicInKernel)
 		panic(faults.InjectedPanicMsg)
 	}
-	gemmST(tel, tid, corruptPack, cl.d.cfg.Plat, fp.tile, fp.blk, cl.mode, e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
+	gemmST(cl.d, tid, corruptPack, fp.tile, fp.blk, cl.mode, e.M, e.N, e.K, e.Alpha, e.A, e.LDA, e.B, e.LDB, e.Beta, e.C, e.LDC)
 	return nil
 }
 
@@ -231,13 +237,12 @@ func finiteRect[T Float](s []T, rows, cols, ld int) bool {
 	return true
 }
 
-// snapshotC copies the m×n C block out of its strided storage.
-func snapshotC[T Float](c []T, m, n, ld int) []T {
-	snap := make([]T, m*n)
+// snapshotC copies the m×n C block out of its strided storage into the
+// dense snap.
+func snapshotC[T Float](snap, c []T, m, n, ld int) {
 	for i := 0; i < m; i++ {
 		copy(snap[i*n:(i+1)*n], c[i*ld:i*ld+n])
 	}
-	return snap
 }
 
 // restoreC writes a snapshot back into the strided C block.

@@ -22,8 +22,8 @@ const (
 	// in for a generated kernel violating memory safety or asserting.
 	PanicInKernel Point = iota
 	// CorruptPack overwrites the first element of the packed-B panel with
-	// NaN right after a packing micro-kernel fills it, standing in for a
-	// packing kernel writing garbage.
+	// NaN right after the driver fills it, standing in for a packing
+	// kernel writing garbage.
 	CorruptPack
 	// SlowWorker delays a worker task by ~1ms, standing in for a stalled
 	// core or a noisy neighbour; it perturbs scheduling, never results.

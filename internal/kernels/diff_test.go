@@ -62,10 +62,10 @@ func bitsOf[T Float](x T) uint64 {
 // every tile up to 8×16 (the §5.2 tiles, every tuner-family tile, the
 // baselines' 8×4/8×8/8×12 and perfbench's 8-wide isolation), k depths that
 // cover the one-step, two-step, odd and long loops, padded strides and the
-// α/β cases the drivers pass, Micro, MicroNT, MicroPackB, MicroNTPack and
-// MicroPacked in both precisions must give the oracle's bits, leave C's
-// padding untouched and ignore C (NaN here) when β = 0. The packing kernels
-// must leave the sliver in Bc as k-contiguous columns and Bc past it
+// α/β cases the drivers pass, Micro, MicroNT and MicroPacked in both
+// precisions must give the oracle's bits, leave C's padding untouched and
+// ignore C (NaN here) when β = 0. PackPanel and PackPanelNT, run one
+// sliver wide, must leave it in Bc as k-contiguous columns and Bc past it
 // untouched, and MicroPacked must give the oracle's bits from that sliver.
 func TestMicroMatchesOracle(t *testing.T) {
 	diffSweep[float32](t)
@@ -118,26 +118,86 @@ func diffSweep[T Float](t *testing.T) {
 						MicroNT(mr, nr, kc, alpha, a, lda, bT, ldbT, beta, got, ldc)
 						checkTile(t, "MicroNT"+id, got, wantNT)
 
-						got = append(got[:0], cIn...)
 						bc := diffBc[T](kc, nr, sentinel)
-						MicroPackB(mr, nr, kc, alpha, a, lda, b, ldb, beta, got, ldc, bc)
-						checkTile(t, "MicroPackB"+id, got, wantNN)
-						checkBc(t, "MicroPackB"+id, bc, kc, nr, sentinel, func(k, j int) T { return b[k*ldb+j] })
-
-						// The rest of a panel reads the sliver MicroPackB left.
+						PackPanel(kc, nr, b, ldb, bc)
+						checkBc(t, "PackPanel"+id, bc, kc, nr, sentinel, func(k, j int) T { return b[k*ldb+j] })
 						got = append(got[:0], cIn...)
 						MicroPacked(mr, nr, kc, alpha, a, lda, bc, beta, got, ldc)
-						checkTile(t, "MicroPacked"+id, got, wantNN)
+						checkTile(t, "MicroPacked NN"+id, got, wantNN)
 
-						got = append(got[:0], cIn...)
 						bc = diffBc[T](kc, nr, sentinel)
-						MicroNTPack(mr, nr, kc, alpha, a, lda, bT, ldbT, beta, got, ldc, bc)
-						checkTile(t, "MicroNTPack"+id, got, wantNT)
-						checkBc(t, "MicroNTPack"+id, bc, kc, nr, sentinel, func(k, j int) T { return bT[j*ldbT+k] })
+						PackPanelNT(kc, nr, bT, ldbT, bc)
+						checkBc(t, "PackPanelNT"+id, bc, kc, nr, sentinel, func(k, j int) T { return bT[j*ldbT+k] })
+						got = append(got[:0], cIn...)
+						MicroPacked(mr, nr, kc, alpha, a, lda, bc, beta, got, ldc)
+						checkTile(t, "MicroPacked NT"+id, got, wantNT)
 						if t.Failed() {
 							return
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestPanelMatchesOracle runs the driver's packed path on whole panels:
+// PackPanel or PackPanelNT fills a kc×nc panel, then MicroPacked computes
+// every nr-column sliver of it. Over both precisions' tiles and a 4×2
+// host block, panel depths below, at and around multiples of PackPanel's
+// row group, widths that leave a partial last sliver, and B strides wider
+// than the panel, the panel must hold B(k, j) at bp[j*kc+k] with its
+// sentinels past kc*nc untouched, and the mr×nc C block must get the
+// oracle's bits.
+func TestPanelMatchesOracle(t *testing.T) {
+	panelSweep[float32](t, 7, 12)
+	panelSweep[float64](t, 7, 6)
+	panelSweep[float32](t, 4, 2)
+	panelSweep[float64](t, 3, 5)
+}
+
+func panelSweep[T Float](t *testing.T, mr, nr int) {
+	t.Helper()
+	rng := mat.NewRNG(30)
+	nan := T(math.NaN())
+	const sentinel = -7777
+	kcs := []int{1, panelRows - 1, panelRows, panelRows + 1, 3*panelRows + 2, 131}
+	for _, kc := range kcs {
+		for _, nc := range []int{1, nr - 1, nr, 2*nr + 1, 5*nr + 3} {
+			if nc < 1 {
+				continue
+			}
+			lda, ldb, ldbT, ldc := kc+1, nc+3, kc+5, nc+2
+			a := diffOperand[T](rng, mr, kc, lda, nan)
+			b := diffOperand[T](rng, kc, nc, ldb, nan)
+			bT := diffOperand[T](rng, nc, kc, ldbT, nan)
+			cIn := diffOperand[T](rng, mr, nc, ldc, sentinel)
+			for _, tc := range []struct {
+				name   string
+				fill   func(bp []T)
+				at     func(k, j int) T
+				oracle func(c []T)
+			}{
+				{"NN", func(bp []T) { PackPanel(kc, nc, b, ldb, bp) },
+					func(k, j int) T { return b[k*ldb+j] },
+					func(c []T) { oracleNN(mr, nc, kc, 0.5, a, lda, b, ldb, 1, c, ldc) }},
+				{"NT", func(bp []T) { PackPanelNT(kc, nc, bT, ldbT, bp) },
+					func(k, j int) T { return bT[j*ldbT+k] },
+					func(c []T) { oracleNT(mr, nc, kc, 0.5, a, lda, bT, ldbT, 1, c, ldc) }},
+			} {
+				id := fmt.Sprintf("[%T] %s %dx%d panel kc=%d nc=%d", a[0], tc.name, mr, nr, kc, nc)
+				bp := diffBc[T](kc, nc, sentinel)
+				tc.fill(bp)
+				checkBc(t, "PackPanel"+id, bp, kc, nc, sentinel, tc.at)
+				want := append([]T(nil), cIn...)
+				tc.oracle(want)
+				got := append([]T(nil), cIn...)
+				for j := 0; j < nc; j += nr {
+					MicroPacked(mr, min(nr, nc-j), kc, 0.5, a, lda, bp[j*kc:], 1, got[j:], ldc)
+				}
+				checkTile(t, "MicroPacked"+id, got, want)
+				if t.Failed() {
+					return
 				}
 			}
 		}
@@ -159,8 +219,8 @@ func diffOperand[T Float](rng *mat.RNG, rows, cols, ld int, pad T) []T {
 	return s
 }
 
-// diffBc returns a Bc buffer for a kc×nr sliver, one column longer than
-// the sliver, filled with sentinel.
+// diffBc returns a Bc buffer for a kc×nr sliver or panel, one column
+// longer than it, filled with sentinel.
 func diffBc[T Float](kc, nr int, sentinel T) []T {
 	bc := make([]T, (nr+1)*kc)
 	for i := range bc {
@@ -180,9 +240,9 @@ func checkTile[T Float](t *testing.T, name string, got, want []T) {
 	}
 }
 
-// checkBc asserts the packed sliver holds B(k, j) at bc[j*kc+k], nr
-// k-contiguous columns, and every element of bc past nr*kc still holds the
-// sentinel.
+// checkBc asserts the packed sliver or panel holds B(k, j) at bc[j*kc+k],
+// nr k-contiguous columns, and every element of bc past nr*kc still holds
+// the sentinel.
 func checkBc[T Float](t *testing.T, name string, bc []T, kc, nr int, sentinel T, want func(k, j int) T) {
 	t.Helper()
 	for i, got := range bc {

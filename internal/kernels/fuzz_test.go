@@ -166,7 +166,8 @@ func TestFuzzNTPackSpecs(t *testing.T) {
 		if spec.Accum {
 			beta = 1
 		}
-		MicroNTPack(mr, nb, kc, 1, a, spec.LDA, bT, spec.LDBT, beta, c[jOff:], spec.LDC, bcGo)
+		PackPanelNT(kc, nb, bT, spec.LDBT, bcGo)
+		MicroPacked(mr, nb, kc, 1, a, spec.LDA, bcGo, beta, c[jOff:], spec.LDC)
 		for i := 0; i < mr; i++ {
 			for j := 0; j < nb; j++ {
 				d := cISA[i*spec.LDC+jOff+j] - c[jOff+i*spec.LDC+j]
@@ -178,7 +179,7 @@ func TestFuzzNTPackSpecs(t *testing.T) {
 		for k := 0; k < kc; k++ {
 			for j := 0; j < nb; j++ {
 				// The ISA scatters the sliver row-major into the NEON
-				// kernel's Bc; the Go kernel keeps it in k-contiguous columns.
+				// kernel's Bc; the host panel keeps it in k-contiguous columns.
 				if bc[k*nrTotal+jOff+j] != bT[j*spec.LDBT+k] || bcGo[j*kc+k] != bT[j*spec.LDBT+k] {
 					return false
 				}

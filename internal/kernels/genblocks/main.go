@@ -196,7 +196,8 @@ func {{.Name}}[T Float](kc int, alpha T, a []T, lda int, {{.B}} []T, {{.LDB}} in
 	{{- end}}{{end}}
 	var {{range $i := seq .R}}{{range $j := seq $b.C}}{{if or $i $j}}, {{end}}c{{$i}}{{$j}}{{end}}{{end}} T
 	{{- if not .NT}}
-	{{- /* NN walks B by a running offset: one slice check per k step, no multiply. */}}
+	{{- /* NN walks B by a running offset and loads its pair by index: no
+	       multiply, and no slice (with its mask) per k step. */}}
 	off := 0
 	{{- end}}
 	for k := range a0 {
@@ -206,11 +207,11 @@ func {{.Name}}[T Float](kc int, alpha T, a []T, lda int, {{.B}} []T, {{.LDB}} in
 		{{- if .NT}}{{range $j := seq .C}}
 		y{{$j}} := b{{$j}}[k]
 		{{- end}}{{else}}
-		br := b[off : off+{{.C}}]
-		off += ldb
 		{{- range $j := seq .C}}
-		y{{$j}} := br[{{$j}}]
-		{{- end}}{{end}}
+		y{{$j}} := b[off{{if $j}}+{{$j}}{{end}}]
+		{{- end}}
+		off += ldb
+		{{- end}}
 		{{- range $i := seq .R}}{{range $j := seq $b.C}}
 		c{{$i}}{{$j}} += x{{$i}} * y{{$j}}
 		{{- end}}{{end}}

@@ -121,12 +121,13 @@ func TestPackBKernelsPackAndCompute(t *testing.T) {
 	c := fillRand32(mr*nr, rng)
 	cc := append([]float32(nil), c...)
 	bc := make([]float32, kc*nr)
-	MicroPackB(mr, nr, kc, 1, a, kc, b, ldb, 1, cc, nr, bc)
-	// Compute must match the plain kernel.
+	PackPanel(kc, nr, b, ldb, bc)
+	MicroPacked(mr, nr, kc, 1, a, kc, bc, 1, cc, nr)
+	// Compute from the panel must match the plain kernel on B in place.
 	SGEMMMicro(mr, nr, kc, 1, a, kc, b, ldb, 1, c, nr)
 	for i := range c {
 		if c[i] != cc[i] {
-			t.Fatal("PackB kernel computed different C")
+			t.Fatal("packed panel computed different C")
 		}
 	}
 	// Packed layout: nr k-contiguous columns, bc[j*kc + k] == b[k*ldb + j].
@@ -162,8 +163,9 @@ func TestNTKernelsMatchTransposedRef(t *testing.T) {
 
 // TestNTPackScatterLayout fills a 12-wide Bc with four 3-column calls, the
 // NEON kernel's §5.3.2 schedule (“call the packing micro-kernel four times
-// (12/3)”). The Go kernel keeps Bc in k-contiguous columns, so column group
-// jOff starts at bc[jOff*kc].
+// (12/3)”), and computes each 3-column group from what it packed. The host
+// panel keeps Bc in k-contiguous columns, so column group jOff starts at
+// bc[jOff*kc].
 func TestNTPackScatterLayout(t *testing.T) {
 	rng := mat.NewRNG(13)
 	mr, nb, kc, nrTotal := 7, 3, 8, 12
@@ -172,7 +174,8 @@ func TestNTPackScatterLayout(t *testing.T) {
 	bc := make([]float32, kc*nrTotal)
 	fullBT := fillRand32(nrTotal*kc, rng)
 	for jOff := 0; jOff < nrTotal; jOff += nb {
-		MicroNTPack(mr, nb, kc, 1, a, kc, fullBT[jOff*kc:], kc, 0, c[jOff:], nrTotal, bc[jOff*kc:])
+		PackPanelNT(kc, nb, fullBT[jOff*kc:], kc, bc[jOff*kc:])
+		MicroPacked(mr, nb, kc, 1, a, kc, bc[jOff*kc:], 0, c[jOff:], nrTotal)
 	}
 	// Bc must now hold B(k, j) at bc[j*kc+k].
 	for k := 0; k < kc; k++ {
@@ -201,7 +204,8 @@ func TestDGEMMMicroNTPackParity(t *testing.T) {
 	c := make([]float64, mr*nrTotal)
 	bc := make([]float64, kc*nrTotal)
 	for jOff := 0; jOff < nrTotal; jOff += nb {
-		MicroNTPack(mr, nb, kc, 1, a, kc, bT[jOff*kc:], kc, 0, c[jOff:], nrTotal, bc[jOff*kc:])
+		PackPanelNT(kc, nb, bT[jOff*kc:], kc, bc[jOff*kc:])
+		MicroPacked(mr, nb, kc, 1, a, kc, bc[jOff*kc:], 0, c[jOff:], nrTotal)
 	}
 	c2 := make([]float64, mr*nrTotal)
 	MicroPacked(mr, nrTotal, kc, 1, a, kc, bc, 0, c2, nrTotal)

@@ -176,8 +176,10 @@ func TestNTPackISAAgainstGo(t *testing.T) {
 			if spec.Accum {
 				beta = 1
 			}
-			// Go counterpart: C written at column offset JOff.
-			MicroNTPack(spec.MR, spec.NB, spec.KC, 1, a, spec.LDA, bT, spec.LDBT, beta, c[spec.JOff:], spec.LDC, bc)
+			// Go counterpart, the host's NT panel copy and the kernel on
+			// it: C written at column offset JOff.
+			PackPanelNT(spec.KC, spec.NB, bT, spec.LDBT, bc)
+			MicroPacked(spec.MR, spec.NB, spec.KC, 1, a, spec.LDA, bc, beta, c[spec.JOff:], spec.LDC)
 			for i := 0; i < spec.MR; i++ {
 				for j := 0; j < spec.NB; j++ {
 					got := cISA[i*spec.LDC+spec.JOff+j]
@@ -205,7 +207,8 @@ func TestNTPackISAAgainstGo(t *testing.T) {
 			if err := vexec.RunF64(p, a, bT, cISA, bcISA); err != nil {
 				t.Fatal(err)
 			}
-			MicroNTPack(spec.MR, spec.NB, spec.KC, 1, a, spec.LDA, bT, spec.LDBT, 0, cGo[spec.JOff:], spec.LDC, bcGo)
+			PackPanelNT(spec.KC, spec.NB, bT, spec.LDBT, bcGo)
+			MicroPacked(spec.MR, spec.NB, spec.KC, 1, a, spec.LDA, bcGo, 0, cGo[spec.JOff:], spec.LDC)
 			for i := 0; i < spec.MR; i++ {
 				for j := 0; j < spec.NB; j++ {
 					d := cISA[i*spec.LDC+spec.JOff+j] - cGo[spec.JOff+i*spec.LDC+j]

@@ -14,13 +14,16 @@
 // The Go kernels take the drivers' NEON tile (mr×nr from Eq. 1–2) and run it
 // as register blocks sized by Eq. 1 for the machine that runs them: Micro
 // and MicroNT split each tile into 4×2 blocks of scalar accumulators plus
-// their row and column remainders. The Go packing kernels, MicroPackB and
-// MicroNTPack, leave the kc×nr B sliver in Bc as nr k-contiguous columns,
-// Bc(k, j) = bc[j*kc+k]: each 4×2 block reads two B columns, and MicroNT
+// their row and column remainders. When the host driver packs B, it fills
+// one kc×nc panel per block in k-contiguous columns, B(k, j) = bp[j*kc+k]:
+// PackPanel transposes a row-major B a few whole rows at a time, and
+// PackPanelNT copies the rows of a stored-transposed B, which are already
+// k-contiguous. Every tile of the panel then runs MicroNT on its nr-column
+// sliver (MicroPacked): each 4×2 block reads two B columns, and MicroNT
 // indexes every stream it reads by k alone, so the compiler proves its k
-// loop in bounds. Every tile of a packed panel, the first included, runs
-// MicroNT on that sliver (MicroPacked). The layout is written and read only
-// in this package; the ISA programs keep the NEON kernels' row-major Bc.
+// loop in bounds. The layout is written and read only on the host; the ISA
+// programs keep the §5.3 packing micro-kernels, which fold the packing
+// loads and stores of a row-major Bc into the FMA stream.
 // The blocks and both sweeps are generated from one template by the
 // genblocks program into blocks_gen.go; after editing the template,
 // regenerate with
@@ -67,47 +70,67 @@ func DGEMMMicro(mr, nr, kc int, alpha float64, a []float64, lda int, b []float64
 	Micro(mr, nr, kc, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
-// MicroPackB is the Go counterpart of the NN-mode packing micro-kernel
-// (Alg 1 lines 6–8, Fig 4): it packs the kc×nr B sliver, read from its
-// strided source, into bc as nr k-contiguous columns, B(k, j) = bc[j*kc+k],
-// and computes the mr×nr C tile from the sliver it has packed, as every
-// later tile of the panel does (MicroPacked). The NEON kernel folds the
-// packing loads and stores into its FMA stream; a host block reads only two
-// B columns per pass, so a first row block that packed as it computed would
-// walk the strided sliver nr/2 times, and on irregular shapes (M 32–64, N
-// 2048–4096, 2-vCPU Xeon) it did not beat this copy, which reads each B row
-// once. bc must hold at least nr*kc elements; the rest is left untouched.
+// panelRows is how many rows of a row-major B PackPanel transposes per pass
+// along n. Each pass reads panelRows sequential streams and writes
+// panelRows contiguous elements of every column; the pass is written out
+// for four rows. On a warm f32 431×300 panel of a B 2048 wide (2-vCPU
+// Xeon, go1.24.0), one row per pass took 0.53 ns per element, two rows
+// 0.38–0.40, four rows 0.38–0.39 and eight 0.45; the NT row copy took
+// 0.11.
+const panelRows = 4
+
+// PackPanel packs the kc×nc block of a row-major B, B(k, j) = b[k*ldb+j],
+// into bp as nc k-contiguous columns, B(k, j) = bp[j*kc+k], the layout
+// MicroPacked reads: the nr-column sliver at column j0 starts at
+// bp[j0*kc]. It walks panelRows whole rows of B at a time along n, so it
+// reads every row of the block once and in order. bp must hold at least
+// kc*nc elements; the rest is left untouched.
 //
 //shalom:hotpath noalloc,nolock,noblock,notime
-func MicroPackB[T Float](mr, nr, kc int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bc []T) {
-	for k := 0; k < kc; k++ {
-		for j, v := range b[k*ldb:][:nr] {
-			bc[j*kc+k] = v
+func PackPanel[T Float](kc, nc int, b []T, ldb int, bp []T) {
+	k := 0
+	for ; k+panelRows <= kc; k += panelRows {
+		r0 := b[k*ldb:][:nc]
+		r1 := b[(k+1)*ldb:][:nc]
+		r2 := b[(k+2)*ldb:][:nc]
+		r3 := b[(k+3)*ldb:][:nc]
+		off := k
+		for j, v := range r0 {
+			// Stored by index: a four-element subslice of bp per column
+			// costs a slice mask, and took 0.46 ns per element on the
+			// panel above.
+			bp[off+3] = r3[j]
+			bp[off] = v
+			bp[off+1] = r1[j]
+			bp[off+2] = r2[j]
+			off += kc
 		}
 	}
-	MicroPacked(mr, nr, kc, alpha, a, lda, bc, beta, c, ldc)
+	for ; k < kc; k++ {
+		off := k
+		for _, v := range b[k*ldb:][:nc] {
+			bp[off] = v
+			off += kc
+		}
+	}
 }
 
-// MicroNTPack is the Go counterpart of the NT packing micro-kernel (Fig 5 /
-// Alg 3): it packs the kc×nr sliver of the stored-transposed bT into bc as
-// nr k-contiguous columns, B(k, j) = bc[j*kc+k], and computes the mr×nr C
-// tile from that sliver, as every later tile of the panel does
-// (MicroPacked). The rows of bT are already k-contiguous, so each column is
-// one copy of a row. bc must hold at least nr*kc elements; the rest is left
-// untouched.
+// PackPanelNT packs the kc×nc block of a stored-transposed B, B(k, j) =
+// bT[j*ldbT+k], into bp as nc k-contiguous columns, B(k, j) = bp[j*kc+k]:
+// each column is one copy of a row of bT. bp must hold at least kc*nc
+// elements; the rest is left untouched.
 //
 //shalom:hotpath noalloc,nolock,noblock,notime
-func MicroNTPack[T Float](mr, nr, kc int, alpha T, a []T, lda int, bT []T, ldbT int, beta T, c []T, ldc int, bc []T) {
-	for j := 0; j < nr; j++ {
-		copy(bc[j*kc:][:kc], bT[j*ldbT:][:kc])
+func PackPanelNT[T Float](kc, nc int, bT []T, ldbT int, bp []T) {
+	for j := 0; j < nc; j++ {
+		copy(bp[j*kc:][:kc], bT[j*ldbT:][:kc])
 	}
-	MicroPacked(mr, nr, kc, alpha, a, lda, bc, beta, c, ldc)
 }
 
-// MicroPacked computes an mr×nr tile of a panel from the B sliver that
-// MicroPackB or MicroNTPack packed into bc. The sliver's columns are
-// k-contiguous, the layout MicroNT reads with ldbT = kc, so every stream
-// the blocks read is indexed by k alone.
+// MicroPacked computes an mr×nr tile of a panel from the nr-column B sliver
+// at the head of bc, packed kc deep by PackPanel or PackPanelNT. The
+// sliver's columns are k-contiguous, the layout MicroNT reads with ldbT =
+// kc, so every stream the blocks read is indexed by k alone.
 //
 //shalom:hotpath noalloc,nolock,noblock,notime
 func MicroPacked[T Float](mr, nr, kc int, alpha T, a []T, lda int, bc []T, beta T, c []T, ldc int) {

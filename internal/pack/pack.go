@@ -1,10 +1,13 @@
 // Package pack provides the data-packing substrate: the linear-buffer
-// packing routines every GEMM driver uses and the runtime packing decision
-// rules of §4. LibShalom's drivers (internal/core) call the predicates to
-// decide whether to pack at all and, when packing, do it inside the
-// micro-kernel (internal/kernels MicroPackB and MicroNTPack); the baseline
-// drivers (internal/baselines) use the sequential whole-panel routines here,
-// which is exactly the behaviour the paper contrasts against.
+// packing routines the baseline drivers use and the runtime packing
+// decision rules of §4. LibShalom's drivers (internal/core) call the
+// predicates to decide whether to pack at all. The ISA programs fold the
+// packing into the micro-kernel (§5.3); on the host, the driver fills one
+// kc×nc panel per block in the k-contiguous columns the Go kernels read,
+// from pooled buffers (internal/kernels PackPanel and PackPanelNT), and
+// gathers the TN/TT A block with PackATransposed. The baseline drivers
+// (internal/baselines) use the sequential row-major whole-panel routines
+// here, which is the behaviour the paper contrasts against.
 package pack
 
 import "libshalom/internal/kernels"
@@ -16,7 +19,9 @@ const (
 	// NoPack: the operand is consumed in place (cache-friendly access).
 	NoPack Strategy = iota
 	// PackOverlap: the operand is packed inside the micro-kernel,
-	// overlapped with FMA computation (§5.3, LibShalom only).
+	// overlapped with FMA computation (§5.3, LibShalom only). The ISA
+	// programs and the timing model do so; the host driver fills one panel
+	// per block for the Go kernels instead (internal/core gemmST).
 	PackOverlap
 	// PackSequential: the operand is packed in a separate pass before the
 	// kernel runs (conventional BLAS behaviour, §2.2).

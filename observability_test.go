@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -103,13 +102,16 @@ func TestSnapshotCountsExact(t *testing.T) {
 }
 
 // TestTraceNesting runs one single-threaded TN call (the mode that also
-// exercises the A-gather pack phase) and checks the exported Chrome trace:
-// valid per ValidateTrace, and with plan, block, pack and kernel-batch
-// spans correctly nested under the gemm call span.
+// exercises the A-gather pack phase) and one NT call (whose B panel is
+// always packed) and checks the exported Chrome trace: valid per
+// ValidateTrace, with plan, block, pack and kernel-batch spans correctly
+// nested under the gemm call span, and with one pack span in each call's
+// block: the TN call's A gather and the NT call's B panel fill.
 func TestTraceNesting(t *testing.T) {
 	ctx := New(WithThreads(1), WithTelemetry())
 	defer ctx.Close()
 	runSGEMM(t, ctx, TN, 64, 64, 64)
+	runSGEMM(t, ctx, NT, 64, 48, 32)
 
 	var buf bytes.Buffer
 	if err := ctx.ExportTrace(&buf); err != nil {
@@ -122,9 +124,10 @@ func TestTraceNesting(t *testing.T) {
 
 	var tf struct {
 		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			TID  int32  `json:"tid"`
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			TID  int32          `json:"tid"`
+			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(raw, &tf); err != nil {
@@ -138,10 +141,18 @@ func TestTraceNesting(t *testing.T) {
 		return name
 	}
 	parents := map[string]map[string]bool{} // phase -> set of parent phases
+	packs := map[any]int{}                  // block mode -> pack spans
+	var blockMode any
 	var stack []string
 	for _, ev := range tf.TraceEvents {
 		switch ev.Ph {
 		case "B":
+			switch base(ev.Name) {
+			case "block":
+				blockMode = ev.Args["mode"]
+			case "pack":
+				packs[blockMode]++
+			}
 			parent := "root"
 			if len(stack) > 0 {
 				parent = stack[len(stack)-1]
@@ -162,6 +173,9 @@ func TestTraceNesting(t *testing.T) {
 		"block":        "gemm",
 		"pack":         "block",
 		"kernel-batch": "block",
+	}
+	if packs["TN"] != 1 || packs["NT"] != 1 || len(packs) != 2 {
+		t.Errorf("pack spans per block mode = %v, want one in the TN block and one in the NT block", packs)
 	}
 	if len(parents["gemm"]) != 1 || !parents["gemm"]["root"] {
 		t.Errorf("gemm span parents = %v, want top-level only", parents["gemm"])
@@ -223,120 +237,6 @@ func TestTelemetryOnAttribSketchAllocs(t *testing.T) {
 	if got := ctx.Snapshot(); len(got.Attrib) == 0 {
 		t.Fatal("attribution sketch recorded nothing")
 	}
-}
-
-// TestAllocationPins pins the allocations per call of the driver paths the
-// zero-allocation work targets: a packed single-threaded call, a forked
-// irregular call, an unpacked small call and the forked call with β = 1,
-// and batches on both sides of the fork floor. It also pins the bytes per
-// call of the small calls that pack, in each mode that packs: their pack
-// buffers are sized by the call, not by the platform's blocking.
-// A pin may only go down. testing.AllocsPerRun runs at GOMAXPROCS 1, so
-// every pin sets its width explicitly.
-func TestAllocationPins(t *testing.T) {
-	rng := mat.NewRNG(12)
-	call := func(mode Mode, m, n, k int, beta float32) func(*Context) error {
-		A := mat.RandomF32(m, k, rng)
-		B := mat.RandomF32(k, n, rng)
-		C := mat.NewF32(m, n)
-		lda, ldb := k, n
-		if mode.TransA() {
-			lda = m
-		}
-		if mode.TransB() {
-			ldb = k
-		}
-		return func(ctx *Context) error {
-			return ctx.SGEMM(mode, m, n, k, 1, A.Data, lda, B.Data, ldb, beta, C.Data, n)
-		}
-	}
-	batch := func(entries, s int) func(*Context) error {
-		b := make([]SBatchEntry, entries)
-		for i := range b {
-			A := mat.RandomF32(s, s, rng)
-			b[i] = SBatchEntry{M: s, N: s, K: s, Alpha: 1,
-				A: A.Data, LDA: s, B: A.Data, LDB: s, C: make([]float32, s*s), LDC: s}
-		}
-		return func(ctx *Context) error { return ctx.SGEMMBatch(NN, b) }
-	}
-	for _, pin := range []struct {
-		name    string
-		threads int
-		runs    int
-		max     float64
-		run     func(*Context) error
-	}{
-		// gemmST's packed-B sliver.
-		{"NT 32x32x32", 1, 100, 1, call(NT, 32, 32, 32, 0)},
-		// The split's shared state and partition, the pool run and its
-		// width semaphore and hand-out, and the per-block pack buffers.
-		{"NN 64x2048x512", 2, 3, 10, call(NN, 64, 2048, 512, 0)},
-		// β ≠ 0: the transient retry copies each C block before its fast
-		// path runs, whether or not the kernel panics.
-		{"NN 8x8x8 beta 1", 1, 100, 1, call(NN, 8, 8, 8, 1)},
-		{"NN 64x2048x512 beta 1", 2, 3, 12, call(NN, 64, 2048, 512, 1)},
-		// Below the fork floor a batch runs serially: only its completion
-		// bitmap allocates.
-		{"batch 16 x 8^3", 2, 100, 1, batch(16, 8)},
-		{"batch 2 x 8^3", 2, 100, 1, batch(2, 8)},
-		// Above it: the bitmap, the chunk body and the call it captures, and
-		// the pool run with its width semaphore and hand-out.
-		{"batch 8 x 64^3", 2, 20, 6, batch(8, 64)},
-	} {
-		ctx := New(WithThreads(pin.threads))
-		var err error
-		got := testing.AllocsPerRun(pin.runs, func() { err = pin.run(ctx) })
-		ctx.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", pin.name, err)
-		}
-		t.Logf("%s: %v allocations per call", pin.name, got)
-		if got > pin.max {
-			t.Errorf("%s at WithThreads(%d) allocates %v objects per call, pinned at %v", pin.name, pin.threads, got, pin.max)
-		}
-	}
-	// The f32 Bc sliver is min(kc, k)·nr·4 B (384 at 8³, 1,536 at 32³) and
-	// the TN/TT A block min(mc, m)·min(kc, k)·4 B; NN and TN leave a B that
-	// fits the L1 in place.
-	ctx := New(WithThreads(1))
-	defer ctx.Close()
-	for _, pin := range []struct {
-		name string
-		max  uint64
-		run  func(*Context) error
-	}{
-		{"NT 8^3", 384, call(NT, 8, 8, 8, 0)},
-		{"TN 8^3", 256, call(TN, 8, 8, 8, 0)},
-		{"TT 8^3", 640, call(TT, 8, 8, 8, 0)},
-		{"NT 32^3", 1536, call(NT, 32, 32, 32, 0)},
-		{"TN 32^3", 4096, call(TN, 32, 32, 32, 0)},
-		{"TT 32^3", 5632, call(TT, 32, 32, 32, 0)},
-	} {
-		var err error
-		got := bytesPerRun(100, func() { err = pin.run(ctx) })
-		if err != nil {
-			t.Fatalf("%s: %v", pin.name, err)
-		}
-		t.Logf("%s: %d bytes per call", pin.name, got)
-		if got > pin.max {
-			t.Errorf("%s at WithThreads(1) allocates %d bytes per call, pinned at %d", pin.name, got, pin.max)
-		}
-	}
-}
-
-// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
-// f allocates, averaged over runs calls after a warm-up call, at GOMAXPROCS
-// 1.
-func bytesPerRun(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // TestDegenerateGEMMNeverStartsPool is the thread-policy regression: a
